@@ -93,9 +93,12 @@ Caveats (honest deviations):
   than SCOPE's tuned optimizer, leaving more headroom); the *quality*
   of changes — fraction improved, latency/CPU deltas, wins coming with
   less parallelism — matches.
-- The paper's 5-10% optimizer-overhead figure is a C++-optimizer
-  compile-time ratio; we report absolute CLEO planning cost per job
-  (milliseconds and model look-ups) instead.
+- Fig 19's planning overhead: CLEO plans in 2.1x the default
+  planner's time here (21 vs 10 ms per job), against the paper's
+  1.05-1.10x (look-ups add 5-10% to compile time). Both planners are
+  Python. Profiled on cluster4 day 3, CLEO's extra time is mostly the
+  signature pass, the second partition assignment after exploration,
+  and the cost curves.
 - Table 1's ordering (MSLE best, MedAE worst) reproduces but with far
   less contrast than the paper's 246%-vs-14%: production runtimes carry
   extreme outliers that our softened simulator noise does not.

@@ -10,71 +10,68 @@ model, letting elastic net's L1 term do automatic feature selection.
 
 Two synchronized implementations are provided:
 
-- :func:`feature_matrix` — pandas → numpy, used inside training/predict
-  UDFs and by driver-side learners;
+- :func:`feature_matrix` — pandas (or a mapping of numpy arrays) →
+  numpy, used inside training/predict UDFs, by driver-side learners and
+  by the planner's cost curves;
 - :func:`with_spark_features` — the same formulas as Catalyst column
   expressions, for Spark-side analysis (and oracle-tested against
   DuckDB in ``tests/test_features.py``).
 
-The per-partition feature names are also what the analytical resource
-exploration of §5.3 consumes: every feature of the form ``g(I,C,L)/P``
+The per-partition features are also what the resource-aware planning
+of §5.2-§5.3 consumes: every feature of the form ``g(I,C,L)/P``
 contributes its learned weight to θ_P, the raw ``P`` feature contributes
-θ_C (see :func:`partition_thetas`).
+θ_C, and every other feature is free of P (see
+:func:`repro.optimizer.resource.cost_curves`).
 """
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-# Each entry: (name, pandas-lambda, Spark SQL expression string,
-# P-inverse numerator lambda or None).
-# The numerator lambda, when set, evaluates g(I,C,L) for features of the
-# form g(I,C,L)/P — used by the analytical partition exploration.
+# Each entry: (name, lambda over the input columns, Spark SQL expression
+# string, whether the feature has the form g(I,C,L)/P).
 _LOG = np.log1p
 
 
 def _defs():
     return [
         # --- basic (Table 2) ------------------------------------------
-        ("f_I", lambda d: d["I"], "I", None),
-        ("f_B", lambda d: d["B"], "B", None),
-        ("f_C", lambda d: d["C"], "C", None),
-        ("f_L", lambda d: d["L"], "L", None),
-        ("f_P", lambda d: d["P"], "P", None),
-        ("f_IN", lambda d: d["in_hash"], "in_hash", None),
-        ("f_PM", lambda d: d["pm"], "pm", None),
+        ("f_I", lambda d: d["I"], "I", False),
+        ("f_B", lambda d: d["B"], "B", False),
+        ("f_C", lambda d: d["C"], "C", False),
+        ("f_L", lambda d: d["L"], "L", False),
+        ("f_P", lambda d: d["P"], "P", False),
+        ("f_IN", lambda d: d["in_hash"], "in_hash", False),
+        ("f_PM", lambda d: d["pm"], "pm", False),
         # --- input or output data (Table 3) ---------------------------
-        ("f_sqrtI", lambda d: np.sqrt(d["I"]), "sqrt(I)", None),
-        ("f_sqrtB", lambda d: np.sqrt(d["B"]), "sqrt(B)", None),
-        ("f_LI", lambda d: d["L"] * d["I"], "L * I", None),
-        ("f_LB", lambda d: d["L"] * d["B"], "L * B", None),
-        ("f_LlogB", lambda d: d["L"] * _LOG(d["B"]), "L * ln(1 + B)", None),
-        ("f_LlogI", lambda d: d["L"] * _LOG(d["I"]), "L * ln(1 + I)", None),
-        ("f_LlogC", lambda d: d["L"] * _LOG(d["C"]), "L * ln(1 + C)", None),
+        ("f_sqrtI", lambda d: np.sqrt(d["I"]), "sqrt(I)", False),
+        ("f_sqrtB", lambda d: np.sqrt(d["B"]), "sqrt(B)", False),
+        ("f_LI", lambda d: d["L"] * d["I"], "L * I", False),
+        ("f_LB", lambda d: d["L"] * d["B"], "L * B", False),
+        ("f_LlogB", lambda d: d["L"] * _LOG(d["B"]), "L * ln(1 + B)", False),
+        ("f_LlogI", lambda d: d["L"] * _LOG(d["I"]), "L * ln(1 + I)", False),
+        ("f_LlogC", lambda d: d["L"] * _LOG(d["C"]), "L * ln(1 + C)", False),
         # --- input x output (Table 3) ---------------------------------
-        ("f_BC", lambda d: d["B"] * d["C"], "B * C", None),
-        ("f_IC", lambda d: d["I"] * d["C"], "I * C", None),
-        ("f_BlogC", lambda d: d["B"] * _LOG(d["C"]), "B * ln(1 + C)", None),
-        ("f_IlogC", lambda d: d["I"] * _LOG(d["C"]), "I * ln(1 + C)", None),
+        ("f_BC", lambda d: d["B"] * d["C"], "B * C", False),
+        ("f_IC", lambda d: d["I"] * d["C"], "I * C", False),
+        ("f_BlogC", lambda d: d["B"] * _LOG(d["C"]), "B * ln(1 + C)", False),
+        ("f_IlogC", lambda d: d["I"] * _LOG(d["C"]), "I * ln(1 + C)", False),
         ("f_logIlogC", lambda d: _LOG(d["I"]) * _LOG(d["C"]),
-         "ln(1 + I) * ln(1 + C)", None),
+         "ln(1 + I) * ln(1 + C)", False),
         ("f_logBlogC", lambda d: _LOG(d["B"]) * _LOG(d["C"]),
-         "ln(1 + B) * ln(1 + C)", None),
+         "ln(1 + B) * ln(1 + C)", False),
         # --- per-partition (Table 3) ----------------------------------
-        ("f_I_P", lambda d: d["I"] / d["P"], "I / P", lambda d: d["I"]),
-        ("f_C_P", lambda d: d["C"] / d["P"], "C / P", lambda d: d["C"]),
-        ("f_IL_P", lambda d: d["I"] * d["L"] / d["P"], "I * L / P",
-         lambda d: d["I"] * d["L"]),
-        ("f_CL_P", lambda d: d["C"] * d["L"] / d["P"], "C * L / P",
-         lambda d: d["C"] * d["L"]),
-        ("f_sqrtI_P", lambda d: np.sqrt(d["I"]) / d["P"], "sqrt(I) / P",
-         lambda d: np.sqrt(d["I"])),
-        ("f_sqrtC_P", lambda d: np.sqrt(d["C"]) / d["P"], "sqrt(C) / P",
-         lambda d: np.sqrt(d["C"])),
-        ("f_logI_P", lambda d: _LOG(d["I"]) / d["P"], "ln(1 + I) / P",
-         lambda d: _LOG(d["I"])),
+        ("f_I_P", lambda d: d["I"] / d["P"], "I / P", True),
+        ("f_C_P", lambda d: d["C"] / d["P"], "C / P", True),
+        ("f_IL_P", lambda d: d["I"] * d["L"] / d["P"], "I * L / P", True),
+        ("f_CL_P", lambda d: d["C"] * d["L"] / d["P"], "C * L / P", True),
+        ("f_sqrtI_P", lambda d: np.sqrt(d["I"]) / d["P"], "sqrt(I) / P", True),
+        ("f_sqrtC_P", lambda d: np.sqrt(d["C"]) / d["P"], "sqrt(C) / P", True),
+        ("f_logI_P", lambda d: _LOG(d["I"]) / d["P"], "ln(1 + I) / P", True),
     ]
 
 
@@ -83,20 +80,20 @@ FEATURE_NAMES: list[str] = [n for n, _, _, _ in _DEFS]
 CONTEXT_NAMES: list[str] = ["f_CL", "f_D"]  # operator-input extras (§4.2)
 ALL_FEATURE_NAMES: list[str] = FEATURE_NAMES + CONTEXT_NAMES
 
-# Index maps for the analytical partition exploration (§5.3).
+# Index maps for the partition-cost curves (§5.2-§5.3).
 P_FEATURE_INDEX = FEATURE_NAMES.index("f_P")
-P_INVERSE: list[tuple[int, object]] = [
-    (i, num) for i, (_, _, _, num) in enumerate(_DEFS) if num is not None
-]
+P_INVERSE_INDEX: list[int] = [i for i, (_, _, _, over_p) in enumerate(_DEFS) if over_p]
 
 
-def feature_matrix(pdf: pd.DataFrame, context: bool = False) -> np.ndarray:
-    """Numpy feature matrix from a log DataFrame with columns
-    I, B, C, L, P, in_hash, pm (+ cl, depth when ``context``)."""
-    cols = [fn(pdf).to_numpy(dtype=float) for _, fn, _, _ in _DEFS]
+def feature_matrix(pdf: pd.DataFrame | Mapping[str, np.ndarray],
+                   context: bool = False) -> np.ndarray:
+    """Numpy feature matrix from a log DataFrame, or a mapping of
+    equal-length arrays, with columns I, B, C, L, P, in_hash, pm (+ cl,
+    depth when ``context``)."""
+    cols = [np.asarray(fn(pdf), dtype=float) for _, fn, _, _ in _DEFS]
     if context:
-        cols.append(pdf["cl"].to_numpy(dtype=float))
-        cols.append(pdf["depth"].to_numpy(dtype=float))
+        cols.append(np.asarray(pdf["cl"], dtype=float))
+        cols.append(np.asarray(pdf["depth"], dtype=float))
     return np.column_stack(cols)
 
 
@@ -113,20 +110,3 @@ def with_spark_features(df: DataFrame, context: bool = False) -> DataFrame:
 def feature_names(context: bool = False) -> list[str]:
     return ALL_FEATURE_NAMES if context else list(FEATURE_NAMES)
 
-
-def partition_thetas(
-    raw_coef: np.ndarray, i_card: float, c_card: float, row_len: float
-) -> tuple[float, float]:
-    """(θ_P, θ_C) of §5.3 from one elastic net's raw-feature weights.
-
-    The learned log-cost is ``Σ w_j f_j``; fixing everything except the
-    partition count P, the P-dependent part is ``θ_P / P + θ_C · P``
-    with ``θ_P = Σ_{f_j = g_j/P} w_j · g_j(I,C,L)`` and ``θ_C`` the raw
-    ``P`` weight. Minimizing the exponent minimizes the (positive,
-    monotone exp) predicted cost, so the optimum is the paper's
-    ``P* = sqrt(θ_P / θ_C)`` when both are positive.
-    """
-    d = {"I": np.float64(i_card), "C": np.float64(c_card), "L": np.float64(row_len)}
-    theta_p = float(sum(raw_coef[i] * float(num(d)) for i, num in P_INVERSE))
-    theta_c = float(raw_coef[P_FEATURE_INDEX])
-    return theta_p, theta_c

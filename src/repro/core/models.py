@@ -69,13 +69,6 @@ class LinearModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.expm1(np.clip(self.predict_log(X), -30.0, 30.0))
 
-    def predict_unclipped(self, X: np.ndarray) -> np.ndarray:
-        """Prediction without the training-envelope guard — the model's
-        analytical form ``exp(Σ w_j f_j)``, used by partition
-        exploration (§5.3) where the *shape* in P is what matters."""
-        z = X @ self.raw_coef + self.raw_intercept
-        return np.expm1(np.clip(z, -30.0, 30.0))
-
 
 class ModelBank:
     """All trained individual models: ``family name -> key -> LinearModel``."""

@@ -8,6 +8,7 @@ models' day-2 predictions, and every table evaluates day 3.
 """
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ import pandas as pd
 from repro.core.combined import CombinedModel
 from repro.core.models import ModelBank, train_bank
 from repro.scope.workload import PRODUCTION_CLUSTERS, Cluster, ClusterConfig
+
+log = logging.getLogger(__name__)
 
 CACHE_DIR = os.environ.get(
     "REPRO_CACHE", os.path.join(os.path.dirname(__file__), "..", "..", "..", ".cache")
@@ -41,10 +44,17 @@ def _cache_path(key: str) -> str:
 
 
 def _cached(key: str, fn):
+    """``fn()``, pickled under ``key``; an unreadable artifact (corrupt,
+    truncated, or written by code that has since changed) is a miss."""
     path = _cache_path(key)
     if os.path.exists(path):
-        with open(path, "rb") as f:
-            return pickle.load(f)
+        try:
+            with open(path, "rb") as f:
+                return pickle.load(f)
+        # The exceptions pickle.load documents for bad or stale input.
+        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+                IndexError, ValueError) as exc:
+            log.warning("cache artifact %s is unreadable (%r); rebuilding it", path, exc)
     out = fn()
     with open(path, "wb") as f:
         pickle.dump(out, f)

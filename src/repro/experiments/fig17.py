@@ -35,8 +35,9 @@ from repro.scope.workload import Cluster
 SAMPLE_SIZES = [2, 4, 6, 8, 10, 15, 20, 25, 30]
 
 
-def _collect_stages(cluster_name: str, n_stages: int, day: int = 3):
-    """Exchange-rooted stages from logged day-``day`` plans, with the
+def _collect_stages(bank, cluster_name: str, n_stages: int, day: int = 3):
+    """Exchange-rooted stages from logged day-``day`` plans: each stage's
+    resource-context (its operators' cost curves under ``bank``) and the
     state needed to recompute true stage cost at any partition count."""
     cl = Cluster(cluster_config(cluster_name))
     cl._apply_churn_through(day)
@@ -49,15 +50,14 @@ def _collect_stages(cluster_name: str, n_stages: int, day: int = 3):
         root = expand_physical(tpl.logical_root, tpl.choices)
         assign_input_templates(root)
         sim.instantiate(root, cl.world, base_cards, base_lens, pm, seed)
+        nodes, curves = res.plan_cost_curves(bank, root, pm)
+        row_of = {id(n): i for i, n in enumerate(nodes)}
         for stage in plan_stages(root):
             if stage[0].op != "Exchange":
                 continue
-            ctx = res.ResourceContext()
-            for node in stage:
-                ctx.attach(res.node_feature_row(node, pm))
             out.append(
                 {
-                    "ctx": ctx,
+                    "ctx": curves[[row_of[id(n)] for n in stage]],
                     "nodes": list(stage),
                     "world": cl.world,
                     "pm": pm,
@@ -84,7 +84,7 @@ def _true_stage_cost(entry: dict, p: int) -> float:
 def run(spark=None, cluster: str = "cluster1", n_stages: int = 200) -> pd.DataFrame:
     tc = trained_cluster(cluster, spark=spark)
     bank = tc.bank
-    stages = _collect_stages(cluster, n_stages)
+    stages = _collect_stages(bank, cluster, n_stages)
 
     # Per-stage identifiability window (the planner's clamp) and the
     # true-optimal cost within it.
@@ -109,7 +109,7 @@ def run(spark=None, cluster: str = "cluster1", n_stages: int = 200) -> pd.DataFr
         cand = [c for c in candidates if lo <= c <= hi]
         if not cand:
             return entry["p_default"]
-        return res.optimize_stage_sampling(bank, entry["ctx"], cand, counter)
+        return res.optimize_stage_sampling(entry["ctx"], cand, counter)
 
     rows = []
     for n in SAMPLE_SIZES:
@@ -134,7 +134,7 @@ def run(spark=None, cluster: str = "cluster1", n_stages: int = 200) -> pd.DataFr
     counter = res.LookupCounter()
     choices = []
     for e, (lo, hi) in zip(stages, windows):
-        p = res.optimize_stage_analytical(bank, e["ctx"], counter)
+        p = res.optimize_stage_analytical(e["ctx"], counter)
         choices.append(int(np.clip(p, lo, hi)))
     rows.append(
         {

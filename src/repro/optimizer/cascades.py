@@ -5,10 +5,12 @@
 points (join implementation, aggregation strategy, optional local
 pre-aggregation — the §6.6.2 plan-change classes), derives statistics,
 and costs each candidate with the learned model hierarchy instead of
-the default cost model. During costing each operator attaches its
-partition-cost information to the stage's resource-context (partition
-exploration); at the stage boundary the partitioning operator picks the
-count minimizing total predicted stage cost (partition optimization).
+the default cost model. Each operator's model is resolved once per
+candidate and folded into a partition-cost curve, and a stage's
+operators' curves form its resource-context (partition exploration);
+at the stage boundary the partitioning operator picks the count
+minimizing total predicted stage cost (partition optimization). The
+plan's final cost reads the same curves.
 A required co-partitioning property from a join fixes the other side's
 exchange without exploration (Fig 8a step 2).
 
@@ -66,13 +68,15 @@ def _candidates(tpl: JobTemplate) -> list[dict]:
     return [dict(zip(ids, combo)) for combo in combos]
 
 
-def _instantiated(tpl: JobTemplate, choices: dict, world: sim.World, base_cards,
-                  base_lens, pm: float, seed_parts: tuple,
-                  preset: bool = False) -> PlanNode:
+def _prepared(tpl: JobTemplate, choices: dict, world: sim.World, base_cards,
+              base_lens, pm: float, seed_parts: tuple) -> PlanNode:
+    """One candidate physical plan with the statistics and heuristic
+    partition counts the optimizer sees. Latencies are simulated only
+    for the plan a planner picks."""
     root = expand_physical(tpl.logical_root, choices)
     assign_input_templates(root)
-    sim.instantiate(root, world, base_cards, base_lens, pm, seed_parts,
-                    preset_partitions=preset)
+    sim.derive_statistics(root, world, base_cards, base_lens, pm, seed_parts)
+    sim.assign_partitions(root, seed_parts)
     return root
 
 
@@ -87,12 +91,12 @@ class DefaultPlanner:
         t0 = time.perf_counter()
         best = None
         for choices in _candidates(tpl):
-            root = _instantiated(tpl, choices, world, base_cards, base_lens, pm,
-                                 seed_parts)
+            root = _prepared(tpl, choices, world, base_cards, base_lens, pm, seed_parts)
             cost = sum(dc.default_cost(self.cluster, n) for n in root.walk())
             if best is None or cost < best[0]:
                 best = (cost, root, choices)
         cost, root, choices = best
+        sim.simulate_latencies(root, world, pm, seed_parts)
         return PlanResult(
             root=root, choices=choices, predicted_cost=cost, lookups=0,
             planning_seconds=time.perf_counter() - t0,
@@ -119,8 +123,9 @@ class CleoPlanner:
         self.accept_margin = accept_margin
 
     # -- stage-level partition selection -------------------------------
-    def _optimize_partitions(self, root: PlanNode, pm: float,
-                             counter: res.LookupCounter) -> None:
+    def _optimize_partitions(self, root: PlanNode, nodes: list[PlanNode],
+                             curves: res.CostCurves, counter: res.LookupCounter) -> None:
+        row_of = {id(n): i for i, n in enumerate(nodes)}
         pinned: set[int] = set()  # exchanges fixed by a required property
         for stage in plan_stages(root):
             stage_root = stage[0]
@@ -131,9 +136,7 @@ class CleoPlanner:
             parent_join = next(
                 (n for n in stage if n.op in ("HashJoin", "MergeJoin")), None
             )
-            ctx = res.ResourceContext()
-            for node in stage:
-                ctx.attach(res.node_feature_row(node, pm))
+            ctx = curves[[row_of[id(n)] for n in stage]]  # the stage's resource-context
             # Exploration window around the heuristic count: the learned
             # models were trained near the logged partition counts, so
             # counts far outside that envelope are priced blindly (their
@@ -144,7 +147,7 @@ class CleoPlanner:
             p_def = stage_root.partitions
             p_lo, p_hi = max(1, p_def // 3), min(res.MAX_P, p_def * 3)
             if self.strategy == "analytical":
-                p = res.optimize_stage_analytical(self.bank, ctx, counter)
+                p = res.optimize_stage_analytical(ctx, counter)
             else:
                 if self.strategy == "geometric":
                     cand = res.geometric_samples_n(self.sample_n)
@@ -153,13 +156,13 @@ class CleoPlanner:
                 else:
                     cand = res.random_samples(self.sample_n)
                 cand = [c for c in cand if p_lo <= c <= p_hi] or [p_def]
-                p = res.optimize_stage_sampling(self.bank, ctx, cand, counter)
+                p = res.optimize_stage_sampling(ctx, cand, counter)
             p = int(np.clip(p, p_lo, p_hi))
             # Partition optimization (Fig 8a step 9): keep the heuristic
             # count unless the models predict a material stage-cost win
             # (acceptance margin — churn guard in the §6.7 spirit).
             both = np.array(sorted({p, p_def}), dtype=float)
-            costs = res.stage_costs_at(self.bank, ctx, both, counter)
+            costs = res.stage_costs_at(ctx, both, counter)
             cost_at = dict(zip(both.astype(int), costs))
             if cost_at[p] < self.accept_margin * cost_at[p_def]:
                 stage_root.partitions = p
@@ -178,26 +181,20 @@ class CleoPlanner:
         counter = res.LookupCounter()
         best = None
         for choices in _candidates(tpl):
-            root = _instantiated(tpl, choices, world, base_cards, base_lens, pm,
-                                 seed_parts)
+            root = _prepared(tpl, choices, world, base_cards, base_lens, pm, seed_parts)
+            # Each operator's model is resolved once per candidate; the
+            # statistics it reads do not depend on partition counts.
+            nodes, curves = res.plan_cost_curves(self.bank, root, pm)
             if self.explore_partitions:
-                self._optimize_partitions(root, pm, counter)
-                # Re-derive non-partitioning ops & re-simulate latencies
-                # for the chosen partition counts.
-                sim.instantiate(root, world, base_cards, base_lens, pm,
-                                seed_parts, preset_partitions=True)
-            cost = 0.0
-            for node in root.walk():
-                row = res.node_feature_row(node, pm)
-                cost += float(
-                    res.predict_costs_at(
-                        self.bank, row, np.asarray([node.partitions], dtype=float),
-                        counter,
-                    )[0]
-                )
+                self._optimize_partitions(root, nodes, curves, counter)
+                # Re-derive non-partitioning ops for the chosen counts.
+                sim.assign_partitions(root, seed_parts, preset=True)
+            p = np.array([[n.partitions] for n in nodes], dtype=float)
+            cost = float(res.predict_costs_at(curves, p, counter).sum())
             if best is None or cost < best[0]:
                 best = (cost, root, choices)
         cost, root, choices = best
+        sim.simulate_latencies(root, world, pm, seed_parts)
         return PlanResult(
             root=root, choices=choices, predicted_cost=cost,
             lookups=counter.lookups,

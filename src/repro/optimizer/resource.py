@@ -10,47 +10,49 @@ The paper extends Cascades with three abstractions:
 - **partition optimization**: at the stage boundary, the partitioning
   operator picks the count minimizing the stage's total predicted cost.
 
-The analytical model reuses the individual learned models: fixing all
-non-partition features, the learned (log-)cost of an operator reduces to
-``θ_P / P + θ_C · P + const``; summing θs across the stage's operators
-and differentiating gives ``P* = sqrt(Σθ_P / Σθ_C)`` when both sums are
-positive, the maximum when increasing P is free, and the minimum when it
-only hurts (the three cases of §5.3). Model look-ups are counted so the
-Fig 8c / Fig 17 efficiency comparison can be reproduced.
+The partition-cost information is a curve. Every Table 2/3 feature is
+free of the partition count P, of the form ``g(I,C,L)/P``, or ``P``
+itself, so with an operator's other statistics fixed, the log-cost its
+linear model predicts is exactly ``a + θ_P / P + θ_C · P``, clipped to
+the model's training envelope ``[z_lo, z_hi]``. :func:`plan_cost_curves`
+resolves each operator's model once per candidate plan and folds it
+into these arrays (:class:`CostCurves`); a stage's resource-context is
+the slice of them for its operators. Every planning decision reads the
+curves: sampling, the analytical optimum, the planner's acceptance
+check and the plan's final cost.
+
+The analytical model sums the θs across the stage's operators and
+differentiates: ``P* = sqrt(Σθ_P / Σθ_C)`` when both sums are positive,
+the maximum when increasing P is free, and the minimum when it only
+hurts (the three cases of §5.3). Model look-ups are counted — one per
+covered operator per partition count priced, one per covered operator
+for the analytical model — so the Fig 8c / Fig 17 efficiency comparison
+can be reproduced.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 
-from repro.core.features import feature_matrix, partition_thetas
+from repro.core.features import (
+    ALL_FEATURE_NAMES,
+    P_FEATURE_INDEX,
+    P_INVERSE_INDEX,
+    feature_matrix,
+)
 from repro.core.models import FAMILIES, LinearModel, ModelBank
-from repro.scope.plan import PlanNode, hash64
+from repro.scope.plan import PlanNode, plan_identity
 
 MAX_P = 3000  # maximum machines on a virtual cluster (§6.5)
 
-
-def node_feature_row(node: PlanNode, pm: float) -> dict:
-    """The optimizer-visible statistics of one plan operator, in the
-    layout the feature builder expects (estimated stats only)."""
-    return {
-        "I": node.est_in,
-        "B": node.est_base,
-        "C": node.est_out,
-        "L": node.row_len,
-        "P": node.partitions,
-        "in_hash": hash64(tuple(sorted(set(node.input_templates)))) / float(2**63),
-        "pm": pm,
-        "cl": node.logical_count(),
-        "depth": node.depth(),
-        "sig_sub": node.sig_subgraph(),
-        "sig_approx": node.sig_approx(),
-        "sig_opinput": node.sig_opinput(),
-        "op": node.op,
-    }
+# Features free of P: they fold into the curve's constant ``a``.
+_FREE_INDEX = [
+    j for j in range(len(ALL_FEATURE_NAMES))
+    if j != P_FEATURE_INDEX and j not in P_INVERSE_INDEX
+]
 
 
 @dataclass
@@ -60,7 +62,7 @@ class LookupCounter:
     lookups: int = 0
 
 
-def resolve_model(bank: ModelBank, row: dict) -> tuple[LinearModel, bool] | None:
+def resolve_model(bank: ModelBank, row: Mapping) -> tuple[LinearModel, bool] | None:
     """Most-specialized covering model for an operator instance (§5.1
     look-up order: subgraph → subgraphApprox → input → operator).
     Returns (model, uses_context_features) or None."""
@@ -71,25 +73,88 @@ def resolve_model(bank: ModelBank, row: dict) -> tuple[LinearModel, bool] | None
     return None
 
 
-def predict_costs_at(
-    bank: ModelBank, row: dict, partitions: np.ndarray, counter: LookupCounter,
-    clipped: bool = True,
-) -> np.ndarray:
-    """Predicted cost of one operator at each candidate partition count.
+@dataclass
+class CostCurves:
+    """Partition-cost curves of a list of operators (§5.2).
 
-    With ``clipped=False`` the training-envelope guard is lifted and the
-    model's analytical form is evaluated — appropriate for partition
-    exploration, where far-out-of-envelope counts must price as
-    expensive rather than saturate (§5.3)."""
-    resolved = resolve_model(bank, row)
-    if resolved is None:
-        return np.zeros(len(partitions))
-    model, context = resolved
-    pdf = pd.DataFrame([row] * len(partitions))
-    pdf["P"] = partitions
-    X = feature_matrix(pdf, context=context)
-    counter.lookups += len(partitions)
-    return model.predict(X) if clipped else model.predict_unclipped(X)
+    Operator ``i`` costs ``expm1(clip(a[i] + theta_p[i] / P + theta_c[i]
+    * P, z_lo[i], z_hi[i]))`` at ``P`` partitions, or 0 where no model
+    covers it (``covered[i]`` false)."""
+
+    a: np.ndarray
+    theta_p: np.ndarray
+    theta_c: np.ndarray
+    z_lo: np.ndarray
+    z_hi: np.ndarray
+    covered: np.ndarray
+
+    def __getitem__(self, idx) -> "CostCurves":
+        """The curves of the operators at ``idx``, e.g. one stage's."""
+        return CostCurves(self.a[idx], self.theta_p[idx], self.theta_c[idx],
+                          self.z_lo[idx], self.z_hi[idx], self.covered[idx])
+
+
+def cost_curves(bank: ModelBank, cols: Mapping[str, Sequence]) -> CostCurves:
+    """Resolve the model of each operator in ``cols`` and fold it into
+    its curve. ``cols`` holds one entry per operator in each of the
+    feature inputs (I, B, C, L, pm as numpy arrays; in_hash, cl, depth)
+    and the family keys (sig_sub, sig_approx, sig_opinput, op)."""
+    n = len(cols["op"])
+    keys = [spec.key_col for spec in FAMILIES]
+    coef = np.zeros((n, len(ALL_FEATURE_NAMES)))  # no-context models: last 2 stay 0
+    intercept, z_lo, z_hi = np.zeros(n), np.zeros(n), np.zeros(n)
+    covered = np.zeros(n, dtype=bool)
+    for i, row in enumerate(zip(*(cols[k] for k in keys))):
+        resolved = resolve_model(bank, dict(zip(keys, row)))
+        if resolved is None:
+            continue
+        model, _ = resolved
+        coef[i, :len(model.raw_coef)] = model.raw_coef
+        intercept[i], z_lo[i], z_hi[i] = model.raw_intercept, model.z_lo, model.z_hi
+        covered[i] = True
+    # At P = 1 a per-partition feature equals its numerator g(I,C,L).
+    terms = coef * feature_matrix({**cols, "P": np.ones(n)}, context=True)
+    theta_p = np.zeros(n)
+    for j in P_INVERSE_INDEX:
+        theta_p += terms[:, j]
+    return CostCurves(
+        a=intercept + terms[:, _FREE_INDEX].sum(axis=1),
+        theta_p=theta_p,
+        theta_c=coef[:, P_FEATURE_INDEX],
+        z_lo=z_lo, z_hi=z_hi, covered=covered,
+    )
+
+
+def plan_cost_curves(
+    bank: ModelBank, root: PlanNode, pm: float
+) -> tuple[list[PlanNode], CostCurves]:
+    """The nodes of an instantiated plan in ``root.walk()`` order and
+    their cost curves, from the statistics the optimizer sees (the
+    estimated cardinalities)."""
+    nodes = list(root.walk())
+    cols: dict[str, Sequence] = plan_identity(root)
+    cols.update(
+        I=np.array([n.est_in for n in nodes]),
+        B=np.array([n.est_base for n in nodes]),
+        C=np.array([n.est_out for n in nodes]),
+        L=np.array([n.row_len for n in nodes]),
+        pm=np.full(len(nodes), pm),
+        op=[n.op for n in nodes],
+    )
+    return nodes, cost_curves(bank, cols)
+
+
+def predict_costs_at(
+    curves: CostCurves, partitions: np.ndarray, counter: LookupCounter
+) -> np.ndarray:
+    """Predicted cost of each operator (rows) at each partition count
+    (columns). ``partitions`` is a 1-D array of counts shared by every
+    operator, or a column holding one count per operator."""
+    p = np.asarray(partitions, dtype=float)
+    z = curves.a[:, None] + curves.theta_p[:, None] / p + curves.theta_c[:, None] * p
+    z = np.clip(np.clip(z, curves.z_lo[:, None], curves.z_hi[:, None]), -30.0, 30.0)
+    counter.lookups += int(curves.covered.sum()) * p.shape[-1]
+    return np.where(curves.covered[:, None], np.expm1(z), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -134,57 +199,31 @@ def random_samples(n: int, p_max: int = MAX_P, seed: int = 0) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Stage-level exploration + optimization
+# Stage-level exploration + optimization, over a stage's resource-context
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ResourceContext:
-    """Per-stage resource context (§5.2): the operators of the stage and
-    the partition-cost information they attached."""
-
-    rows: list[dict] = field(default_factory=list)  # one per operator
-
-    def attach(self, row: dict) -> None:
-        self.rows.append(row)
-
-
 def stage_costs_at(
-    bank: ModelBank, ctx: ResourceContext, partitions: np.ndarray,
-    counter: LookupCounter, clipped: bool = True,
+    ctx: CostCurves, partitions: np.ndarray, counter: LookupCounter
 ) -> np.ndarray:
     """Total predicted stage cost at each candidate partition count."""
-    total = np.zeros(len(partitions))
-    for row in ctx.rows:
-        total += predict_costs_at(bank, row, partitions, counter, clipped=clipped)
-    return total
+    return predict_costs_at(ctx, partitions, counter).sum(axis=0)
 
 
 def optimize_stage_sampling(
-    bank: ModelBank, ctx: ResourceContext, candidates: list[int],
-    counter: LookupCounter, clipped: bool = True,
+    ctx: CostCurves, candidates: list[int], counter: LookupCounter
 ) -> int:
     """Partition optimization over an explicit candidate set."""
     cand = np.array(sorted(set(candidates)), dtype=float)
-    costs = stage_costs_at(bank, ctx, cand, counter, clipped=clipped)
-    return int(cand[int(np.argmin(costs))])
+    return int(cand[int(np.argmin(stage_costs_at(ctx, cand, counter)))])
 
 
 def optimize_stage_analytical(
-    bank: ModelBank, ctx: ResourceContext, counter: LookupCounter,
-    p_max: int = MAX_P,
+    ctx: CostCurves, counter: LookupCounter, p_max: int = MAX_P
 ) -> int:
-    """The closed-form optimum of §5.3 from summed elastic-net weights."""
-    sum_tp = 0.0
-    sum_tc = 0.0
-    for row in ctx.rows:
-        resolved = resolve_model(bank, row)
-        if resolved is None:
-            continue
-        model, _ = resolved
-        tp, tc = partition_thetas(model.raw_coef, row["I"], row["C"], row["L"])
-        counter.lookups += 1
-        sum_tp += tp
-        sum_tc += tc
+    """The closed-form optimum of §5.3 from the summed curve weights."""
+    counter.lookups += int(ctx.covered.sum())
+    sum_tp = float(ctx.theta_p.sum())
+    sum_tc = float(ctx.theta_c.sum())
     if sum_tp > 0 and sum_tc <= 0:
         return p_max  # more partitions never hurt
     if sum_tp <= 0 and sum_tc > 0:

@@ -9,7 +9,8 @@ Signatures follow §5.1: a 64-bit hash "recursively computed in a
 bottom-up fashion by combining (i) the signatures of children operators,
 (ii) hash of current operator's name, and (iii) hash of operator's
 logical properties". Three additional signatures key the other model
-families (§4.2).
+families (§4.2). :func:`plan_identity` computes all of them, with the
+CL/D context features, for a whole plan in that one bottom-up pass.
 """
 from __future__ import annotations
 
@@ -75,6 +76,10 @@ class PlanNode:
 
     @property
     def logical(self) -> str:
+        """The logical operator this node implements; a node of a
+        logical template tree is its own logical operator."""
+        if self.op in LOGICAL_KINDS:
+            return self.op
         return PHYSICAL_OPS[self.op]["logical"]
 
     @property
@@ -88,48 +93,59 @@ class PlanNode:
             yield from c.walk()
         yield self
 
-    def depth(self) -> int:
-        """Height of this operator above the leaves (leaf = 1)."""
-        if not self.children:
-            return 1
-        return 1 + max(c.depth() for c in self.children)
-
-    def logical_count(self) -> int:
-        """Number of operators in the subgraph rooted here (CL feature)."""
-        return 1 + sum(c.logical_count() for c in self.children)
-
-    # --- signatures (§5.1, §4.2) --------------------------------------
-    def sig_subgraph(self) -> int:
-        """Exact operator-subgraph signature: physical ops, structure,
-        logical properties and the normalized inputs at the leaves."""
-        return hash64(
-            self.op, self.props, *(c.sig_subgraph() for c in self.children),
-            *(() if self.children else self.input_templates),
-        )
-
-    def sig_approx(self) -> int:
-        """Operator-subgraphApprox: root physical op + same inputs + same
-        frequency of each *logical* operator below, order ignored (§4.2)."""
-        freq: dict[str, int] = {}
-        for n in self.walk():
-            if n is not self:
-                freq[n.logical] = freq.get(n.logical, 0) + 1
-        return hash64(
-            self.op,
-            tuple(sorted(self.input_templates)),
-            tuple(sorted(freq.items())),
-        )
-
-    def sig_opinput(self) -> int:
-        """Operator-input: root physical op + normalized input templates."""
-        return hash64(self.op, tuple(sorted(self.input_templates)))
-
     def stage_partition_root(self) -> "PlanNode":
         """The partitioning operator whose count this node derives (§2.1)."""
         node = self
         while node.op not in PARTITIONING_OPS and node.children:
             node = node.children[0]
         return node
+
+
+# --- signatures (§5.1, §4.2) ----------------------------------------------
+def plan_identity(root: PlanNode) -> dict[str, list]:
+    """Template-level identity of every operator of a plan: one list per
+    column below, aligned with ``root.walk()``.
+
+    One bottom-up pass; each node reuses its children's values:
+
+    - ``depth``: height above the leaves (leaf = 1);
+    - ``cl``: operators in the subgraph rooted here (the CL feature);
+    - ``in_hash``: the normalized-inputs feature IN, in [0, 1);
+    - ``sig_sub``: exact operator-subgraph signature — physical ops,
+      structure, logical properties and the inputs at the leaves;
+    - ``sig_approx``: operator-subgraphApprox — root physical op, the
+      inputs, and the frequency of each *logical* operator below it,
+      order ignored;
+    - ``sig_opinput``: operator-input — root physical op and inputs.
+    """
+    cols: dict[str, list] = {
+        c: [] for c in ("depth", "cl", "in_hash", "sig_sub", "sig_approx", "sig_opinput")
+    }
+    # id(node) -> (depth, cl, sig_sub, logical-op counts strictly below)
+    done: dict[int, tuple[int, int, int, dict[str, int]]] = {}
+    for node in root.walk():
+        kids = [done[id(c)] for c in node.children]
+        below: dict[str, int] = {}
+        for c, (_, _, _, c_below) in zip(node.children, kids):
+            for logical, k in c_below.items():
+                below[logical] = below.get(logical, 0) + k
+            below[c.logical] = below.get(c.logical, 0) + 1
+        depth = 1 + max((k[0] for k in kids), default=0)
+        cl = 1 + sum(k[1] for k in kids)
+        sig_sub = hash64(
+            node.op, node.props, *(k[2] for k in kids),
+            *(() if node.children else node.input_templates),
+        )
+        inputs = tuple(sorted(node.input_templates))
+        done[id(node)] = (depth, cl, sig_sub, below)
+        cols["depth"].append(depth)
+        cols["cl"].append(cl)
+        cols["in_hash"].append(
+            hash64(tuple(sorted(set(node.input_templates)))) / float(2**63))
+        cols["sig_sub"].append(sig_sub)
+        cols["sig_approx"].append(hash64(node.op, inputs, tuple(sorted(below.items()))))
+        cols["sig_opinput"].append(hash64(node.op, inputs))
+    return cols
 
 
 # Logical operator kinds used in template (logical) trees. ``Join`` and

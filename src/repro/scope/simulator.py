@@ -200,7 +200,9 @@ def instantiate(
     seed_parts: tuple,
     preset_partitions: bool = False,
 ) -> None:
-    """Fill instance statistics and actual latencies for a plan, in place.
+    """Fill instance statistics and actual latencies for a plan, in place:
+    :func:`derive_statistics`, :func:`assign_partitions`, then
+    :func:`simulate_latencies`.
 
     ``base_cards``/``base_lens`` give the true cardinality and row
     length of each input template for this run; ``seed_parts`` make the
@@ -210,7 +212,20 @@ def instantiate(
     the partition counts already on partitioning operators are kept
     (the planner chose them) instead of applying the default heuristic.
     """
-    # Pass 1 (bottom-up): true and estimated cardinalities, row lengths.
+    derive_statistics(root, world, base_cards, base_lens, pm, seed_parts)
+    assign_partitions(root, seed_parts, preset=preset_partitions)
+    simulate_latencies(root, world, pm, seed_parts)
+
+
+def derive_statistics(
+    root: PlanNode,
+    world: World,
+    base_cards: dict[str, float],
+    base_lens: dict[str, float],
+    pm: float,
+    seed_parts: tuple,
+) -> None:
+    """True and estimated cardinalities and row lengths, bottom-up."""
     for node in root.walk():
         g_node = _rng("est-jit", *seed_parts, node.tpl_op_id)
         if not node.children:
@@ -249,10 +264,6 @@ def instantiate(
             true_sel = node.true_out / max(node.true_in, 1.0)
             err = world.est_error_factor(node.tpl_op_id, node.logical, g_node)
             node.est_out = max(1.0, node.est_in * true_sel * err)
-    assign_partitions(root, seed_parts, preset=preset_partitions)
-    # Pass 3: actual exclusive latencies (needs final partition counts).
-    for node in root.walk():
-        node.actual_latency = world.exclusive_latency(node, pm, seed_parts)
 
 
 def assign_partitions(root: PlanNode, seed_parts: tuple, preset: bool = False) -> None:
@@ -295,6 +306,13 @@ def _rederive_stage(node: PlanNode) -> None:
                 n.partitions = max(c.partitions for c in n.children)
             else:
                 n.partitions = n.children[0].partitions
+
+
+def simulate_latencies(root: PlanNode, world: World, pm: float, seed_parts: tuple) -> None:
+    """Actual exclusive latency of every operator; needs the final
+    statistics and partition counts."""
+    for node in root.walk():
+        node.actual_latency = world.exclusive_latency(node, pm, seed_parts)
 
 
 def job_latency(root: PlanNode) -> float:

@@ -34,6 +34,7 @@ from repro.scope.plan import (
     assign_input_templates,
     expand_physical,
     hash64,
+    plan_identity,
 )
 
 FREQ_CHOICES = [1, 2, 4, 8, 24]
@@ -300,19 +301,23 @@ class Cluster:
                 pm, base_cards, base_lens = self.instance_inputs(tpl, day, k)
                 sim.instantiate(tpl.root, self.world, base_cards, base_lens, pm,
                                 seed_parts=(self.cfg.name, tpl.tpl_id, day, k))
-                for node in tpl.root.walk():
-                    op_rows.append(self._op_row(node, job_id, tpl, day, is_adhoc, pm))
+                ident = plan_identity(tpl.root)
+                for i, node in enumerate(tpl.root.walk()):
+                    op_rows.append(self._op_row(node, {c: v[i] for c, v in ident.items()},
+                                                job_id, tpl, day, is_adhoc, pm))
                 job_rows.append({
                     "cluster": self.cfg.name, "day": day, "job_id": job_id,
                     "template_id": tpl.tpl_id, "adhoc": is_adhoc,
                     "latency": sim.job_latency(tpl.root),
                     "cpu_seconds": sim.job_cpu_seconds(tpl.root),
-                    "n_ops": tpl.root.logical_count(),
+                    "n_ops": ident["cl"][-1],
                 })
         return pd.DataFrame(op_rows), pd.DataFrame(job_rows)
 
-    def _op_row(self, node: PlanNode, job_id: str, tpl: JobTemplate, day: int,
-                is_adhoc: bool, pm: float) -> dict:
+    def _op_row(self, node: PlanNode, ident: dict, job_id: str, tpl: JobTemplate,
+                day: int, is_adhoc: bool, pm: float) -> dict:
+        """One operator-log row; ``ident`` is the node's entry of
+        :func:`plan_identity`."""
         return {
             "cluster": self.cfg.name,
             "day": day,
@@ -322,12 +327,12 @@ class Cluster:
             "op_id": node.tpl_op_id,
             "op": node.op,
             "logical": node.logical,
-            "depth": node.depth(),
-            "cl": node.logical_count(),
-            "sig_sub": node.sig_subgraph(),
-            "sig_approx": node.sig_approx(),
-            "sig_opinput": node.sig_opinput(),
-            "in_hash": hash64(tuple(sorted(set(node.input_templates)))) / float(2**63),
+            "depth": ident["depth"],
+            "cl": ident["cl"],
+            "sig_sub": ident["sig_sub"],
+            "sig_approx": ident["sig_approx"],
+            "sig_opinput": ident["sig_opinput"],
+            "in_hash": ident["in_hash"],
             "pm": pm,
             "I": node.est_in,
             "B": node.est_base,

@@ -67,6 +67,20 @@ def test_cleo_planner_deterministic(planning_setup, tiny_bank):
     assert r1.actual_latency == r2.actual_latency
 
 
+@pytest.mark.parametrize("explore", [True, False])
+def test_predicted_cost_matches_feature_matrix_reference(planning_setup, tiny_bank,
+                                                         explore):
+    """The plan cost read from the curves equals the resolved models'
+    ``predict`` on the feature matrix, summed over the chosen plan."""
+    from tests.test_resource import plan_rows, reference_costs
+
+    cl, tpl, pm, bc, bl, seed = planning_setup
+    r = CleoPlanner(tiny_bank, explore_partitions=explore).plan(
+        tpl, cl.world, bc, bl, pm, seed)
+    want = reference_costs(tiny_bank, plan_rows(r.root, pm)).sum()
+    assert r.predicted_cost == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_partition_exploration_changes_counts(planning_setup, tiny_bank):
     cl, tpl, pm, bc, bl, seed = planning_setup
     with_exp = CleoPlanner(tiny_bank, explore_partitions=True).plan(

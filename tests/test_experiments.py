@@ -11,6 +11,16 @@ import pytest
 from repro.experiments import common
 
 
+def test_cached_treats_unreadable_pickle_as_miss(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(common, "CACHE_DIR", str(tmp_path))
+    # A pickle whose protocol byte was dropped, as in a mangled checkout.
+    (tmp_path / "k.pkl").write_bytes(b"\x04\x95\x05\x00")
+    with caplog.at_level("WARNING", logger=common.__name__):
+        assert common._cached("k", lambda: {"x": 1}) == {"x": 1}
+    assert "unreadable" in caplog.text
+    assert common._cached("k", lambda: None) == {"x": 1}  # rewritten, now a hit
+
+
 @pytest.fixture(scope="module")
 def tc1(spark):
     return common.trained_cluster("cluster1", spark=spark)

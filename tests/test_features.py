@@ -1,5 +1,6 @@
 """Tests for the Table 2/3 feature layer: pandas/numpy vs Spark vs
-DuckDB equivalence, and the §5.3 partition-theta extraction."""
+DuckDB equivalence, and the §5.3 partition thetas the features give the
+planner's cost curves."""
 import duckdb
 import numpy as np
 import pandas as pd
@@ -7,6 +8,8 @@ import pytest
 
 from repro.core import features
 from repro.core.learners.linear import ElasticNet
+from repro.core.models import LinearModel, ModelBank
+from repro.optimizer.resource import cost_curves
 
 
 def _log_frame(n=200, seed=0):
@@ -36,6 +39,14 @@ def test_feature_matrix_shape():
     pdf = _log_frame()
     assert features.feature_matrix(pdf).shape == (200, 27)
     assert features.feature_matrix(pdf, context=True).shape == (200, 29)
+
+
+def test_feature_matrix_accepts_array_mapping():
+    pdf = _log_frame(30, seed=2)
+    cols = {k: pdf[k].to_numpy() for k in pdf.columns}
+    for context in (False, True):
+        np.testing.assert_array_equal(features.feature_matrix(cols, context=context),
+                                      features.feature_matrix(pdf, context=context))
 
 
 def test_feature_matrix_finite():
@@ -88,12 +99,24 @@ def test_spark_features_match_duckdb_oracle(spark):
     assert_equivalent(sdf.select(*sel), sql, t=pdf)
 
 
+def _thetas(coef, i_card, c_card, row_len):
+    """(θ_P, θ_C) of the cost curve of one operator whose only covering
+    model has raw weights ``coef`` (27 of them: no context features)."""
+    bank = ModelBank()
+    bank.models["Op-Subgraph"][1] = LinearModel(np.asarray(coef, dtype=float), 0.0, 10)
+    cols = {"I": [i_card], "B": [1.0], "C": [c_card], "L": [row_len], "in_hash": [0.5],
+            "pm": [0.5], "cl": [1], "depth": [1], "sig_sub": [1], "sig_approx": [2],
+            "sig_opinput": [3], "op": ["Extract"]}
+    curves = cost_curves(bank, {k: np.array(v) for k, v in cols.items()})
+    return float(curves.theta_p[0]), float(curves.theta_c[0])
+
+
 def test_partition_thetas_from_known_weights():
     # Craft raw weights: only I*L/P and P non-zero.
     coef = np.zeros(len(features.FEATURE_NAMES))
     coef[features.FEATURE_NAMES.index("f_IL_P")] = 2.0
     coef[features.P_FEATURE_INDEX] = 0.5
-    tp, tc = features.partition_thetas(coef, i_card=10.0, c_card=3.0, row_len=4.0)
+    tp, tc = _thetas(coef, i_card=10.0, c_card=3.0, row_len=4.0)
     assert tp == pytest.approx(2.0 * 10 * 4)
     assert tc == pytest.approx(0.5)
 
@@ -101,7 +124,7 @@ def test_partition_thetas_from_known_weights():
 def test_partition_thetas_all_inverse_features():
     coef = np.ones(len(features.FEATURE_NAMES))
     i, c, ln = 100.0, 50.0, 10.0
-    tp, _ = features.partition_thetas(coef, i, c, ln)
+    tp, _ = _thetas(coef, i, c, ln)
     expected = (
         i + c + i * ln + c * ln + np.sqrt(i) + np.sqrt(c) + np.log1p(i)
     )
@@ -122,9 +145,7 @@ def test_learned_thetas_recover_partition_response():
     work = pdf.I * pdf.L / 1e7
     y = work / pdf.P + 0.03 * pdf.P
     en = ElasticNet(alpha=0.05).fit(features.feature_matrix(pdf), y.to_numpy())
-    tp, tc = features.partition_thetas(
-        en.raw_coef_, float(pdf.I.mean()), float(pdf.C.mean()), 100.0
-    )
+    tp, tc = _thetas(en.raw_coef_, float(pdf.I.mean()), float(pdf.C.mean()), 100.0)
     assert tp > 0 and tc > 0
     p_star = np.sqrt(tp / tc)
     true_opt = np.sqrt((pdf.I.mean() * 100 / 1e7) / 0.03)

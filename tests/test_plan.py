@@ -9,6 +9,7 @@ from repro.scope.plan import (
     expand_physical,
     hash64,
     operator_signature,
+    plan_identity,
     plan_signature,
     plan_stages,
 )
@@ -16,6 +17,12 @@ from repro.scope.plan import (
 
 def scan(name="in0", opid="s0"):
     return PlanNode(op="Scan", input_templates=(name,), tpl_op_id=opid, props=name)
+
+
+def ident(node):
+    """The identity columns of ``node`` (the last entry of its subtree's
+    walk)."""
+    return {c: v[-1] for c, v in plan_identity(node).items()}
 
 
 def simple_logical():
@@ -59,8 +66,8 @@ def test_walk_bottom_up():
 
 def test_depth_and_logical_count():
     root = simple_logical()
-    assert root.logical_count() == 6
-    assert root.depth() == 5  # scan->filter->join->agg->output
+    assert ident(root)["cl"] == 6
+    assert ident(root)["depth"] == 5  # scan->filter->join->agg->output
 
 
 def test_input_templates_propagate():
@@ -76,14 +83,14 @@ def test_physical_op_catalogue_consistency():
 # -- signatures -------------------------------------------------------------
 
 def test_sig_subgraph_stable():
-    assert simple_logical().sig_subgraph() == simple_logical().sig_subgraph()
+    assert ident(simple_logical())["sig_sub"] == ident(simple_logical())["sig_sub"]
 
 
 def test_sig_subgraph_sensitive_to_structure():
     a = simple_logical()
     b = simple_logical()
     b.children[0].children[0].children[0].props = "different"
-    assert a.sig_subgraph() != b.sig_subgraph()
+    assert ident(a)["sig_sub"] != ident(b)["sig_sub"]
 
 
 def test_sig_approx_ignores_order():
@@ -100,8 +107,8 @@ def test_sig_approx_ignores_order():
 
     root_a = physical_chain([("Filter", "f1", "pX"), ("Project", "p1", "pY")])
     root_b = physical_chain([("Project", "p1", "pY"), ("Filter", "f1", "pX")])
-    assert root_a.sig_approx() == root_b.sig_approx()
-    assert root_a.sig_subgraph() != root_b.sig_subgraph()
+    assert ident(root_a)["sig_approx"] == ident(root_b)["sig_approx"]
+    assert ident(root_a)["sig_sub"] != ident(root_b)["sig_sub"]
 
 
 def test_sig_opinput_ignores_subgraph_shape():
@@ -109,14 +116,50 @@ def test_sig_opinput_ignores_subgraph_shape():
     other = simple_logical()
     other.children[0].children[0].sel_param = 0.9
     other.children[0].children[0].props = "changed"
-    assert root.sig_opinput() == other.sig_opinput()
+    assert ident(root)["sig_opinput"] == ident(other)["sig_opinput"]
 
 
 def test_sig_opinput_differs_per_op():
     root = simple_logical()
     agg = root.children[0]
     out = root
-    assert agg.sig_opinput() != out.sig_opinput()
+    assert ident(agg)["sig_opinput"] != ident(out)["sig_opinput"]
+
+
+def _reference_identity(node):
+    """The per-node recursive definitions the one-pass
+    :func:`plan_identity` must reproduce."""
+    def depth(n):
+        return 1 + max((depth(c) for c in n.children), default=0)
+
+    def cl(n):
+        return 1 + sum(cl(c) for c in n.children)
+
+    def sig_sub(n):
+        return hash64(n.op, n.props, *(sig_sub(c) for c in n.children),
+                      *(() if n.children else n.input_templates))
+
+    freq: dict[str, int] = {}
+    for n in node.walk():
+        if n is not node:
+            freq[n.logical] = freq.get(n.logical, 0) + 1
+    inputs = tuple(sorted(node.input_templates))
+    return {
+        "depth": depth(node),
+        "cl": cl(node),
+        "in_hash": hash64(tuple(sorted(set(node.input_templates)))) / float(2**63),
+        "sig_sub": sig_sub(node),
+        "sig_approx": hash64(node.op, inputs, tuple(sorted(freq.items()))),
+        "sig_opinput": hash64(node.op, inputs),
+    }
+
+
+def test_plan_identity_matches_per_node_definitions(tiny):
+    cl, _, _ = tiny
+    for tpl in cl.templates:
+        ids = plan_identity(tpl.root)
+        for i, node in enumerate(tpl.root.walk()):
+            assert {c: v[i] for c, v in ids.items()} == _reference_identity(node)
 
 
 # -- physical expansion -----------------------------------------------------

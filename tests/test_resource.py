@@ -1,10 +1,17 @@
 """Tests for resource-context and partition exploration (§5.2-§5.3)."""
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.core.features import (
+    ALL_FEATURE_NAMES,
+    FEATURE_NAMES,
+    P_FEATURE_INDEX,
+    feature_matrix,
+)
 from repro.core.models import LinearModel, ModelBank
-from repro.core.features import FEATURE_NAMES, P_FEATURE_INDEX
 from repro.optimizer import resource as res
+from repro.scope.plan import plan_identity
 
 
 def test_geometric_samples_sequence():
@@ -54,6 +61,37 @@ def _row(p=10):
     }
 
 
+def _curves(bank, rows):
+    """Cost curves of operators given as :func:`_row`-style dicts."""
+    return res.cost_curves(bank, {k: np.array([r[k] for r in rows]) for k in rows[0]})
+
+
+def reference_costs(bank, rows):
+    """Per-operator predicted costs through the feature matrix: the
+    resolved model's ``predict`` on a one-row frame per operator."""
+    out = []
+    for row in rows:
+        resolved = res.resolve_model(bank, row)
+        if resolved is None:
+            out.append(0.0)
+            continue
+        model, context = resolved
+        X = feature_matrix(pd.DataFrame([row]), context=context)
+        out.append(float(model.predict(X)[0]))
+    return np.array(out)
+
+
+def plan_rows(root, pm):
+    """Feature-log rows of an instantiated plan's nodes, from the
+    estimated statistics (the layout of the training log)."""
+    ids = plan_identity(root)
+    return [
+        {"I": n.est_in, "B": n.est_base, "C": n.est_out, "L": n.row_len,
+         "P": n.partitions, "pm": pm, "op": n.op, **{c: v[i] for c, v in ids.items()}}
+        for i, n in enumerate(root.walk())
+    ]
+
+
 def test_resolve_model_cascade_order():
     bank = _bank_with_operator_model({})
     row = _row()
@@ -73,17 +111,65 @@ def test_resolve_model_none_when_empty():
 def test_predict_costs_counts_lookups():
     bank = _bank_with_operator_model({})
     counter = res.LookupCounter()
-    res.predict_costs_at(bank, _row(), np.array([1.0, 2.0, 4.0]), counter)
+    res.predict_costs_at(_curves(bank, [_row()]), np.array([1.0, 2.0, 4.0]), counter)
     assert counter.lookups == 3
+
+
+def test_uncovered_operator_prices_zero_without_lookups():
+    bank = _bank_with_operator_model({"f_P": 1e-3}, intercept=1.0)
+    ctx = _curves(bank, [_row(), {**_row(), "op": "Sort"}])
+    assert ctx.covered.tolist() == [True, False]
+    counter = res.LookupCounter()
+    costs = res.predict_costs_at(ctx, np.array([1.0, 50.0, 3000.0]), counter)
+    assert (costs[0] > 0).all() and (costs[1] == 0).all()
+    assert counter.lookups == 3  # the covered operator only
+    res.optimize_stage_analytical(ctx, counter)
+    assert counter.lookups == 4
+
+
+def test_curves_match_feature_matrix_predictions():
+    """Curve costs equal ``LinearModel.predict`` on the feature matrix,
+    for models with and without context features, at counts where the
+    log-space clip binds at both ends."""
+    g = np.random.default_rng(3)
+    rows = [
+        {"I": float(np.exp(g.normal(12, 0.3))), "B": float(np.exp(g.normal(13, 0.3))),
+         "C": float(np.exp(g.normal(10, 0.3))), "L": float(g.uniform(40, 400)),
+         "in_hash": float(g.random()), "pm": float(g.random()),
+         "cl": int(g.integers(1, 20)), "depth": int(g.integers(1, 8)),
+         "sig_sub": i, "sig_approx": -1, "sig_opinput": -1,
+         "op": "Extract" if i % 2 else "Sort"}
+        for i in range(8)
+    ]
+    X = feature_matrix(pd.DataFrame(rows).assign(P=1.0), context=True)
+    # Weights that make every feature's term of order 0.1, plus a
+    # partition response of a few units in log space.
+    scale = 1.0 / (np.abs(X).mean(axis=0) * X.shape[1])
+    il_p = FEATURE_NAMES.index("f_IL_P")
+    bank = ModelBank()
+    for i in range(0, 8, 2):  # even rows: Op-Subgraph, no context features
+        coef = g.normal(0, 1, len(FEATURE_NAMES)) * scale[:len(FEATURE_NAMES)]
+        coef[il_p] = -4.0 / X[:, il_p].mean()
+        coef[P_FEATURE_INDEX] = 2e-3
+        bank.models["Op-Subgraph"][i] = LinearModel(coef, 5.0, 10, 3.0, 8.0)
+    coef = g.normal(0, 1, len(ALL_FEATURE_NAMES)) * scale  # Operator, with context
+    coef[il_p] = 10.0 / X[:, il_p].mean()
+    coef[P_FEATURE_INDEX] = 1e-3
+    bank.models["Operator"]["Extract"] = LinearModel(coef, 1.0, 10, 2.0, 9.0)
+    ps = np.array([1.0, 2.0, 7.0, 60.0, 500.0, 3000.0])
+    got = res.predict_costs_at(_curves(bank, rows), ps, res.LookupCounter())
+    want = np.column_stack([reference_costs(bank, [{**r, "P": p} for r in rows]) for p in ps])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # The clip binds at both ends for both kinds of model.
+    for lo, hi, sl in ((3.0, 8.0, slice(0, 8, 2)), (2.0, 9.0, slice(1, 8, 2))):
+        assert (got[sl] == np.expm1(lo)).any() and (got[sl] == np.expm1(hi)).any()
 
 
 def test_analytical_case_interior_optimum():
     """theta_P > 0 and theta_C > 0 -> P* = sqrt(tP/tC) (§5.3 case iii)."""
     bank = _bank_with_operator_model({"f_IL_P": 1e-8, "f_P": 1e-3})
-    ctx = res.ResourceContext()
-    ctx.attach(_row())
     counter = res.LookupCounter()
-    p = res.optimize_stage_analytical(bank, ctx, counter)
+    p = res.optimize_stage_analytical(_curves(bank, [_row()]), counter)
     tp = 1e-8 * 1e6 * 100
     expected = int(round(np.sqrt(tp / 1e-3)))
     assert p == pytest.approx(expected, abs=1)
@@ -92,58 +178,53 @@ def test_analytical_case_interior_optimum():
 
 def test_analytical_case_max_partitions():
     bank = _bank_with_operator_model({"f_IL_P": 1e-8, "f_P": -1e-3})
-    ctx = res.ResourceContext()
-    ctx.attach(_row())
-    assert res.optimize_stage_analytical(bank, ctx, res.LookupCounter()) == res.MAX_P
+    ctx = _curves(bank, [_row()])
+    assert res.optimize_stage_analytical(ctx, res.LookupCounter()) == res.MAX_P
 
 
 def test_analytical_case_min_partitions():
     bank = _bank_with_operator_model({"f_IL_P": -1e-8, "f_P": 1e-3})
-    ctx = res.ResourceContext()
-    ctx.attach(_row())
-    assert res.optimize_stage_analytical(bank, ctx, res.LookupCounter()) == 1
+    ctx = _curves(bank, [_row()])
+    assert res.optimize_stage_analytical(ctx, res.LookupCounter()) == 1
 
 
 def test_analytical_degenerate_returns_one():
     bank = _bank_with_operator_model({})
-    ctx = res.ResourceContext()
-    ctx.attach(_row())
-    assert res.optimize_stage_analytical(bank, ctx, res.LookupCounter()) == 1
+    ctx = _curves(bank, [_row()])
+    assert res.optimize_stage_analytical(ctx, res.LookupCounter()) == 1
 
 
 def test_sampling_finds_model_minimum():
     """With a true U-shaped predicted cost, dense sampling must find a
     near-optimal count."""
     bank = _bank_with_operator_model({"f_IL_P": 1e-8, "f_P": 1e-3})
-    ctx = res.ResourceContext()
-    ctx.attach(_row())
+    ctx = _curves(bank, [_row()])
     counter = res.LookupCounter()
-    p = res.optimize_stage_sampling(
-        bank, ctx, list(range(1, res.MAX_P, 10)), counter
-    )
-    analytical = res.optimize_stage_analytical(bank, ctx, res.LookupCounter())
+    p = res.optimize_stage_sampling(ctx, list(range(1, res.MAX_P, 10)), counter)
+    analytical = res.optimize_stage_analytical(ctx, res.LookupCounter())
     assert abs(p - analytical) <= 15
 
 
 def test_stage_costs_sum_over_operators():
     bank = _bank_with_operator_model({}, intercept=1.0)
-    ctx = res.ResourceContext()
-    ctx.attach(_row())
-    ctx.attach(_row())
     counter = res.LookupCounter()
-    costs = res.stage_costs_at(bank, ctx, np.array([10.0]), counter)
-    single = res.predict_costs_at(bank, _row(), np.array([10.0]), res.LookupCounter())
-    assert costs[0] == pytest.approx(2 * single[0])
+    costs = res.stage_costs_at(_curves(bank, [_row(), _row()]), np.array([10.0]), counter)
+    single = res.predict_costs_at(_curves(bank, [_row()]), np.array([10.0]),
+                                  res.LookupCounter())
+    assert costs[0] == pytest.approx(2 * single[0, 0])
+    assert counter.lookups == 2
 
 
-def test_node_feature_row_from_plan(tiny):
+def test_plan_cost_curves_from_plan(tiny, tiny_bank):
     cl, _, _ = tiny
     tpl = cl.templates[0]
     from repro.scope import simulator as sim
 
     pm, bc, bl = cl.instance_inputs(tpl, 1, 0)
     sim.instantiate(tpl.root, cl.world, bc, bl, pm, ("t", 1))
-    node = next(n for n in tpl.root.walk() if n.op == "Extract")
-    row = res.node_feature_row(node, pm)
-    assert row["I"] == node.est_in and row["P"] == node.partitions
-    assert row["op"] == "Extract"
+    nodes, curves = res.plan_cost_curves(tiny_bank, tpl.root, pm)
+    assert nodes == list(tpl.root.walk())
+    p = np.array([[n.partitions] for n in nodes], dtype=float)
+    got = res.predict_costs_at(curves, p, res.LookupCounter())[:, 0]
+    want = reference_costs(tiny_bank, plan_rows(tpl.root, pm))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.scope import simulator as sim
-from repro.scope.plan import assign_input_templates, expand_physical, PlanNode
+from repro.scope.plan import assign_input_templates, expand_physical, plan_identity, PlanNode
 
 
 def make_plan(choices=None):
@@ -90,9 +90,9 @@ def test_estimation_error_compounds_with_depth():
     errs = {}
     for seed in range(40):
         root = instantiate(make_plan(), seed=("t", seed))
-        for n in root.walk():
+        for n, depth in zip(root.walk(), plan_identity(root)["depth"]):
             if n.logical in ("Filter", "Join", "Aggregate"):
-                errs.setdefault(n.depth(), []).append(
+                errs.setdefault(depth, []).append(
                     abs(np.log((n.est_out + 1) / (n.true_out + 1)))
                 )
     depths = sorted(errs)
