@@ -5,7 +5,8 @@ paper evaluates are implemented here with the paper's hyper-parameters:
 
 - :class:`~repro.core.learners.linear.ElasticNet` — L1+L2 regularized
   linear regression on the log-transformed target (the paper's MSLE
-  loss), fit by coordinate descent. The workhorse for all individual
+  loss), fit by coordinate descent with covariance updates, batched
+  over many groups (``fit_groups``). The workhorse for all individual
   (per-signature) models.
 - :class:`~repro.core.learners.linear.GDLinear` — gradient-descent
   linear model with pluggable loss (median-absolute, mean-absolute,

@@ -12,19 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.learners.tree import _Tree, quantile_bin
+from repro.core.learners.tree import _Tree, bin_codes, quantile_bin
 
 
 class _BinnedEnsembleBase:
     def _bin_fit(self, X: np.ndarray):
         codes, self.edges_ = quantile_bin(np.asarray(X, dtype=float))
-        return codes
-
-    def _bin_predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        codes = np.zeros(X.shape, dtype=np.int16)
-        for j, e in enumerate(self.edges_):
-            codes[:, j] = np.searchsorted(e, X[:, j], side="right")
         return codes
 
 
@@ -62,7 +55,7 @@ class RandomForestRegressor(_BinnedEnsembleBase):
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        codes = self._bin_predict(X)
+        codes = bin_codes(X, self.edges_)
         z = np.mean([t.predict_binned(codes) for t in self.trees_], axis=0)
         return np.expm1(np.clip(z, -30, 30)) if self.log_target else z
 
@@ -113,7 +106,7 @@ class FastTreeRegressor(_BinnedEnsembleBase):
         return self
 
     def predict_log(self, X: np.ndarray) -> np.ndarray:
-        codes = self._bin_predict(X)
+        codes = bin_codes(X, self.edges_)
         z = np.full(len(codes), self.base_)
         for t in self.trees_:
             z += self.learning_rate * t.predict_binned(codes)

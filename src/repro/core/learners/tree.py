@@ -19,20 +19,23 @@ def quantile_bin(X: np.ndarray, max_bins: int = _MAX_BINS):
 
     Returns ``(codes, edges)`` where ``codes[i, j]`` is the bin index of
     sample i on feature j and ``edges[j]`` are the interior thresholds
-    (length = n_bins_j - 1). Unseen values at predict time are clipped
-    into the outer bins, matching standard histogram-GBT behaviour.
+    (length = n_bins_j - 1). Repeated quantiles collapse, so a constant
+    column gets no empty bins.
     """
-    n, d = X.shape
-    codes = np.zeros((n, d), dtype=np.int16)
-    edges: list[np.ndarray] = []
     qs = np.linspace(0, 1, max_bins + 1)[1:-1]
-    for j in range(d):
-        col = X[:, j]
-        e = np.unique(np.quantile(col, qs))
-        # Drop pseudo-edges that would create empty bins on constant cols.
-        edges.append(e)
-        codes[:, j] = np.searchsorted(e, col, side="right")
-    return codes, edges
+    edges = [np.unique(np.quantile(X[:, j], qs)) for j in range(X.shape[1])]
+    return bin_codes(X, edges), edges
+
+
+def bin_codes(X: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
+    """Bin codes of ``X`` under per-feature ``edges`` (from
+    :func:`quantile_bin`). Unseen values at predict time fall into the
+    outer bins, matching standard histogram-GBT behaviour."""
+    X = np.asarray(X, dtype=float)
+    codes = np.zeros(X.shape, dtype=np.int16)
+    for j, e in enumerate(edges):
+        codes[:, j] = np.searchsorted(e, X[:, j], side="right")
+    return codes
 
 
 class _Tree:
@@ -147,13 +150,6 @@ class DecisionTreeRegressor:
         self.tree_ = _Tree(self.max_depth, self.min_samples_leaf).fit_binned(codes, t)
         return self
 
-    def _codes(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        codes = np.zeros(X.shape, dtype=np.int16)
-        for j, e in enumerate(self.edges_):
-            codes[:, j] = np.searchsorted(e, X[:, j], side="right")
-        return codes
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        z = self.tree_.predict_binned(self._codes(X))
+        z = self.tree_.predict_binned(bin_codes(X, self.edges_))
         return np.expm1(np.clip(z, -30, 30)) if self.log_target else z

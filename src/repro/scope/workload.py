@@ -347,15 +347,3 @@ class Cluster:
             "cost_tuned": dc.tuned_cost(self.cfg.name, node),
             "cost_default_truecard": dc.default_cost(self.cfg.name, node, true_cards=True),
         }
-
-
-def generate_workload(
-    configs: list[ClusterConfig], days: list[int]
-) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Generate (ops_df, jobs_df) across several clusters."""
-    ops, jobs = [], []
-    for cfg in configs:
-        o, j = Cluster(cfg).generate_days(days)
-        ops.append(o)
-        jobs.append(j)
-    return pd.concat(ops, ignore_index=True), pd.concat(jobs, ignore_index=True)
