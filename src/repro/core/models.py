@@ -18,13 +18,14 @@ operator log is split into hash buckets of signatures and each
 `applyInPandas` task runs the same family fitter on its bucket — the
 analogue of the paper's SCOPE-based parallel model trainer (§5.1).
 
-The trained bank stores raw-feature weights, so prediction is a dot
-product and the analytical partition exploration (§5.3) can read
-per-partition weights directly.
+The trained bank is one table of arrays (:class:`ModelBank`), one row
+per model, holding raw-feature weights: prediction is a dot product,
+and the planner's §5.1 look-up (:meth:`ModelBank.resolve`) hands the
+analytical partition exploration (§5.3) the weights it reads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pandas as pd
@@ -32,7 +33,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from repro.core.features import feature_matrix
+from repro.core.features import ALL_FEATURE_NAMES, feature_matrix
 from repro.core.learners.linear import ElasticNet
 
 MIN_OCCURRENCES = 5
@@ -46,6 +47,7 @@ class FamilySpec:
     min_occurrences: int
 
 
+# In the §5.1 look-up order: the most specialized covering model wins.
 FAMILIES: list[FamilySpec] = [
     FamilySpec("Op-Subgraph", "sig_sub", False, MIN_OCCURRENCES),
     FamilySpec("Op-SubgraphApprox", "sig_approx", False, MIN_OCCURRENCES),
@@ -53,58 +55,61 @@ FAMILIES: list[FamilySpec] = [
     FamilySpec("Operator", "op", True, 1),
 ]
 FAMILY_BY_NAME = {f.name: f for f in FAMILIES}
+FAMILY_INDEX = {f.name: i for i, f in enumerate(FAMILIES)}
+N_WEIGHTS = len(ALL_FEATURE_NAMES)  # every model's weights, padded to the context columns
 
 
-@dataclass
-class LinearModel:
-    raw_coef: np.ndarray
-    raw_intercept: float
-    n_train: int
-    z_lo: float = -30.0  # log-space clip bounds: training target range
-    z_hi: float = 30.0   # plus headroom (extrapolation guard)
-    std_coef: np.ndarray | None = None  # standardized-space weights (Fig 5)
-    n_iter: int = 0  # coordinate-descent sweeps the fit ran
-
-    def predict_log(self, X: np.ndarray) -> np.ndarray:
-        z = X @ self.raw_coef + self.raw_intercept
-        return np.clip(z, self.z_lo, self.z_hi)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.expm1(np.clip(self.predict_log(X), -30.0, 30.0))
-
-
+@dataclass(eq=False)
 class ModelBank:
-    """All trained individual models: ``family name -> key -> LinearModel``."""
+    """Trained individual models as one table of arrays, one row per model.
 
-    def __init__(self):
-        self.models: dict[str, dict[object, LinearModel]] = {f.name: {} for f in FAMILIES}
+    Row ``m`` is the elastic net of family ``FAMILIES[family[m]]`` for
+    the signature (or operator name) ``key[m]``. Weights have
+    ``N_WEIGHTS`` columns: a family without the context features has 0
+    as its last two weights. A ``(family, key) → row`` index is built
+    on construction; prediction and the planner's look-up both gather
+    rows through it.
+    """
+
+    family: np.ndarray  # (M,) index into FAMILIES
+    key: np.ndarray  # (M,) int signature, or operator name
+    raw_coef: np.ndarray  # (M, N_WEIGHTS) weights on raw features
+    raw_intercept: np.ndarray  # (M,)
+    z_lo: np.ndarray  # (M,) log-space clip bounds: training target range
+    z_hi: np.ndarray  # (M,) plus headroom (extrapolation guard)
+    std_coef: np.ndarray  # (M, N_WEIGHTS) standardized-space weights (Fig 5)
+    n_train: np.ndarray  # (M,) training rows
+    n_iter: np.ndarray  # (M,) coordinate-descent sweeps the fit ran
+
+    def __post_init__(self):
+        self.key = np.asarray(self.key, dtype=object)
+        self._row = {fk: m for m, fk in enumerate(zip(self.family.tolist(), self.key.tolist()))}
+
+    @classmethod
+    def concat(cls, banks: list["ModelBank"]) -> "ModelBank":
+        return cls(**{f.name: np.concatenate([getattr(b, f.name) for b in banks])
+                      for f in fields(cls)})
+
+    def __len__(self) -> int:
+        return len(self.key)
 
     def n_models(self, family: str) -> int:
-        return len(self.models[family])
+        return int(np.count_nonzero(self.family == FAMILY_INDEX[family]))
 
     # -- prediction ----------------------------------------------------
     def predict_family(self, family: str, pdf: pd.DataFrame) -> np.ndarray:
         """Predict ``pdf`` rows with ``family``; NaN where not covered."""
-        spec = FAMILY_BY_NAME[family]
+        f = FAMILY_INDEX[family]
+        spec = FAMILIES[f]
         X = feature_matrix(pdf, context=spec.context)
         keys, row_key = np.unique(pdf[spec.key_col].to_numpy(), return_inverse=True)
-        bank = self.models[family]
-        found = [bank.get(key) for key in keys.tolist()]
-        covered = np.array([m is not None for m in found], dtype=bool)
+        get = self._row.get
+        model = np.array([get((f, key), -1) for key in keys.tolist()], dtype=np.intp)[row_key]
+        rows = np.flatnonzero(model >= 0)
+        m = model[rows]
+        z = (X[rows] * self.raw_coef[m, :X.shape[1]]).sum(axis=1) + self.raw_intercept[m]
         out = np.full(len(pdf), np.nan)
-        if not covered.any():
-            return out
-        # Stack the covered keys' models; each row gathers its model.
-        models = [m for m in found if m is not None]
-        slot = np.cumsum(covered) - 1
-        rows = np.flatnonzero(covered[row_key])
-        m = slot[row_key[rows]]
-        coef = np.stack([mod.raw_coef for mod in models])[m]
-        intercept = np.array([mod.raw_intercept for mod in models])[m]
-        z_lo = np.array([mod.z_lo for mod in models])[m]
-        z_hi = np.array([mod.z_hi for mod in models])[m]
-        z = np.clip((X[rows] * coef).sum(axis=1) + intercept, z_lo, z_hi)
-        out[rows] = np.expm1(np.clip(z, -30.0, 30.0))
+        out[rows] = np.expm1(np.clip(np.clip(z, self.z_lo[m], self.z_hi[m]), -30.0, 30.0))
         return out
 
     def predict_all(self, pdf: pd.DataFrame) -> pd.DataFrame:
@@ -114,6 +119,28 @@ class ModelBank:
             out[f"pred_{spec.key_col}"] = self.predict_family(spec.name, pdf)
         return out
 
+    def resolve(self, cols) -> tuple[np.ndarray, ...]:
+        """The most specialized covering model of each operator (§5.1
+        look-up order: subgraph → subgraphApprox → input → operator).
+
+        ``cols`` maps each family's key column to one key per operator.
+        Returns ``(coef, intercept, z_lo, z_hi, covered)``, one row per
+        operator; an uncovered operator's row is all zeros."""
+        get = self._row.get
+        # enumerate(keys) yields the operator's (family, key) pairs in look-up order.
+        rows = np.array(
+            [next((m for m in map(get, enumerate(keys)) if m is not None), -1)
+             for keys in zip(*(cols[spec.key_col] for spec in FAMILIES))],
+            dtype=np.intp,
+        )
+        covered = rows >= 0
+        m = rows[covered]
+        coef = np.zeros((len(rows), N_WEIGHTS))
+        intercept, z_lo, z_hi = np.zeros(len(rows)), np.zeros(len(rows)), np.zeros(len(rows))
+        coef[covered], intercept[covered] = self.raw_coef[m], self.raw_intercept[m]
+        z_lo[covered], z_hi[covered] = self.z_lo[m], self.z_hi[m]
+        return coef, intercept, z_lo, z_hi, covered
+
 
 # ---------------------------------------------------------------------------
 # Training
@@ -122,12 +149,12 @@ class ModelBank:
 _RESULT_SCHEMA = T.StructType(
     [
         T.StructField("key", T.StringType()),
-        T.StructField("coef", T.ArrayType(T.DoubleType())),
-        T.StructField("intercept", T.DoubleType()),
-        T.StructField("n_train", T.LongType()),
+        T.StructField("raw_coef", T.ArrayType(T.DoubleType())),
+        T.StructField("raw_intercept", T.DoubleType()),
         T.StructField("z_lo", T.DoubleType()),
         T.StructField("z_hi", T.DoubleType()),
         T.StructField("std_coef", T.ArrayType(T.DoubleType())),
+        T.StructField("n_train", T.LongType()),
         T.StructField("n_iter", T.LongType()),
     ]
 )
@@ -135,44 +162,54 @@ _TRAIN_COLS = ["I", "B", "C", "L", "P", "in_hash", "pm", "cl", "depth", "actual"
 BUCKETS_PER_CORE = 4  # Spark tasks per core of a family's training stage
 
 
-def train_family_spark(
-    spark_ops: DataFrame, spec: FamilySpec, alpha: float = 1.0
-) -> dict[object, LinearModel]:
+def _padded(w: np.ndarray) -> np.ndarray:
+    """(K, d) weights → (K, N_WEIGHTS), zero in the missing context columns."""
+    return np.pad(w, ((0, 0), (0, N_WEIGHTS - w.shape[1])))
+
+
+def train_family_spark(spark_ops: DataFrame, spec: FamilySpec, alpha: float = 1.0) -> ModelBank:
     """:func:`train_family_pandas` in parallel on Spark: signatures are
     hashed into buckets, and each `applyInPandas` task fits one bucket's
     groups in one batched solve."""
     n_buckets = BUCKETS_PER_CORE * spark_ops.sparkSession.sparkContext.defaultParallelism
 
     def fit(pdf: pd.DataFrame) -> pd.DataFrame:
-        models = train_family_pandas(pdf, spec, alpha)
-        return pd.DataFrame(
-            [(str(k), m.raw_coef.tolist(), m.raw_intercept, m.n_train, m.z_lo, m.z_hi,
-              m.std_coef.tolist(), m.n_iter) for k, m in models.items()],
-            columns=_RESULT_SCHEMA.fieldNames(),
-        )
+        fam = train_family_pandas(pdf, spec, alpha)
+        return pd.DataFrame({
+            "key": fam.key.astype(str),
+            "raw_coef": pd.Series(list(fam.raw_coef), dtype=object),
+            "raw_intercept": fam.raw_intercept, "z_lo": fam.z_lo, "z_hi": fam.z_hi,
+            "std_coef": pd.Series(list(fam.std_coef), dtype=object),
+            "n_train": fam.n_train, "n_iter": fam.n_iter,
+        })
 
-    rows = (
+    out = (
         spark_ops.select(*_TRAIN_COLS, spec.key_col)
         .withColumn("bucket", F.pmod(F.hash(spec.key_col), F.lit(n_buckets)))
         .repartition(n_buckets, "bucket")  # a fixed count, which AQE keeps
         .groupBy("bucket")
         .applyInPandas(fit, schema=_RESULT_SCHEMA)
-        .collect()
+        .toPandas()
     )
-    key_dtype = None if spec.key_col == "op" else int
-    out: dict[object, LinearModel] = {}
-    for r in rows:
-        key = r["key"] if key_dtype is None else key_dtype(r["key"])
-        out[key] = LinearModel(
-            np.array(r["coef"]), r["intercept"], r["n_train"], r["z_lo"], r["z_hi"],
-            np.array(r["std_coef"]), r["n_iter"],
-        )
-    return out
+    key = out["key"].to_numpy()
+    if spec.key_col != "op":
+        key = key.astype(np.int64)  # signatures travel as strings
+    order = np.argsort(key, kind="stable")  # the driver trainer's row order
+    out = out.iloc[order]
+
+    def weights(f: str) -> np.ndarray:
+        return np.array(out[f].tolist(), dtype=float).reshape(len(out), N_WEIGHTS)
+
+    return ModelBank(
+        family=np.full(len(out), FAMILY_INDEX[spec.name]), key=key[order],
+        raw_coef=weights("raw_coef"), raw_intercept=out["raw_intercept"].to_numpy(float),
+        z_lo=out["z_lo"].to_numpy(float), z_hi=out["z_hi"].to_numpy(float),
+        std_coef=weights("std_coef"), n_train=out["n_train"].to_numpy(np.int64),
+        n_iter=out["n_iter"].to_numpy(np.int64),
+    )
 
 
-def train_family_pandas(
-    ops: pd.DataFrame, spec: FamilySpec, alpha: float = 1.0
-) -> dict[object, LinearModel]:
+def train_family_pandas(ops: pd.DataFrame, spec: FamilySpec, alpha: float = 1.0) -> ModelBank:
     """Fit one elastic net per signature group with at least
     ``spec.min_occurrences`` rows, all in one batched solve."""
     keys, row_key, counts = np.unique(ops[spec.key_col].to_numpy(), return_inverse=True,
@@ -185,13 +222,12 @@ def train_family_pandas(
     X = feature_matrix(ops, context=spec.context)[rows]
     y = ops["actual"].to_numpy(dtype=float)[rows]
     fits = ElasticNet(alpha=alpha).fit_groups(X, y, np.concatenate([[0], np.cumsum(n_train)]))
-    raw_coef, raw_intercept = fits.raw_coef, fits.raw_intercept
-    return {
-        key: LinearModel(raw_coef[k], float(raw_intercept[k]), int(n_train[k]),
-                         float(fits.z_lo[k]), float(fits.z_hi[k]), fits.coef[k],
-                         int(fits.n_iter[k]))
-        for k, key in enumerate(keys[fitted].tolist())
-    }
+    return ModelBank(
+        family=np.full(len(n_train), FAMILY_INDEX[spec.name]), key=keys[fitted],
+        raw_coef=_padded(fits.raw_coef), raw_intercept=fits.raw_intercept,
+        z_lo=fits.z_lo, z_hi=fits.z_hi, std_coef=_padded(fits.coef),
+        n_train=n_train, n_iter=fits.n_iter,
+    )
 
 
 def train_bank(
@@ -206,18 +242,12 @@ def train_bank(
     each of the four individual models independently and in
     parallel"); otherwise on the driver.
     """
-    bank = ModelBank()
-    if spark is not None:
-        spark_ops = spark.createDataFrame(
-            ops[_TRAIN_COLS + ["sig_sub", "sig_approx", "sig_opinput", "op"]]
-        )
-        spark_ops = spark_ops.persist()
-        try:
-            for spec in FAMILIES:
-                bank.models[spec.name] = train_family_spark(spark_ops, spec, alpha)
-        finally:
-            spark_ops.unpersist()
-    else:
-        for spec in FAMILIES:
-            bank.models[spec.name] = train_family_pandas(ops, spec, alpha)
-    return bank
+    if spark is None:
+        return ModelBank.concat([train_family_pandas(ops, spec, alpha) for spec in FAMILIES])
+    spark_ops = spark.createDataFrame(
+        ops[_TRAIN_COLS + ["sig_sub", "sig_approx", "sig_opinput", "op"]]
+    ).persist()
+    try:
+        return ModelBank.concat([train_family_spark(spark_ops, spec, alpha) for spec in FAMILIES])
+    finally:
+        spark_ops.unpersist()

@@ -1,6 +1,8 @@
 """Shared experiment plumbing: workload generation, training, scoring —
 disk-cached under ``<repo>/.cache`` so the table harnesses and
-benchmarks reuse one set of artifacts.
+benchmarks reuse one set of artifacts. An artifact's file name carries a
+hash of its inputs (:func:`artifact_key`), so changing any of them
+builds a new artifact instead of reading a stale one.
 
 The train/test protocol follows §5.1/§6.2 (see DESIGN.md): individual
 models train on day 1, the combined model trains on the individual
@@ -8,10 +10,13 @@ models' day-2 predictions, and every table evaluates day 3.
 """
 from __future__ import annotations
 
+import functools
+import hashlib
 import logging
 import os
 import pickle
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -36,6 +41,28 @@ def cluster_config(name: str) -> ClusterConfig:
         if cfg.name == name:
             return cfg
     raise KeyError(name)
+
+
+@functools.lru_cache(maxsize=None)
+def _source_digest(root: Path = Path(__file__).resolve().parents[1]) -> str:
+    """SHA-256 of the ``scope`` and ``core`` package sources under
+    ``root`` (every ``.py`` file's path and bytes)."""
+    h = hashlib.sha256()
+    for pkg in ("scope", "core"):
+        for path in sorted((root / pkg).rglob("*.py")):
+            h.update(path.relative_to(root).as_posix().encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def artifact_key(name: str, cluster: str) -> str:
+    """Cache key of artifact ``name`` derived from ``cluster``'s logs: the
+    name, the cluster, and a hash of everything the artifact depends on —
+    the cluster configuration, the day split, and the ``repro.scope`` and
+    ``repro.core`` sources."""
+    inputs = repr((cluster_config(cluster), DAYS, TRAIN_DAYS, COMBINED_DAYS, TEST_DAYS))
+    digest = hashlib.sha256((inputs + _source_digest()).encode()).hexdigest()
+    return f"{name}_{cluster}_{digest[:16]}"
 
 
 def _cache_path(key: str) -> str:
@@ -63,7 +90,8 @@ def _cached(key: str, fn):
 
 def get_logs(name: str) -> tuple[pd.DataFrame, pd.DataFrame]:
     """(ops, jobs) DataFrames for one production cluster over DAYS."""
-    return _cached(f"logs_{name}", lambda: Cluster(cluster_config(name)).generate_days(DAYS))
+    return _cached(artifact_key("logs", name),
+                   lambda: Cluster(cluster_config(name)).generate_days(DAYS))
 
 
 @dataclass
@@ -102,7 +130,7 @@ def trained_cluster(name: str, spark=None) -> TrainedCluster:
         combined = CombinedModel().fit(bank, comb_src)
         return bank, combined
 
-    bank, combined = _cached(f"models_{name}", build)
+    bank, combined = _cached(artifact_key("models", name), build)
     scored = bank.predict_all(test)
     scored["pred_combined"] = combined.predict(bank, test)
     return TrainedCluster(name, ops, jobs, bank, combined, scored)

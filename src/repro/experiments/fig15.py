@@ -25,7 +25,7 @@ import pandas as pd
 
 from repro.core.combined import CombinedModel
 from repro.core.models import train_bank
-from repro.experiments.common import _cached, get_logs
+from repro.experiments.common import _cached, artifact_key, get_logs
 from repro.metrics import summarize
 
 PAPER = {
@@ -54,9 +54,9 @@ def run(spark=None, cluster: str = "cluster4") -> pd.DataFrame:
         comb = CombinedModel().fit(bank, cs)
         return comb.predict(bank, te.reset_index(drop=True))
 
-    pred_cleo = _cached(f"fig15_cleo_{cluster}", lambda: build(lambda x: x))
+    pred_cleo = _cached(artifact_key("fig15_cleo", cluster), lambda: build(lambda x: x))
     pred_cleo_card = _cached(
-        f"fig15_cleocard_{cluster}", lambda: build(_with_true_cards)
+        artifact_key("fig15_cleocard", cluster), lambda: build(_with_true_cards)
     )
     rows = []
     for name, pred in (

@@ -23,7 +23,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.models import train_bank
-from repro.experiments.common import _cached, cluster_config, get_logs
+from repro.experiments.common import _cached, artifact_key, cluster_config, get_logs
 from repro.optimizer.cascades import CleoPlanner, DefaultPlanner
 from repro.scope import simulator as sim
 from repro.scope.plan import (
@@ -55,7 +55,7 @@ PAPER = {
 def _bank_for(cluster_name: str, spark):
     ops, _ = get_logs(cluster_name)
     return _cached(
-        f"bank12_{cluster_name}",
+        artifact_key("bank12", cluster_name),
         lambda: train_bank(ops[ops.day <= 2], spark=spark),
     )
 

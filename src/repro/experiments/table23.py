@@ -23,7 +23,6 @@ import numpy as np
 import pandas as pd
 
 from repro.core.features import FEATURE_NAMES
-from repro.core.models import FAMILIES
 from repro.experiments.common import trained_cluster
 
 N_FEATS = len(FEATURE_NAMES)
@@ -31,13 +30,7 @@ N_FEATS = len(FEATURE_NAMES)
 
 def run(spark=None, cluster: str = "cluster1") -> pd.DataFrame:
     tc = trained_cluster(cluster, spark=spark)
-    weights = []
-    for spec in FAMILIES:
-        for m in tc.bank.models[spec.name].values():
-            if m.std_coef is None:
-                continue
-            weights.append(np.abs(m.std_coef[:N_FEATS]))
-    W = np.stack(weights)
+    W = np.abs(tc.bank.std_coef[:, :N_FEATS])
     total = W.sum()
     rows = []
     for j, name in enumerate(FEATURE_NAMES):

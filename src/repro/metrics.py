@@ -10,9 +10,7 @@ The paper reports, for a set of (predicted cost, actual runtime) pairs:
 - **coverage**: fraction of operator instances for which a model family
   has a trained model (Table 5/7).
 
-Both local (numpy/pandas) and Spark implementations are provided; the
-Spark versions aggregate with Catalyst (``percentile_approx``, ``corr``)
-so metric computation itself scales with the workload DataFrame.
+All metrics are computed with numpy on the driver.
 """
 from __future__ import annotations
 
@@ -20,8 +18,6 @@ import math
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 _EPS = 1e-9
 
@@ -63,37 +59,6 @@ def summarize(pred: np.ndarray, actual: np.ndarray) -> dict:
         "median_error_pct": median_error_pct(pred, actual),
         "p95_error_pct": p95_error_pct(pred, actual),
         "n": int(len(np.asarray(pred))),
-    }
-
-
-# --------------------------------------------------------------------------
-# Spark-side equivalents
-# --------------------------------------------------------------------------
-
-def spark_summarize(df: DataFrame, pred_col: str, actual_col: str) -> dict:
-    """Same as :func:`summarize` but aggregated by Catalyst.
-
-    Rows where ``pred_col`` is null (model does not cover the instance)
-    are excluded from the error metrics; ``coverage`` reports their
-    fraction.
-    """
-    err = F.abs(F.col(pred_col) - F.col(actual_col)) / F.greatest(
-        F.col(actual_col), F.lit(_EPS)
-    )
-    covered = df.filter(F.col(pred_col).isNotNull())
-    row = covered.agg(
-        F.corr(pred_col, actual_col).alias("correlation"),
-        F.percentile_approx(err, 0.5, 10000).alias("med"),
-        F.percentile_approx(err, 0.95, 10000).alias("p95"),
-        F.count(F.lit(1)).alias("n_covered"),
-    ).collect()[0]
-    n_total = df.count()
-    return {
-        "correlation": None if row["correlation"] is None else float(row["correlation"]),
-        "median_error_pct": None if row["med"] is None else float(row["med"] * 100),
-        "p95_error_pct": None if row["p95"] is None else float(row["p95"] * 100),
-        "coverage_pct": 100.0 * row["n_covered"] / max(n_total, 1),
-        "n": n_total,
     }
 
 

@@ -15,8 +15,9 @@ free of the partition count P, of the form ``g(I,C,L)/P``, or ``P``
 itself, so with an operator's other statistics fixed, the log-cost its
 linear model predicts is exactly ``a + θ_P / P + θ_C · P``, clipped to
 the model's training envelope ``[z_lo, z_hi]``. :func:`plan_cost_curves`
-resolves each operator's model once per candidate plan and folds it
-into these arrays (:class:`CostCurves`); a stage's resource-context is
+resolves each operator's model once per candidate plan, through the
+bank's §5.1 look-up (:meth:`ModelBank.resolve`), and folds it into
+these arrays (:class:`CostCurves`); a stage's resource-context is
 the slice of them for its operators. Every planning decision reads the
 curves: sampling, the analytical optimum, the planner's acceptance
 check and the plan's final cost.
@@ -43,7 +44,7 @@ from repro.core.features import (
     P_INVERSE_INDEX,
     feature_matrix,
 )
-from repro.core.models import FAMILIES, LinearModel, ModelBank
+from repro.core.models import ModelBank
 from repro.scope.plan import PlanNode, plan_identity
 
 MAX_P = 3000  # maximum machines on a virtual cluster (§6.5)
@@ -60,17 +61,6 @@ class LookupCounter:
     """Counts learned-model invocations during planning (Fig 8c)."""
 
     lookups: int = 0
-
-
-def resolve_model(bank: ModelBank, row: Mapping) -> tuple[LinearModel, bool] | None:
-    """Most-specialized covering model for an operator instance (§5.1
-    look-up order: subgraph → subgraphApprox → input → operator).
-    Returns (model, uses_context_features) or None."""
-    for spec in FAMILIES:
-        m = bank.models[spec.name].get(row[spec.key_col])
-        if m is not None:
-            return m, spec.context
-    return None
 
 
 @dataclass
@@ -95,23 +85,13 @@ class CostCurves:
 
 
 def cost_curves(bank: ModelBank, cols: Mapping[str, Sequence]) -> CostCurves:
-    """Resolve the model of each operator in ``cols`` and fold it into
-    its curve. ``cols`` holds one entry per operator in each of the
-    feature inputs (I, B, C, L, pm as numpy arrays; in_hash, cl, depth)
-    and the family keys (sig_sub, sig_approx, sig_opinput, op)."""
+    """Resolve the model of each operator in ``cols``
+    (:meth:`ModelBank.resolve`) and fold it into its curve. ``cols``
+    holds one entry per operator in each of the feature inputs (I, B,
+    C, L, pm as numpy arrays; in_hash, cl, depth) and the family keys
+    (sig_sub, sig_approx, sig_opinput, op)."""
     n = len(cols["op"])
-    keys = [spec.key_col for spec in FAMILIES]
-    coef = np.zeros((n, len(ALL_FEATURE_NAMES)))  # no-context models: last 2 stay 0
-    intercept, z_lo, z_hi = np.zeros(n), np.zeros(n), np.zeros(n)
-    covered = np.zeros(n, dtype=bool)
-    for i, row in enumerate(zip(*(cols[k] for k in keys))):
-        resolved = resolve_model(bank, dict(zip(keys, row)))
-        if resolved is None:
-            continue
-        model, _ = resolved
-        coef[i, :len(model.raw_coef)] = model.raw_coef
-        intercept[i], z_lo[i], z_hi[i] = model.raw_intercept, model.z_lo, model.z_hi
-        covered[i] = True
+    coef, intercept, z_lo, z_hi, covered = bank.resolve(cols)
     # At P = 1 a per-partition feature equals its numerator g(I,C,L).
     terms = coef * feature_matrix({**cols, "P": np.ones(n)}, context=True)
     theta_p = np.zeros(n)

@@ -15,11 +15,11 @@ from repro.core.learners.linear import ElasticNet, _standardize
 from repro.core.models import (
     FAMILIES,
     FAMILY_BY_NAME,
+    FAMILY_INDEX,
     MIN_OCCURRENCES,
-    LinearModel,
-    ModelBank,
     train_family_pandas,
 )
+from tests.banks import bank_of, find_row, reference_predict
 
 _EPS = 1e-12
 
@@ -70,10 +70,10 @@ def reference_predict_family(bank, family, pdf):
     keys = pdf[spec.key_col].to_numpy()
     out = np.full(len(pdf), np.nan)
     for key in pd.unique(keys):
-        model = bank.models[family].get(key)
-        if model is not None:
+        m = find_row(bank, family, key)
+        if m is not None:
             mask = keys == key
-            out[mask] = model.predict(X[mask])
+            out[mask] = reference_predict(bank, m, X[mask])
     return out
 
 
@@ -171,20 +171,23 @@ def test_family_training_matches_per_group_loop(tiny):
     _, ops, _ = tiny
     train = ops[ops.day <= 2]
     for spec in FAMILIES:
-        models = train_family_pandas(train, spec)
+        fam = train_family_pandas(train, spec)
         expected = {key: grp for key, grp in train.groupby(spec.key_col)
                     if len(grp) >= spec.min_occurrences}
-        assert set(models) == set(expected)
-        for key, grp in expected.items():
-            m = models[key]
-            ref = reference_fit(feature_matrix(grp, context=spec.context),
-                                grp["actual"].to_numpy())
-            assert m.n_train == len(grp)
-            assert_close(m.std_coef, ref["coef"])
-            assert_close(m.raw_coef, ref["raw_coef"])
-            assert_close(m.raw_intercept, ref["raw_intercept"])
-            assert (m.z_lo, m.z_hi) == (ref["z_lo"], ref["z_hi"])
-            assert 1 <= m.n_iter <= 300
+        assert fam.key.tolist() == list(expected)  # one row per group, in key order
+        assert (fam.family == FAMILY_INDEX[spec.name]).all()
+        for m, grp in enumerate(expected.values()):
+            X = feature_matrix(grp, context=spec.context)
+            d = X.shape[1]
+            ref = reference_fit(X, grp["actual"].to_numpy())
+            assert fam.n_train[m] == len(grp)
+            assert_close(fam.std_coef[m, :d], ref["coef"])
+            assert_close(fam.raw_coef[m, :d], ref["raw_coef"])
+            # Weights are padded to the context columns with zeros.
+            assert not fam.std_coef[m, d:].any() and not fam.raw_coef[m, d:].any()
+            assert_close(fam.raw_intercept[m], ref["raw_intercept"])
+            assert (fam.z_lo[m], fam.z_hi[m]) == (ref["z_lo"], ref["z_hi"])
+            assert 1 <= fam.n_iter[m] <= 300
 
 
 def test_predict_family_matches_per_key_loop(tiny, tiny_bank):
@@ -202,9 +205,8 @@ def test_predict_family_matches_per_key_loop(tiny, tiny_bank):
 
 def test_predict_family_clips_and_handles_no_cover():
     d = len(FEATURE_NAMES)
-    bank = ModelBank()
-    bank.models["Op-Subgraph"][1] = LinearModel(np.full(d, 1.0), 0.0, 10, 0.5, 2.0)
-    bank.models["Op-Subgraph"][2] = LinearModel(np.full(d, -1.0), 0.0, 10, 0.5, 2.0)
+    bank = bank_of(("Op-Subgraph", 1, np.full(d, 1.0), 0.0, 0.5, 2.0),
+                   ("Op-Subgraph", 2, np.full(d, -1.0), 0.0, 0.5, 2.0))
     pdf = pd.DataFrame({"I": [10.0, 10.0, 10.0], "B": 10.0, "C": 10.0, "L": 10.0, "P": 2.0,
                         "in_hash": 0, "pm": 0.0, "sig_sub": [1, 2, 3]})
     got = bank.predict_family("Op-Subgraph", pdf)

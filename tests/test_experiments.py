@@ -4,6 +4,8 @@ Full-scale runs live in benchmarks/; here we verify the harness logic
 on the cached production clusters (generated once, reused) and that
 each output carries the paper-comparison columns.
 """
+import dataclasses
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -19,6 +21,35 @@ def test_cached_treats_unreadable_pickle_as_miss(tmp_path, monkeypatch, caplog):
         assert common._cached("k", lambda: {"x": 1}) == {"x": 1}
     assert "unreadable" in caplog.text
     assert common._cached("k", lambda: None) == {"x": 1}  # rewritten, now a hit
+
+
+def test_artifact_key_changes_with_its_inputs(monkeypatch, tmp_path):
+    key = common.artifact_key("models", "cluster4")
+    assert key.startswith("models_cluster4_") and key == common.artifact_key("models", "cluster4")
+    assert common.artifact_key("logs", "cluster4") != key
+    assert common.artifact_key("models", "cluster3") != key
+    cfg = common.cluster_config("cluster4")
+    with monkeypatch.context() as m:
+        m.setattr(common, "cluster_config", lambda name: dataclasses.replace(cfg, churn=0.05))
+        assert common.artifact_key("models", "cluster4") != key
+    for split in ("DAYS", "TRAIN_DAYS", "COMBINED_DAYS", "TEST_DAYS"):
+        with monkeypatch.context() as m:
+            m.setattr(common, split, [*getattr(common, split), 4])
+            assert common.artifact_key("models", "cluster4") != key
+    with monkeypatch.context() as m:
+        m.setattr(common, "_source_digest", lambda: "0" * 64)
+        assert common.artifact_key("models", "cluster4") != key
+    # The source digest covers every file of repro.scope and repro.core.
+    for pkg in ("scope", "core/learners"):
+        (tmp_path / pkg).mkdir(parents=True)
+        (tmp_path / pkg / "a.py").write_text("x = 1\n")
+    digest = common._source_digest.__wrapped__  # uncached: the files change here
+    seen = {digest(tmp_path)}
+    (tmp_path / "core/learners/a.py").write_text("x = 2\n")
+    seen.add(digest(tmp_path))
+    (tmp_path / "scope/b.py").write_text("")
+    seen.add(digest(tmp_path))
+    assert len(seen) == 3
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
-"""Tests for the Table 2/3 feature layer: pandas/numpy vs Spark vs
-DuckDB equivalence, and the §5.3 partition thetas the features give the
-planner's cost curves."""
+"""Tests for the Table 2/3 feature layer: the numpy features against
+their formulas as SQL on DuckDB, and the §5.3 partition thetas the
+features give the planner's cost curves."""
 import duckdb
 import numpy as np
 import pandas as pd
@@ -8,8 +8,8 @@ import pytest
 
 from repro.core import features
 from repro.core.learners.linear import ElasticNet
-from repro.core.models import LinearModel, ModelBank
 from repro.optimizer.resource import cost_curves
+from tests.banks import bank_of
 
 
 def _log_frame(n=200, seed=0):
@@ -74,36 +74,40 @@ def test_derived_feature_formulas_spotcheck():
     assert np.allclose(X[:, names.index("f_sqrtB")], np.sqrt(pdf.B))
 
 
-def test_spark_features_match_pandas(spark):
+# The reference: each feature's formula as SQL.
+FEATURE_SQL = {
+    "f_I": "I", "f_B": "B", "f_C": "C", "f_L": "L", "f_P": "P", "f_IN": "in_hash",
+    "f_PM": "pm",
+    "f_sqrtI": "sqrt(I)", "f_sqrtB": "sqrt(B)", "f_LI": "L * I", "f_LB": "L * B",
+    "f_LlogB": "L * ln(1 + B)", "f_LlogI": "L * ln(1 + I)", "f_LlogC": "L * ln(1 + C)",
+    "f_BC": "B * C", "f_IC": "I * C", "f_BlogC": "B * ln(1 + C)",
+    "f_IlogC": "I * ln(1 + C)", "f_logIlogC": "ln(1 + I) * ln(1 + C)",
+    "f_logBlogC": "ln(1 + B) * ln(1 + C)",
+    "f_I_P": "I / P", "f_C_P": "C / P", "f_IL_P": "I * L / P", "f_CL_P": "C * L / P",
+    "f_sqrtI_P": "sqrt(I) / P", "f_sqrtC_P": "sqrt(C) / P", "f_logI_P": "ln(1 + I) / P",
+    "f_CL": "cl", "f_D": "depth",
+}
+
+
+def test_feature_matrix_matches_duckdb_sql():
+    """Every Table 2/3 and context feature equals its formula evaluated
+    as SQL on DuckDB."""
+    assert list(FEATURE_SQL) == features.ALL_FEATURE_NAMES
     pdf = _log_frame(100, seed=3)
-    sdf = features.with_spark_features(spark.createDataFrame(pdf), context=True)
-    got = sdf.toPandas()
+    con = duckdb.connect()
+    con.register("t", pdf)
+    select = ", ".join(f"CAST({sql} AS DOUBLE) AS {name}" for name, sql in FEATURE_SQL.items())
+    got = con.execute(f"SELECT {select} FROM t").df()
+    con.close()
     X = features.feature_matrix(pdf, context=True)
     for j, name in enumerate(features.ALL_FEATURE_NAMES):
-        assert np.allclose(got[name].to_numpy(), X[:, j], rtol=1e-9), name
-
-
-def test_spark_features_match_duckdb_oracle(spark):
-    """The Catalyst feature expressions equal the same SQL on DuckDB."""
-    from repro.oracle import assert_equivalent
-
-    pdf = _log_frame(80, seed=4).round(6)
-    pdf["rid"] = np.arange(len(pdf))
-    sdf = features.with_spark_features(spark.createDataFrame(pdf))
-    sel = ["rid", "f_sqrtI", "f_LI", "f_BC", "f_I_P", "f_logI_P"]
-    sql = """
-        SELECT rid, sqrt(I) AS f_sqrtI, L * I AS f_LI, B * C AS f_BC,
-               I / P AS f_I_P, ln(1 + I) / P AS f_logI_P
-        FROM t
-    """
-    assert_equivalent(sdf.select(*sel), sql, t=pdf)
+        np.testing.assert_allclose(got[name].to_numpy(), X[:, j], rtol=1e-12, err_msg=name)
 
 
 def _thetas(coef, i_card, c_card, row_len):
     """(θ_P, θ_C) of the cost curve of one operator whose only covering
     model has raw weights ``coef`` (27 of them: no context features)."""
-    bank = ModelBank()
-    bank.models["Op-Subgraph"][1] = LinearModel(np.asarray(coef, dtype=float), 0.0, 10)
+    bank = bank_of(("Op-Subgraph", 1, coef, 0.0, -30.0, 30.0))
     cols = {"I": [i_card], "B": [1.0], "C": [c_card], "L": [row_len], "in_hash": [0.5],
             "pm": [0.5], "cl": [1], "depth": [1], "sig_sub": [1], "sig_approx": [2],
             "sig_opinput": [3], "op": ["Extract"]}

@@ -2,7 +2,6 @@
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro import metrics
 
@@ -64,43 +63,22 @@ def test_zero_actual_guarded():
     assert np.isfinite(e).all()
 
 
-def test_spark_summarize_matches_local(spark):
-    g = np.random.default_rng(1)
-    actual = np.exp(g.normal(2, 1, 500))
-    pred = actual * np.exp(g.normal(0, 0.3, 500))
-    pdf = pd.DataFrame({"pred": pred, "actual": actual})
-    s_spark = metrics.spark_summarize(spark.createDataFrame(pdf), "pred", "actual")
-    s_local = metrics.summarize(pred, actual)
-    assert s_spark["correlation"] == pytest.approx(s_local["correlation"], abs=1e-6)
-    assert s_spark["median_error_pct"] == pytest.approx(
-        s_local["median_error_pct"], rel=0.02
-    )
-    assert s_spark["coverage_pct"] == 100.0
-
-
-def test_spark_summarize_coverage(spark):
-    pdf = pd.DataFrame({"pred": [1.0, None, 3.0, None], "actual": [1.0, 2.0, 3.0, 4.0]})
-    s = metrics.spark_summarize(spark.createDataFrame(pdf), "pred", "actual")
-    assert s["coverage_pct"] == 50.0
-    assert s["median_error_pct"] == pytest.approx(0.0)
-
-
-def test_spark_summarize_agrees_with_duckdb_median(spark):
-    # Cross-check the Catalyst aggregation against DuckDB on the same data.
+def test_summarize_agrees_with_duckdb_median():
+    # Cross-check the median error against DuckDB on the same data.
     import duckdb
 
     g = np.random.default_rng(2)
     pdf = pd.DataFrame(
         {"pred": np.exp(g.normal(0, 1, 300)), "actual": np.exp(g.normal(0, 1, 300))}
     )
-    s = metrics.spark_summarize(spark.createDataFrame(pdf), "pred", "actual")
+    s = metrics.summarize(pdf["pred"].to_numpy(), pdf["actual"].to_numpy())
     con = duckdb.connect()
     con.register("t", pdf)
     med = con.execute(
         "SELECT median(abs(pred - actual) / actual) FROM t"
     ).fetchone()[0]
     con.close()
-    assert s["median_error_pct"] == pytest.approx(med * 100, rel=0.02)
+    assert s["median_error_pct"] == pytest.approx(med * 100, rel=1e-12)
 
 
 def test_fmt_table_renders_markdown():

@@ -1,16 +1,26 @@
-"""Tests for the model families + Spark-parallel training (§3-§5.1)."""
-import numpy as np
-import pytest
+"""Tests for the model families, the bank's look-ups + Spark-parallel
+training (§3-§5.1)."""
+import pickle
 
+import numpy as np
+import pandas as pd
+
+from repro.core.features import ALL_FEATURE_NAMES, FEATURE_NAMES
 from repro.core.models import (
     FAMILIES,
     FAMILY_BY_NAME,
+    FAMILY_INDEX,
     MIN_OCCURRENCES,
     train_bank,
     train_family_pandas,
     train_family_spark,
 )
 from repro.metrics import median_error_pct
+from tests.banks import bank_of
+
+
+def family_keys(bank, family):
+    return set(bank.key[bank.family == FAMILY_INDEX[family]].tolist())
 
 
 def test_family_specs():
@@ -24,7 +34,7 @@ def test_min_occurrences_threshold(tiny, tiny_bank):
     _, ops, _ = tiny
     train = ops[ops.day <= 2]
     counts = train.groupby("sig_sub").size()
-    modeled = set(tiny_bank.models["Op-Subgraph"])
+    modeled = family_keys(tiny_bank, "Op-Subgraph")
     for sig, cnt in counts.items():
         if cnt >= MIN_OCCURRENCES:
             assert sig in modeled
@@ -35,7 +45,7 @@ def test_min_occurrences_threshold(tiny, tiny_bank):
 def test_operator_family_full_coverage(tiny, tiny_bank):
     _, ops, _ = tiny
     ops_in_train = set(ops[ops.day <= 2].op)
-    assert ops_in_train == set(tiny_bank.models["Operator"])
+    assert ops_in_train == family_keys(tiny_bank, "Operator")
 
 
 def test_coverage_ladder(tiny, tiny_bank):
@@ -89,11 +99,13 @@ def test_spark_training_matches_pandas(spark, tiny):
                "sig_sub", "sig_approx", "sig_opinput", "op"]]
     )
     dist = train_family_spark(sdf, spec)
-    assert set(local) == set(dist)
-    for key in list(local)[:20]:
-        assert np.allclose(local[key].raw_coef, dist[key].raw_coef, atol=1e-8)
-        assert local[key].raw_intercept == pytest.approx(dist[key].raw_intercept)
-        assert local[key].n_train == dist[key].n_train
+    assert len(dist) == len(local) > 0
+    assert dist.key.tolist() == local.key.tolist()  # same keys, same row order
+    for field in ("family", "n_train", "n_iter", "z_lo", "z_hi"):
+        np.testing.assert_array_equal(getattr(dist, field), getattr(local, field), field)
+    for field in ("raw_coef", "raw_intercept", "std_coef"):
+        np.testing.assert_allclose(getattr(dist, field), getattr(local, field),
+                                   rtol=1e-8, atol=1e-8, err_msg=field)
 
 
 def test_train_bank_spark_end_to_end(spark, tiny):
@@ -105,8 +117,89 @@ def test_train_bank_spark_end_to_end(spark, tiny):
     assert np.isfinite(pred[~np.isnan(pred)]).all()
 
 
-def test_linear_model_predict_clip(tiny_bank):
-    any_model = next(iter(tiny_bank.models["Operator"].values()))
-    X = np.full((3, len(any_model.raw_coef)), 1e12)
-    pred = any_model.predict(X)
-    assert (pred <= np.expm1(any_model.z_hi) + 1).all()
+def _frame(n=1, **cols):
+    """Operator rows with moderate statistics and the given columns."""
+    base = {"I": 100.0, "B": 100.0, "C": 10.0, "L": 50.0, "P": 4.0, "in_hash": 0.5,
+            "pm": 0.5, "cl": 2, "depth": 1, "sig_sub": -1, "sig_approx": -1,
+            "sig_opinput": -1, "op": "Extract"}
+    return pd.DataFrame({**base, **cols}, index=range(n))
+
+
+def _resolve(bank, pdf):
+    return bank.resolve({c: pdf[c].to_numpy() for c in pdf.columns})
+
+
+def test_linear_model_predict_clip(tiny, tiny_bank):
+    """Far outside the training envelope a prediction is the model's
+    clip bound, ``expm1(z_hi)``; the bound is the one ``resolve`` hands
+    the planner."""
+    _, ops, _ = tiny
+    pdf = _frame(len(set(ops.op)), op=sorted(set(ops.op)), I=1e12, B=1e12, C=1e12, L=1e12)
+    pred = tiny_bank.predict_family("Operator", pdf)
+    _, _, z_lo, z_hi, covered = _resolve(tiny_bank, pdf)
+    assert covered.all()
+    assert (pred <= np.expm1(z_hi) + 1).all()
+    assert ((pred == np.expm1(z_hi)) | (pred == np.expm1(z_lo))).any()
+
+
+def test_unseen_key_is_uncovered():
+    bank = bank_of(("Op-Subgraph", 1, np.zeros(len(FEATURE_NAMES)), 1.0, -30.0, 30.0),
+                   ("Operator", "Extract", np.zeros(len(ALL_FEATURE_NAMES)), 2.0, -30.0, 30.0))
+    pdf = _frame(3, sig_sub=[1, 2, 3], op=["Extract", "Extract", "Sort"])
+    got = bank.predict_family("Op-Subgraph", pdf)
+    assert got[0] == np.expm1(1.0) and np.isnan(got[1:]).all()
+    # The look-up falls through to the operator model, then to nothing.
+    _, intercept, _, _, covered = _resolve(bank, pdf)
+    assert covered.tolist() == [True, True, False]
+    assert intercept.tolist() == [1.0, 2.0, 0.0]
+
+
+def test_same_key_in_two_families():
+    zeros = np.zeros(len(FEATURE_NAMES))
+    bank = bank_of(("Op-Subgraph", 7, zeros, 1.0, -30.0, 30.0),
+                   ("Op-SubgraphApprox", 7, zeros, 2.0, -30.0, 30.0),
+                   ("Op-Input", 7, np.zeros(len(ALL_FEATURE_NAMES)), 3.0, -30.0, 30.0))
+    pdf = _frame(2, sig_sub=[7, 8], sig_approx=7, sig_opinput=7)
+    assert bank.predict_family("Op-Subgraph", pdf)[0] == np.expm1(1.0)
+    assert (bank.predict_family("Op-SubgraphApprox", pdf) == np.expm1(2.0)).all()
+    assert (bank.predict_family("Op-Input", pdf) == np.expm1(3.0)).all()
+    assert _resolve(bank, pdf)[1].tolist() == [1.0, 2.0]
+    assert [bank.n_models(f.name) for f in FAMILIES] == [1, 1, 1, 0]
+
+
+def test_int_signatures_next_to_str_operator_keys():
+    """int64 signature keys and str operator keys share the table; a key
+    matches only its own family, whatever its type or value."""
+    sig = np.int64(2**62 + 3)
+    bank = bank_of(("Op-Subgraph", int(sig), np.zeros(len(FEATURE_NAMES)), 1.0, -30.0, 30.0),
+                   ("Operator", "7", np.zeros(len(ALL_FEATURE_NAMES)), 2.0, -30.0, 30.0),
+                   ("Operator", "Sort", np.zeros(len(ALL_FEATURE_NAMES)), 3.0, -30.0, 30.0))
+    assert bank.key.tolist() == [int(sig), "7", "Sort"]
+    pdf = _frame(3, sig_sub=np.array([sig, 7, 7], dtype=np.int64), op=["Sort", "7", "Sort"])
+    assert pdf["sig_sub"].dtype == np.int64
+    got = bank.predict_family("Op-Subgraph", pdf)
+    assert got[0] == np.expm1(1.0) and np.isnan(got[1:]).all()
+    assert bank.predict_family("Operator", pdf).tolist() == list(np.expm1([3.0, 2.0, 3.0]))
+    assert _resolve(bank, pdf)[1].tolist() == [1.0, 2.0, 3.0]
+
+
+def test_empty_family():
+    bank = bank_of(("Operator", "Extract", np.zeros(len(ALL_FEATURE_NAMES)), 2.0, -30.0, 30.0))
+    pdf = _frame(4, sig_sub=[1, 2, 3, 4])
+    assert bank.n_models("Op-Subgraph") == 0
+    assert np.isnan(bank.predict_family("Op-Subgraph", pdf)).all()
+    assert np.isnan(bank.predict_family("Op-Subgraph", pdf.iloc[:0])).shape == (0,)
+    coef, intercept, _, _, covered = _resolve(bank, pdf)
+    assert covered.all() and (intercept == 2.0).all() and coef.shape == (4, len(ALL_FEATURE_NAMES))
+
+
+def test_bank_pickle_round_trip(tiny, tiny_bank):
+    _, ops, _ = tiny
+    test = ops[ops.day == 3]
+    copy = pickle.loads(pickle.dumps(tiny_bank))
+    assert len(copy) == len(tiny_bank)
+    for spec in FAMILIES:
+        np.testing.assert_array_equal(copy.predict_family(spec.name, test),
+                                      tiny_bank.predict_family(spec.name, test))
+    for got, want in zip(_resolve(copy, test), _resolve(tiny_bank, test)):
+        np.testing.assert_array_equal(got, want)

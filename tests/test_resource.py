@@ -9,9 +9,10 @@ from repro.core.features import (
     P_FEATURE_INDEX,
     feature_matrix,
 )
-from repro.core.models import LinearModel, ModelBank
+from repro.core.models import ModelBank
 from repro.optimizer import resource as res
 from repro.scope.plan import plan_identity
+from tests.banks import bank_of, find_covering, reference_predict
 
 
 def test_geometric_samples_sequence():
@@ -43,14 +44,16 @@ def test_random_samples_deterministic():
     assert res.random_samples(8, seed=1) != res.random_samples(8, seed=2)
 
 
-def _bank_with_operator_model(coef_overrides: dict, intercept=0.0) -> ModelBank:
-    bank = ModelBank()
+def _operator_model(coef_overrides: dict, intercept=0.0) -> tuple:
     # Operator family uses context features (+2 cols).
-    coef = np.zeros(len(FEATURE_NAMES) + 2)
+    coef = np.zeros(len(ALL_FEATURE_NAMES))
     for name, v in coef_overrides.items():
-        coef[FEATURE_NAMES.index(name)] = v
-    bank.models["Operator"]["Extract"] = LinearModel(coef, intercept, 10, -30, 30)
-    return bank
+        coef[ALL_FEATURE_NAMES.index(name)] = v
+    return ("Operator", "Extract", coef, intercept, -30.0, 30.0)
+
+
+def _bank_with_operator_model(coef_overrides: dict, intercept=0.0) -> ModelBank:
+    return bank_of(_operator_model(coef_overrides, intercept))
 
 
 def _row(p=10):
@@ -68,16 +71,17 @@ def _curves(bank, rows):
 
 def reference_costs(bank, rows):
     """Per-operator predicted costs through the feature matrix: the
-    resolved model's ``predict`` on a one-row frame per operator."""
+    covering model, found by a scan of the bank, on a one-row frame per
+    operator."""
     out = []
     for row in rows:
-        resolved = res.resolve_model(bank, row)
-        if resolved is None:
+        found = find_covering(bank, row)
+        if found is None:
             out.append(0.0)
             continue
-        model, context = resolved
-        X = feature_matrix(pd.DataFrame([row]), context=context)
-        out.append(float(model.predict(X)[0]))
+        m, spec = found
+        X = feature_matrix(pd.DataFrame([row]), context=spec.context)
+        out.append(float(reference_predict(bank, m, X)[0]))
     return np.array(out)
 
 
@@ -93,19 +97,26 @@ def plan_rows(root, pm):
 
 
 def test_resolve_model_cascade_order():
-    bank = _bank_with_operator_model({})
+    """A subgraph model wins over the operator model (§5.1 look-up order)."""
+    operator = _operator_model({"f_CL": 0.1, "f_P": 1e-3})
     row = _row()
-    model, ctx = res.resolve_model(bank, row)
-    assert ctx is True  # operator family uses context features
-    # A subgraph model must win over the operator model.
-    sub = LinearModel(np.zeros(len(FEATURE_NAMES)), 1.0, 5, -30, 30)
-    bank.models["Op-Subgraph"][row["sig_sub"]] = sub
-    model2, ctx2 = res.resolve_model(bank, row)
-    assert model2 is sub and ctx2 is False
+    curves = _curves(bank_of(operator), [row])
+    # The operator model reads the context features: a = 0.1 * CL.
+    assert curves.covered[0] and curves.a[0] == pytest.approx(0.3)
+    assert curves.theta_c[0] == 1e-3
+    sub = ("Op-Subgraph", row["sig_sub"], np.zeros(len(FEATURE_NAMES)), 1.0, -30.0, 30.0)
+    for bank in (bank_of(operator, sub), bank_of(sub, operator)):
+        curves = _curves(bank, [row])
+        assert curves.covered[0] and curves.a[0] == 1.0 and curves.theta_c[0] == 0.0
 
 
 def test_resolve_model_none_when_empty():
-    assert res.resolve_model(ModelBank(), _row()) is None
+    coef, intercept, z_lo, z_hi, covered = bank_of().resolve(
+        {k: np.array([v]) for k, v in _row().items()})
+    assert coef.shape == (1, len(ALL_FEATURE_NAMES)) and not coef.any()
+    assert not covered[0] and intercept[0] == z_lo[0] == z_hi[0] == 0.0
+    curves = _curves(bank_of(), [_row()])
+    assert not curves.covered[0] and curves.a[0] == 0.0
 
 
 def test_predict_costs_counts_lookups():
@@ -128,7 +139,7 @@ def test_uncovered_operator_prices_zero_without_lookups():
 
 
 def test_curves_match_feature_matrix_predictions():
-    """Curve costs equal ``LinearModel.predict`` on the feature matrix,
+    """Curve costs equal the reference predictor on the feature matrix,
     for models with and without context features, at counts where the
     log-space clip binds at both ends."""
     g = np.random.default_rng(3)
@@ -146,16 +157,16 @@ def test_curves_match_feature_matrix_predictions():
     # partition response of a few units in log space.
     scale = 1.0 / (np.abs(X).mean(axis=0) * X.shape[1])
     il_p = FEATURE_NAMES.index("f_IL_P")
-    bank = ModelBank()
+    models = []
     for i in range(0, 8, 2):  # even rows: Op-Subgraph, no context features
         coef = g.normal(0, 1, len(FEATURE_NAMES)) * scale[:len(FEATURE_NAMES)]
         coef[il_p] = -4.0 / X[:, il_p].mean()
         coef[P_FEATURE_INDEX] = 2e-3
-        bank.models["Op-Subgraph"][i] = LinearModel(coef, 5.0, 10, 3.0, 8.0)
+        models.append(("Op-Subgraph", i, coef, 5.0, 3.0, 8.0))
     coef = g.normal(0, 1, len(ALL_FEATURE_NAMES)) * scale  # Operator, with context
     coef[il_p] = 10.0 / X[:, il_p].mean()
     coef[P_FEATURE_INDEX] = 1e-3
-    bank.models["Operator"]["Extract"] = LinearModel(coef, 1.0, 10, 2.0, 9.0)
+    bank = bank_of(*models, ("Operator", "Extract", coef, 1.0, 2.0, 9.0))
     ps = np.array([1.0, 2.0, 7.0, 60.0, 500.0, 3000.0])
     got = res.predict_costs_at(_curves(bank, rows), ps, res.LookupCounter())
     want = np.column_stack([reference_costs(bank, [{**r, "P": p} for r in rows]) for p in ps])
