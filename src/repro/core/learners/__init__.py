@@ -13,7 +13,7 @@ paper evaluates are implemented here with the paper's hyper-parameters:
   mean-squared, mean-squared-log), used only for the Table 1 loss
   comparison.
 - :class:`~repro.core.learners.tree.DecisionTreeRegressor` — depth-15
-  CART with histogram splits.
+  CART with histogram splits, grown one depth level at a time.
 - :class:`~repro.core.learners.ensemble.RandomForestRegressor` — 20
   trees, depth 5, bagging + feature subsampling.
 - :class:`~repro.core.learners.ensemble.FastTreeRegressor` — stochastic

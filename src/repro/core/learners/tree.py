@@ -3,9 +3,13 @@
 Used directly as the paper's "Decision tree: depth = 15" model (§3.4)
 and as the weak learner inside the random forest and FastTree (MART
 gradient boosting) ensembles. Features are quantile-binned once per fit
-(max 64 bins), so finding the best split of a node is O(features ×
-bins) after one O(n) accumulation pass — fast enough to train tens of
-thousands of small models and several-thousand-row ensembles in numpy.
+(max 64 bins). The tree grows one depth level at a time, like the
+"hist" method of XGBoost (Chen & Guestrin, KDD 2016) and LightGBM (Ke
+et al., NeurIPS 2017): one pass over the level's samples accumulates a
+``(node, feature, bin)`` histogram of counts and target sums, and every
+split of every node at that depth is scored from it at once. A level
+costs O(n × features) plus O(nodes × features × bins), with a number of
+numpy calls that does not grow with the feature count.
 """
 from __future__ import annotations
 
@@ -39,7 +43,14 @@ def bin_codes(X: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
 
 
 class _Tree:
-    """Flat-array regression tree over pre-binned features."""
+    """Flat-array regression tree over pre-binned features.
+
+    After :meth:`fit_binned`, node ``i`` is described by ``feature[i]``
+    (-1 for a leaf), ``threshold[i]`` (samples with ``code <= threshold``
+    go left), ``left[i]``/``right[i]`` (child indices) and ``value[i]``
+    (the mean target of its samples). The root is node 0 and nodes are
+    numbered breadth-first.
+    """
 
     def __init__(self, max_depth: int, min_samples_leaf: int, min_gain: float = 1e-12):
         self.max_depth = max_depth
@@ -47,87 +58,94 @@ class _Tree:
         self.min_gain = min_gain
 
     def fit_binned(self, codes: np.ndarray, y: np.ndarray, feat_idx: np.ndarray | None = None):
-        n, d = codes.shape
-        self.feature: list[int] = []
-        self.threshold: list[int] = []  # split on code <= threshold
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        feats = np.arange(d) if feat_idx is None else feat_idx
-        self._grow(codes, y, np.arange(n), 0, feats)
+        """Grow the tree one depth level at a time.
+
+        Each level scores every split of every splittable node from one
+        ``(node, feature, bin)`` histogram of counts and target sums.
+        Within a node, each bin's samples are summed in ascending sample
+        order, and a node's own total comes from its samples, so every
+        score is computed exactly as a node-by-node scan would compute it.
+        The best bin of each feature is the first maximum of the score,
+        and the best feature the first maximum of the gain over the
+        parent, in ``feat_idx`` order: subtracting the parent score can
+        round two different scores to one gain, so the order matters.
+        """
+        n = len(codes)
+        feats = np.arange(codes.shape[1]) if feat_idx is None else np.asarray(feat_idx)
+        X = codes[:, feats]
+        n_feat = len(feats)
+        n_bins = int(X.max()) + 1 if X.size else 1
+        msl = self.min_samples_leaf
+        feature, threshold, left, right, value = [], [], [], [], []
+
+        def new_node(idx):
+            """Append a leaf for samples ``idx``; return ``(node, idx, total)``.
+            Its value, total over count, is ``y[idx].mean()`` bit for bit."""
+            total = y[idx].sum()
+            for a in (feature, threshold, left, right):
+                a.append(-1)
+            value.append(float(total / len(idx)))
+            return len(value) - 1, idx, total
+
+        frontier = [new_node(np.arange(n))]  # sample indices ascend within a node
+        # A single bin everywhere leaves nothing to split on.
+        for _ in range(self.max_depth if n_bins > 1 else 0):
+            grow = [nd for nd in frontier if len(nd[1]) >= 2 * msl]
+            if not grow:
+                break
+            m = len(grow)
+            rows = np.concatenate([idx for _, idx, _ in grow])
+            total_cnt = np.array([len(idx) for _, idx, _ in grow])
+            total_sum = np.array([total for _, _, total in grow])
+            slot = np.repeat(np.arange(m), total_cnt)
+            key = ((slot[:, None] * n_feat + np.arange(n_feat)) * n_bins + X[rows]).ravel()
+            shape, size = (m, n_feat, n_bins), m * n_feat * n_bins
+            cnt = np.bincount(key, minlength=size).reshape(shape)
+            s = np.bincount(key, weights=np.repeat(y[rows], n_feat), minlength=size).reshape(shape)
+            # Splitting after the last bin leaves the right side empty.
+            ccnt = np.cumsum(cnt, axis=2)[:, :, :-1]
+            csum = np.cumsum(s, axis=2)[:, :, :-1]
+            rcnt = total_cnt[:, None, None] - ccnt
+            valid = (ccnt >= msl) & (rcnt >= msl)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = csum**2 / ccnt + (total_sum[:, None, None] - csum) ** 2 / rcnt
+            score = np.where(valid, score, -np.inf)
+            best_bin = np.argmax(score, axis=2)
+            parent_score = total_sum * total_sum / total_cnt
+            gain = score.max(axis=2) - parent_score[:, None]
+            best_feat = np.argmax(gain, axis=1)
+            split = gain.max(axis=1) > self.min_gain
+            frontier = []
+            for i in np.flatnonzero(split):
+                v, idx, _ = grow[i]
+                f = best_feat[i]
+                thr = int(best_bin[i, f])
+                goes_left = X[idx, f] <= thr
+                feature[v] = int(feats[f])
+                threshold[v] = thr
+                for side, child in ((left, idx[goes_left]), (right, idx[~goes_left])):
+                    frontier.append(new_node(child))
+                    side[v] = frontier[-1][0]
+        self.feature = np.array(feature)
+        self.threshold = np.array(threshold)
+        self.left = np.array(left)
+        self.right = np.array(right)
+        self.value = np.array(value)
         return self
 
-    def _new_node(self, val: float) -> int:
-        self.feature.append(-1)
-        self.threshold.append(-1)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(val)
-        return len(self.value) - 1
-
-    def _grow(self, codes, y, idx, depth, feats) -> int:
-        node = self._new_node(float(y[idx].mean()))
-        if depth >= self.max_depth or len(idx) < 2 * self.min_samples_leaf:
-            return node
-        yv = y[idx]
-        total_sum = yv.sum()
-        total_cnt = len(idx)
-        parent_score = total_sum * total_sum / total_cnt
-        best = (self.min_gain, -1, -1)  # (gain, feature, threshold-code)
-        sub = codes[idx]
-        for j in feats:
-            cj = sub[:, j]
-            nb = int(cj.max()) + 1
-            if nb < 2:
-                continue
-            cnt = np.bincount(cj, minlength=nb).astype(float)
-            s = np.bincount(cj, weights=yv, minlength=nb)
-            ccnt = np.cumsum(cnt)[:-1]
-            csum = np.cumsum(s)[:-1]
-            valid = (ccnt >= self.min_samples_leaf) & (
-                (total_cnt - ccnt) >= self.min_samples_leaf
-            )
-            if not valid.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                score = csum**2 / ccnt + (total_sum - csum) ** 2 / (total_cnt - ccnt)
-            score = np.where(valid, score, -np.inf)
-            k = int(np.argmax(score))
-            gain = score[k] - parent_score
-            if gain > best[0]:
-                best = (gain, int(j), k)
-        if best[1] < 0:
-            return node
-        _, j, thr = best
-        mask = codes[idx, j] <= thr
-        li = idx[mask]
-        ri = idx[~mask]
-        self.feature[node] = j
-        self.threshold[node] = thr
-        self.left[node] = self._grow(codes, y, li, depth + 1, feats)
-        self.right[node] = self._grow(codes, y, ri, depth + 1, feats)
-        return node
-
     def predict_binned(self, codes: np.ndarray) -> np.ndarray:
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        value = np.asarray(self.value)
-        out = np.empty(len(codes))
         node_of = np.zeros(len(codes), dtype=np.int64)
         # Iteratively route all samples; depth is small so this loops
         # at most max_depth times over active samples.
-        active = feature[node_of] >= 0
+        active = self.feature[node_of] >= 0
         while active.any():
             ai = np.where(active)[0]
             nd = node_of[ai]
-            f = feature[nd]
-            goes_left = codes[ai, f] <= threshold[nd]
-            node_of[ai] = np.where(goes_left, left[nd], right[nd])
-            active = feature[node_of] >= 0
-        out[:] = value[node_of]
-        return out
+            f = self.feature[nd]
+            goes_left = codes[ai, f] <= self.threshold[nd]
+            node_of[ai] = np.where(goes_left, self.left[nd], self.right[nd])
+            active = self.feature[node_of] >= 0
+        return self.value[node_of]
 
 
 class DecisionTreeRegressor:
