@@ -93,12 +93,16 @@ Caveats (honest deviations):
   than SCOPE's tuned optimizer, leaving more headroom); the *quality*
   of changes — fraction improved, latency/CPU deltas, wins coming with
   less parallelism — matches.
-- Fig 19's planning overhead: CLEO plans in 2.1x the default
-  planner's time here (21 vs 10 ms per job), against the paper's
+- Fig 19's planning overhead: CLEO plans in about 3.7x the default
+  planner's time here (3.1-3.9x over four runs; 10 vs 2.6-3.2 ms per
+  job), against the paper's
   1.05-1.10x (look-ups add 5-10% to compile time). Both planners are
-  Python. Profiled on cluster4 day 3, CLEO's extra time is mostly the
-  signature pass, the second partition assignment after exploration,
-  and the cost curves.
+  Python and share the simulator's statistics derivation, which draws
+  each operator's randomness once per job instance. Profiled on
+  cluster4 day 3, about 40% of CLEO's time is the signature pass and
+  model look-up of each candidate plan: Fig 19 plans each template
+  once, so the planner's per-template memo of them never hits. The
+  rest is the statistics, the partition search and the cost curves.
 - Table 1's ordering (MSLE best, MedAE worst) reproduces but with far
   less contrast than the paper's 246%-vs-14%: production runtimes carry
   extreme outliers that our softened simulator noise does not.

@@ -6,7 +6,8 @@ points (join implementation, aggregation strategy, optional local
 pre-aggregation — the §6.6.2 plan-change classes), derives statistics,
 and costs each candidate with the learned model hierarchy instead of
 the default cost model. Each operator's model is resolved once per
-candidate and folded into a partition-cost curve, and a stage's
+physical plan of a template (the planner keeps the look-up) and folded
+into a partition-cost curve per candidate, and a stage's
 operators' curves form its resource-context (partition exploration);
 at the stage boundary the partitioning operator picks the count
 minimizing total predicted stage cost (partition optimization). The
@@ -21,7 +22,9 @@ heuristic — i.e., SCOPE's stock behaviour.
 Planning returns the chosen *executed* plan: the substrate simulator
 fills actual latencies for whatever plan is chosen, using common random
 numbers so two planners' choices for the same job instance are
-comparable (§6.6.1).
+comparable (§6.6.1). Every candidate of one job instance reads the same
+memoized substrate draws (:class:`repro.scope.simulator.Draws`), and
+:class:`PlanResult` reports each candidate's predicted cost.
 """
 from __future__ import annotations
 
@@ -56,6 +59,8 @@ class PlanResult:
     planning_seconds: float
     actual_latency: float  # simulated end-to-end latency of the choice
     cpu_seconds: float
+    # predicted cost of every candidate, keyed by tuple(choices.items())
+    candidate_costs: dict[tuple, float]
 
 
 def _candidates(tpl: JobTemplate) -> list[dict]:
@@ -69,14 +74,15 @@ def _candidates(tpl: JobTemplate) -> list[dict]:
 
 
 def _prepared(tpl: JobTemplate, choices: dict, world: sim.World, base_cards,
-              base_lens, pm: float, seed_parts: tuple) -> PlanNode:
+              base_lens, pm: float, draws: sim.Draws) -> PlanNode:
     """One candidate physical plan with the statistics and heuristic
-    partition counts the optimizer sees. Latencies are simulated only
-    for the plan a planner picks."""
+    partition counts the optimizer sees. ``draws`` is shared by every
+    candidate of the job instance. Latencies are simulated only for the
+    plan a planner picks."""
     root = expand_physical(tpl.logical_root, choices)
     assign_input_templates(root)
-    sim.derive_statistics(root, world, base_cards, base_lens, pm, seed_parts)
-    sim.assign_partitions(root, seed_parts)
+    sim.derive_statistics(root, world, base_cards, base_lens, pm, draws)
+    sim.assign_partitions(root, draws)
     return root
 
 
@@ -89,10 +95,13 @@ class DefaultPlanner:
     def plan(self, tpl: JobTemplate, world: sim.World, base_cards, base_lens,
              pm: float, seed_parts: tuple) -> PlanResult:
         t0 = time.perf_counter()
+        draws = sim.Draws(seed_parts)
+        costs = {}
         best = None
         for choices in _candidates(tpl):
-            root = _prepared(tpl, choices, world, base_cards, base_lens, pm, seed_parts)
-            cost = sum(dc.default_cost(self.cluster, n) for n in root.walk())
+            root = _prepared(tpl, choices, world, base_cards, base_lens, pm, draws)
+            cost = costs[tuple(choices.items())] = sum(
+                dc.default_cost(self.cluster, n) for n in root.walk())
             if best is None or cost < best[0]:
                 best = (cost, root, choices)
         cost, root, choices = best
@@ -102,6 +111,7 @@ class DefaultPlanner:
             planning_seconds=time.perf_counter() - t0,
             actual_latency=sim.job_latency(root),
             cpu_seconds=sim.job_cpu_seconds(root),
+            candidate_costs=costs,
         )
 
 
@@ -121,6 +131,20 @@ class CleoPlanner:
         self.sample_n = sample_n
         self.explore_partitions = explore_partitions
         self.accept_margin = accept_margin
+        # (tpl_id, choices) -> (logical tree, signatures and resolved models)
+        self._plans: dict[tuple, tuple[PlanNode, res.PlanModels]] = {}
+
+    def _resolved(self, tpl: JobTemplate, choices: dict, root: PlanNode) -> res.PlanModels:
+        """The signatures and resolved models of ``root``, the physical
+        plan of ``tpl`` under ``choices``. They depend only on the
+        template and its choices, and the bank is fixed, so they are
+        kept per ``(tpl_id, choices)``; an entry is reused only for the
+        very logical tree it was resolved from."""
+        key = (tpl.tpl_id, tuple(choices.items()))
+        hit = self._plans.get(key)
+        if hit is None or hit[0] is not tpl.logical_root:
+            hit = self._plans[key] = (tpl.logical_root, res.resolve_plan(self.bank, root))
+        return hit[1]
 
     # -- stage-level partition selection -------------------------------
     def _optimize_partitions(self, root: PlanNode, nodes: list[PlanNode],
@@ -179,18 +203,23 @@ class CleoPlanner:
              pm: float, seed_parts: tuple) -> PlanResult:
         t0 = time.perf_counter()
         counter = res.LookupCounter()
+        draws = sim.Draws(seed_parts)
+        costs = {}
         best = None
         for choices in _candidates(tpl):
-            root = _prepared(tpl, choices, world, base_cards, base_lens, pm, seed_parts)
-            # Each operator's model is resolved once per candidate; the
-            # statistics it reads do not depend on partition counts.
-            nodes, curves = res.plan_cost_curves(self.bank, root, pm)
+            root = _prepared(tpl, choices, world, base_cards, base_lens, pm, draws)
+            # Each operator's model is resolved once per physical plan of
+            # a template; the statistics the curves read do not depend
+            # on partition counts.
+            nodes = list(root.walk())
+            curves = res.instance_curves(self._resolved(tpl, choices, root), nodes, pm)
             if self.explore_partitions:
                 self._optimize_partitions(root, nodes, curves, counter)
-                # Re-derive non-partitioning ops for the chosen counts.
-                sim.assign_partitions(root, seed_parts, preset=True)
+                # Derive the operators above each chosen count.
+                sim.rederive_partitions(root)
             p = np.array([[n.partitions] for n in nodes], dtype=float)
-            cost = float(res.predict_costs_at(curves, p, counter).sum())
+            cost = costs[tuple(choices.items())] = float(
+                res.predict_costs_at(curves, p, counter).sum())
             if best is None or cost < best[0]:
                 best = (cost, root, choices)
         cost, root, choices = best
@@ -201,4 +230,5 @@ class CleoPlanner:
             planning_seconds=time.perf_counter() - t0,
             actual_latency=sim.job_latency(root),
             cpu_seconds=sim.job_cpu_seconds(root),
+            candidate_costs=costs,
         )

@@ -18,7 +18,11 @@ the model's training envelope ``[z_lo, z_hi]``. :func:`plan_cost_curves`
 resolves each operator's model once per candidate plan, through the
 bank's §5.1 look-up (:meth:`ModelBank.resolve`), and folds it into
 these arrays (:class:`CostCurves`); a stage's resource-context is
-the slice of them for its operators. Every planning decision reads the
+the slice of them for its operators. The look-up and the signatures it
+reads depend only on the template and its physical choices
+(:class:`PlanModels`, from :func:`resolve_plan`); only the statistics,
+and with them each curve's ``a`` and ``θ_P``, change per instance
+(:func:`instance_curves`). Every planning decision reads the
 curves: sampling, the analytical optimum, the planner's acceptance
 check and the plan's final cost.
 
@@ -84,17 +88,35 @@ class CostCurves:
                           self.z_lo[idx], self.z_hi[idx], self.covered[idx])
 
 
-def cost_curves(bank: ModelBank, cols: Mapping[str, Sequence]) -> CostCurves:
-    """Resolve the model of each operator in ``cols``
-    (:meth:`ModelBank.resolve`) and fold it into its curve. ``cols``
-    holds one entry per operator in each of the feature inputs (I, B,
-    C, L, pm as numpy arrays; in_hash, cl, depth) and the family keys
-    (sig_sub, sig_approx, sig_opinput, op)."""
-    n = len(cols["op"])
-    coef, intercept, z_lo, z_hi, covered = bank.resolve(cols)
+@dataclass
+class PlanModels:
+    """The template-level half of a plan's cost curves: its
+    :func:`plan_identity` columns plus operator names (``ident``), and
+    each operator's resolved model, ``(coef, intercept, z_lo, z_hi,
+    covered)`` from :meth:`ModelBank.resolve`. The arrays are read-only,
+    so a planner can share them between instances."""
+
+    ident: dict[str, list]
+    models: tuple[np.ndarray, ...]
+
+
+def resolve_plan(bank: ModelBank, root: PlanNode) -> PlanModels:
+    """Signatures and resolved models of every operator of a physical
+    plan, in ``root.walk()`` order."""
+    ident = plan_identity(root)
+    ident["op"] = [n.op for n in root.walk()]
+    models = bank.resolve(ident)
+    for a in models:
+        a.flags.writeable = False
+    return PlanModels(ident, models)
+
+
+def _fold(models: tuple[np.ndarray, ...], cols: Mapping[str, Sequence]) -> CostCurves:
+    """Fold resolved models into the curves of the operators in ``cols``."""
+    coef, intercept, z_lo, z_hi, covered = models
     # At P = 1 a per-partition feature equals its numerator g(I,C,L).
-    terms = coef * feature_matrix({**cols, "P": np.ones(n)}, context=True)
-    theta_p = np.zeros(n)
+    terms = coef * feature_matrix({**cols, "P": np.ones(len(covered))}, context=True)
+    theta_p = np.zeros(len(covered))
     for j in P_INVERSE_INDEX:
         theta_p += terms[:, j]
     return CostCurves(
@@ -105,23 +127,36 @@ def cost_curves(bank: ModelBank, cols: Mapping[str, Sequence]) -> CostCurves:
     )
 
 
+def cost_curves(bank: ModelBank, cols: Mapping[str, Sequence]) -> CostCurves:
+    """Resolve the model of each operator in ``cols``
+    (:meth:`ModelBank.resolve`) and fold it into its curve. ``cols``
+    holds one entry per operator in each of the feature inputs (I, B,
+    C, L, pm as numpy arrays; in_hash, cl, depth) and the family keys
+    (sig_sub, sig_approx, sig_opinput, op)."""
+    return _fold(bank.resolve(cols), cols)
+
+
+def instance_curves(plan: PlanModels, nodes: list[PlanNode], pm: float) -> CostCurves:
+    """The cost curves of an instantiated plan's ``nodes`` (in
+    ``root.walk()`` order) from the statistics the optimizer sees (the
+    estimated cardinalities) and the plan's resolved models."""
+    return _fold(plan.models, {
+        **plan.ident,
+        "I": np.array([n.est_in for n in nodes]),
+        "B": np.array([n.est_base for n in nodes]),
+        "C": np.array([n.est_out for n in nodes]),
+        "L": np.array([n.row_len for n in nodes]),
+        "pm": np.full(len(nodes), pm),
+    })
+
+
 def plan_cost_curves(
     bank: ModelBank, root: PlanNode, pm: float
 ) -> tuple[list[PlanNode], CostCurves]:
     """The nodes of an instantiated plan in ``root.walk()`` order and
-    their cost curves, from the statistics the optimizer sees (the
-    estimated cardinalities)."""
+    their cost curves."""
     nodes = list(root.walk())
-    cols: dict[str, Sequence] = plan_identity(root)
-    cols.update(
-        I=np.array([n.est_in for n in nodes]),
-        B=np.array([n.est_base for n in nodes]),
-        C=np.array([n.est_out for n in nodes]),
-        L=np.array([n.row_len for n in nodes]),
-        pm=np.full(len(nodes), pm),
-        op=[n.op for n in nodes],
-    )
-    return nodes, cost_curves(bank, cols)
+    return nodes, instance_curves(resolve_plan(bank, root), nodes, pm)
 
 
 def predict_costs_at(

@@ -25,7 +25,16 @@ hand-crafted cost model cannot capture:
 
 All randomness is derived deterministically from ``hash64`` of the
 entity keys, so the same workload is bit-identical across runs and
-processes.
+processes. Statistics and partition counts make at most one draw per
+operator each: the first standard normal of the generator seeded by
+``(kind, *seed_parts, tpl_op_id)``. :class:`Draws` makes each such draw
+on first use and keeps it, so a planner costing many candidate plans of
+one job instance seeds each operator's generator once, and operators
+that draw nothing seed none. numpy computes ``normal(0.0, s)`` as
+``0.0 + s * standard_normal()``, so scaling the kept draw gives the
+same bits as drawing from a fresh generator. Latencies
+(:func:`simulate_latencies`) are simulated once per executed plan and
+keep their per-operator generators.
 """
 from __future__ import annotations
 
@@ -82,6 +91,24 @@ def _rng(*parts) -> np.random.Generator:
     return np.random.default_rng(hash64(*parts) & 0xFFFF_FFFF)
 
 
+class Draws(dict):
+    """The per-operator standard-normal draws of one job instance,
+    made on first use: ``draws[kind, tpl_op_id]`` is the first
+    ``standard_normal()`` of ``_rng(kind, *seed_parts, tpl_op_id)``.
+
+    Every candidate plan of the instance reads the same draws for the
+    operators it shares with the others (common random numbers)."""
+
+    def __init__(self, seed_parts: tuple):
+        super().__init__()
+        self.seed_parts = seed_parts
+
+    def __missing__(self, key: tuple[str, str]) -> float:
+        kind, tpl_op_id = key
+        z = self[key] = _rng(kind, *self.seed_parts, tpl_op_id).standard_normal()
+        return z
+
+
 @dataclass
 class World:
     """Hidden per-cluster truth the learned models must discover."""
@@ -104,15 +131,16 @@ class World:
             self._tau_cache[key] = float(np.exp(g.normal(0.0, self.tau_sigma)))
         return self._tau_cache[key]
 
-    def est_error_factor(self, tpl_op_id: str, logical: str, g_inst: np.random.Generator) -> float:
+    def est_error_factor(self, tpl_op_id: str, logical: str, z_inst: float) -> float:
         """Multiplicative error of one operator's selectivity estimate:
         a systematic per-template-operator factor (stable across runs of
-        the recurring job) times small per-instance jitter."""
+        the recurring job) times small per-instance jitter, from the
+        instance's standard-normal draw ``z_inst``."""
         if tpl_op_id not in self._est_cache:
             g_sys = _rng(self.cluster, "est", tpl_op_id)
             bias = EST_BIAS.get(logical, 0.0)
             self._est_cache[tpl_op_id] = math.exp(g_sys.normal(bias, self.est_sigma))
-        return self._est_cache[tpl_op_id] * math.exp(g_inst.normal(0.0, 0.08))
+        return self._est_cache[tpl_op_id] * math.exp(0.08 * z_inst)
 
     # ------------------------------------------------------------------
     def true_output(self, node: PlanNode, pm: float) -> float:
@@ -182,13 +210,14 @@ class World:
         return (parallel * ctx * tau * pm_factor + overhead) * noise
 
 
-def default_partitions(est_rows: float, g_inst: np.random.Generator) -> int:
+def default_partitions(est_rows: float, z_inst: float) -> int:
     """The default partitioning heuristic (§5.2): rows-per-partition
     target with operational jitter (cluster load / machine availability),
-    which is also what makes the partition response identifiable in the
-    training logs."""
-    target = ROWS_PER_PARTITION * math.exp(g_inst.normal(0.0, 0.35))
-    return int(np.clip(math.ceil(est_rows / target), 1, MAX_PARTITIONS))
+    from the instance's standard-normal draw ``z_inst``; the jitter is
+    also what makes the partition response identifiable in the training
+    logs."""
+    target = ROWS_PER_PARTITION * math.exp(0.35 * z_inst)
+    return min(max(math.ceil(est_rows / target), 1), MAX_PARTITIONS)
 
 
 def instantiate(
@@ -198,7 +227,6 @@ def instantiate(
     base_lens: dict[str, float],
     pm: float,
     seed_parts: tuple,
-    preset_partitions: bool = False,
 ) -> None:
     """Fill instance statistics and actual latencies for a plan, in place:
     :func:`derive_statistics`, :func:`assign_partitions`, then
@@ -208,12 +236,11 @@ def instantiate(
     length of each input template for this run; ``seed_parts`` make the
     instance deterministic. All per-operator randomness is keyed by
     ``tpl_op_id`` (common random numbers), so re-planned variants of the
-    same instance are directly comparable. With ``preset_partitions``
-    the partition counts already on partitioning operators are kept
-    (the planner chose them) instead of applying the default heuristic.
+    same instance are directly comparable.
     """
-    derive_statistics(root, world, base_cards, base_lens, pm, seed_parts)
-    assign_partitions(root, seed_parts, preset=preset_partitions)
+    draws = Draws(seed_parts)
+    derive_statistics(root, world, base_cards, base_lens, pm, draws)
+    assign_partitions(root, draws)
     simulate_latencies(root, world, pm, seed_parts)
 
 
@@ -223,17 +250,18 @@ def derive_statistics(
     base_cards: dict[str, float],
     base_lens: dict[str, float],
     pm: float,
-    seed_parts: tuple,
+    draws: Draws,
 ) -> None:
-    """True and estimated cardinalities and row lengths, bottom-up."""
+    """True and estimated cardinalities and row lengths, bottom-up.
+    Leaves and selectivity-estimating operators read their ``"est-jit"``
+    draw."""
     for node in root.walk():
-        g_node = _rng("est-jit", *seed_parts, node.tpl_op_id)
         if not node.children:
             card = base_cards[node.input_templates[0]]
             node.row_len = base_lens[node.input_templates[0]]
             node.true_in = node.true_base = card
             node.true_out = world.true_output(node, pm)
-            err = math.exp(g_node.normal(0.0, 0.06))
+            err = math.exp(0.06 * draws["est-jit", node.tpl_op_id])
             node.est_in = node.est_base = node.est_out = card * err
             continue
         node.true_in = sum(c.true_out for c in node.children)
@@ -262,44 +290,41 @@ def derive_statistics(
             node.est_out = node.est_in
         else:
             true_sel = node.true_out / max(node.true_in, 1.0)
-            err = world.est_error_factor(node.tpl_op_id, node.logical, g_node)
+            err = world.est_error_factor(node.tpl_op_id, node.logical,
+                                         draws["est-jit", node.tpl_op_id])
             node.est_out = max(1.0, node.est_in * true_sel * err)
 
 
-def assign_partitions(root: PlanNode, seed_parts: tuple, preset: bool = False) -> None:
+def assign_partitions(root: PlanNode, draws: Draws) -> None:
     """Partition counts: partitioning operators set the count from their
-    local estimated stats (§5.2); everything else derives from its first
-    child's stage; joins force both sides' exchanges to a common count
-    (co-partitioning). With ``preset``, counts already placed on
-    partitioning operators by a planner are kept."""
+    local estimated stats and their ``"part"`` draw (§5.2); everything
+    else derives from its first child's stage; joins force both sides'
+    exchanges to a common count (co-partitioning)."""
     for node in root.walk():
-        g_node = _rng("part", *seed_parts, node.tpl_op_id)
         if node.op == "Extract":
-            if not preset or node.partitions <= 1:
-                node.partitions = default_partitions(node.est_base, g_node)
+            node.partitions = default_partitions(node.est_base, draws["part", node.tpl_op_id])
         elif node.op == "Exchange":
-            if not preset or node.partitions <= 1:
-                node.partitions = default_partitions(node.est_in, g_node)
+            node.partitions = default_partitions(node.est_in, draws["part", node.tpl_op_id])
         else:
             node.partitions = node.children[0].partitions if node.children else 1
             if node.op in ("HashJoin", "MergeJoin"):
                 p = max(c.stage_partition_root().partitions for c in node.children)
                 for c in node.children:
-                    if not preset:
-                        sp = c.stage_partition_root()
-                        if sp.op == "Exchange":
-                            sp.partitions = p
+                    sp = c.stage_partition_root()
+                    if sp.op == "Exchange":
+                        sp.partitions = p
                 # Re-derive the side chains after co-partitioning.
                 for c in node.children:
-                    _rederive_stage(c)
+                    rederive_partitions(c)
                 node.partitions = max(
                     c.stage_partition_root().partitions for c in node.children
                 )
 
 
-def _rederive_stage(node: PlanNode) -> None:
-    """Re-propagate partition counts bottom-up through derived operators
-    after a partitioning operator's count changed."""
+def rederive_partitions(node: PlanNode) -> None:
+    """Re-propagate partition counts bottom-up through the derived
+    operators under ``node`` after partitioning operators' counts
+    changed; every Extract and Exchange keeps its count."""
     for n in node.walk():
         if n.children and n.op not in ("Extract", "Exchange"):
             if n.op in ("HashJoin", "MergeJoin"):

@@ -2,13 +2,17 @@
 import numpy as np
 import pytest
 
+from repro.core.features import FEATURE_NAMES, P_FEATURE_INDEX
 from repro.optimizer.cascades import CleoPlanner, DefaultPlanner, _candidates
 from repro.scope import simulator as sim
 from repro.scope.plan import (
+    PlanNode,
     assign_input_templates,
     expand_physical,
     operator_signature,
 )
+from repro.scope.workload import JobTemplate
+from tests.banks import bank_of
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +153,42 @@ def test_planner_explores_impl_alternatives(tiny, tiny_bank):
             changed += 1
     assert total > 0
     assert 0 < changed <= total
+
+
+def test_planner_chosen_single_partition_survives_plan():
+    """An Exchange the planner sets to 1 partition stays at 1 in the
+    returned plan (it is not put back to the heuristic count)."""
+    from tests.test_plan import scan
+
+    left = PlanNode(op="Filter", children=[scan("inA", "sA")], tpl_op_id="f1",
+                    props="p1", sel_param=0.5)
+    logical = PlanNode(op="Output", tpl_op_id="out", children=[
+        PlanNode(op="Join", children=[left, scan("inB", "sB")], tpl_op_id="j1",
+                 props="jk1", sel_param=1.0)])
+    assign_input_templates(logical)
+    world, pm, seed = sim.World(cluster="one"), 0.5, ("one", 1)
+    cards, lens = {"inA": 1e5, "inB": 5e4}, {"inA": 100.0, "inB": 200.0}
+    for impl in ("hash", "merge"):  # heuristic counts of 2: 1 is in the window
+        heuristic = expand_physical(logical, {"j1": impl})
+        assign_input_templates(heuristic)
+        sim.instantiate(heuristic, world, cards, lens, pm, seed)
+        assert [n.partitions for n in heuristic.walk() if n.op == "Exchange"] == [2, 2]
+    tpl = JobTemplate(tpl_id="one_t1", logical_root=logical, choices={"j1": "merge"},
+                      root=heuristic, inputs=("inA", "inB"), freq=1)
+    # Every Exchange costs more with every partition, so the §5.3 optimum is 1.
+    coef = np.zeros(len(FEATURE_NAMES))
+    coef[P_FEATURE_INDEX] = 0.5
+    bank = bank_of(("Operator", "Exchange", coef, 1.0, -30.0, 30.0))
+    r = CleoPlanner(bank).plan(tpl, world, cards, lens, pm, seed)
+    assert [n.partitions for n in r.root.walk() if n.op == "Exchange"] == [1, 1]
+    assert r.root.partitions == 1
+
+
+@pytest.mark.parametrize("cleo", [True, False])
+def test_candidate_costs_cover_every_candidate(planning_setup, tiny_bank, cleo):
+    cl, tpl, pm, bc, bl, seed = planning_setup
+    planner = CleoPlanner(tiny_bank) if cleo else DefaultPlanner(cl.cfg.name)
+    r = planner.plan(tpl, cl.world, bc, bl, pm, seed)
+    assert list(r.candidate_costs) == [tuple(c.items()) for c in _candidates(tpl)]
+    assert r.predicted_cost == min(r.candidate_costs.values())
+    assert r.predicted_cost == r.candidate_costs[tuple(r.choices.items())]
