@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", ".cache", "results")
+RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
 
 def bench_table(benchmark, name: str, fn):

@@ -3,8 +3,8 @@ from benchmarks._helpers import bench_table
 from repro.experiments import fig15
 
 
-def test_bench_fig15_cardinality(benchmark, spark):
-    df = bench_table(benchmark, "fig15", lambda: fig15.run(spark))
+def test_bench_fig15_cardinality(benchmark):
+    df = bench_table(benchmark, "fig15", fig15.run)
     by = df.set_index("model").median_error_pct
     # Fixing cardinalities alone barely fixes the default model (§6.4)...
     assert by["Default + CardLearner"] > by["CLEO"] * 2

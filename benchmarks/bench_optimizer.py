@@ -4,8 +4,8 @@ from benchmarks._helpers import bench_table
 from repro.experiments import fig17, fig19
 
 
-def test_bench_fig17_partition_exploration(benchmark, spark):
-    df = bench_table(benchmark, "fig17", lambda: fig17.run(spark, n_stages=200))
+def test_bench_fig17_partition_exploration(benchmark):
+    df = bench_table(benchmark, "fig17", lambda: fig17.run(n_stages=200))
     ana = df[df.strategy == "analytical"].iloc[0]
     geo = df[df.strategy == "geometric"].set_index("n_samples")
     # Analytical beats small-sample sampling (Fig 17) at a fraction of
@@ -17,8 +17,8 @@ def test_bench_fig17_partition_exploration(benchmark, spark):
     assert geo.median_cost_error_pct.loc[15] <= uni.median_cost_error_pct.loc[15] + 5
 
 
-def test_bench_fig19_production(benchmark, spark):
-    df = bench_table(benchmark, "fig19", lambda: fig19.run(spark, max_jobs=120))
+def test_bench_fig19_production(benchmark):
+    df = bench_table(benchmark, "fig19", lambda: fig19.run(max_jobs=120))
     m = df.set_index("metric").measured
     # Majority of changed plans improve; latency and processing time
     # both improve in aggregate (Fig 19a/19b).

@@ -1,6 +1,6 @@
 """Benchmarks that regenerate every paper table over the SCOPE-like
 substrate — one per table, as listed in DESIGN.md. Each run writes its
-measured table to ``.cache/results/<name>.md`` (the source for
+measured table to ``results/<name>.md`` (the source for
 EXPERIMENTS.md) and asserts the paper-shape invariants.
 """
 import pytest
@@ -28,8 +28,8 @@ def test_bench_table1_loss_functions(benchmark, spark):
     assert err["Median Absolute Error"] > err["Mean Squared-Log Error"]
 
 
-def test_bench_table23_features(benchmark, spark):
-    df = bench_table(benchmark, "table23", lambda: table23.run(spark))
+def test_bench_table23_features(benchmark):
+    df = bench_table(benchmark, "table23", table23.run)
     # (Nearly) every Table 2/3 candidate feature is selected somewhere —
     # features with no smooth cost relation (the IN hash) may be zero
     # everywhere under L1 in a given training window.
@@ -52,27 +52,27 @@ def test_bench_table4_ml_models(benchmark, spark):
     assert (learned.median_error_pct < by.loc["Default", "median_error_pct"]).all()
 
 
-def test_bench_table5_families(benchmark, spark):
-    df = bench_table(benchmark, "table5", lambda: table5.run(spark))
+def test_bench_table5_families(benchmark):
+    df = bench_table(benchmark, "table5", table5.run)
     by = df.set_index("model")
     assert by.loc["Op-Subgraph", "coverage_pct"] < by.loc["Op-Input", "coverage_pct"]
     assert by.loc["Operator", "median_error_pct"] > by.loc["Op-Subgraph", "median_error_pct"]
 
 
-def test_bench_table6_meta_learners(benchmark, spark):
-    df = bench_table(benchmark, "table6", lambda: table6.run(spark))
+def test_bench_table6_meta_learners(benchmark):
+    df = bench_table(benchmark, "table6", table6.run)
     by = df.set_index("model")
     assert (by.drop(index="Default").median_error_pct
             < by.loc["Default", "median_error_pct"]).all()
 
 
-def test_bench_table7_breakdown(benchmark, spark):
-    df = bench_table(benchmark, "table7", lambda: table7.run(spark))
+def test_bench_table7_breakdown(benchmark):
+    df = bench_table(benchmark, "table7", table7.run)
     assert set(df.jobs) == {"all", "ad-hoc"}
 
 
-def test_bench_table8_clusters(benchmark, spark):
-    df = bench_table(benchmark, "table8", lambda: table8.run(spark))
+def test_bench_table8_clusters(benchmark):
+    df = bench_table(benchmark, "table8", table8.run)
     assert len(df) == 4
     assert (df.learned_all_median_pct < df.default_median_pct / 2).all()
     assert (df.learned_all_corr > df.default_corr).all()

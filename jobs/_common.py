@@ -1,4 +1,5 @@
-"""Shared spark-submit plumbing for the per-table job entrypoints."""
+"""Shared plumbing for the per-table job entrypoints: a SparkSession for
+the jobs that run Spark, and printing a result table."""
 from __future__ import annotations
 
 import os

@@ -1,16 +1,14 @@
-"""spark-submit entrypoint: Figure 15 / §6.4 - impact of cardinality.
+"""Job entrypoint: Figure 15 / §6.4 - impact of cardinality.
 
-Usage: spark-submit jobs/fig15_cardinality.py
+Usage: python jobs/fig15_cardinality.py
 """
-from _common import emit, get_spark
+from _common import emit
 
 from repro.experiments import fig15
 
 
 def main() -> None:
-    spark = get_spark("fig15_cardinality")
-    emit("Figure 15 - CLEO vs cardinality feedback", fig15.run(spark))
-    spark.stop()
+    emit("Figure 15 - CLEO vs cardinality feedback", fig15.run())
 
 
 if __name__ == "__main__":

@@ -1,16 +1,14 @@
-"""spark-submit entrypoint: Figure 17 - partition exploration efficacy.
+"""Job entrypoint: Figure 17 - partition exploration efficacy.
 
-Usage: spark-submit jobs/fig17_partition.py   (or: python jobs/fig17_partition.py)
+Usage: python jobs/fig17_partition.py
 """
-from _common import emit, get_spark
+from _common import emit
 
 from repro.experiments import fig17
 
 
 def main() -> None:
-    spark = get_spark("fig17_partition")
-    emit("Figure 17 - partition exploration efficacy", fig17.run(spark))
-    spark.stop()
+    emit("Figure 17 - partition exploration efficacy", fig17.run())
 
 
 if __name__ == "__main__":

@@ -1,16 +1,14 @@
-"""spark-submit entrypoint: Figure 19 - production replanning with CLEO.
+"""Job entrypoint: Figure 19 - production replanning with CLEO.
 
-Usage: spark-submit jobs/fig19_production.py   (or: python jobs/fig19_production.py)
+Usage: python jobs/fig19_production.py
 """
-from _common import emit, get_spark
+from _common import emit
 
 from repro.experiments import fig19
 
 
 def main() -> None:
-    spark = get_spark("fig19_production")
-    emit("Figure 19 - production replanning with CLEO", fig19.run(spark))
-    spark.stop()
+    emit("Figure 19 - production replanning with CLEO", fig19.run())
 
 
 if __name__ == "__main__":

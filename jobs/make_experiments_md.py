@@ -1,12 +1,12 @@
 """Assemble EXPERIMENTS.md from the measured tables that the benchmark
-suite wrote to .cache/results/.
+suite wrote to results/.
 
 Usage: python jobs/make_experiments_md.py   (run the benchmarks first)
 """
 import os
 
 HERE = os.path.dirname(__file__)
-RESULTS = os.path.join(HERE, "..", ".cache", "results")
+RESULTS = os.path.join(HERE, "..", "results")
 OUT = os.path.join(HERE, "..", "EXPERIMENTS.md")
 
 SECTIONS = [

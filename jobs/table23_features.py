@@ -1,16 +1,14 @@
-"""spark-submit entrypoint: Tables 2+3 - selected features and influence.
+"""Job entrypoint: Tables 2+3 - selected features and influence.
 
-Usage: spark-submit jobs/table23_features.py   (or: python jobs/table23_features.py)
+Usage: python jobs/table23_features.py
 """
-from _common import emit, get_spark
+from _common import emit
 
 from repro.experiments import table23
 
 
 def main() -> None:
-    spark = get_spark("table23_features")
-    emit("Tables 2+3 - selected features and influence", table23.run(spark))
-    spark.stop()
+    emit("Tables 2+3 - selected features and influence", table23.run())
 
 
 if __name__ == "__main__":

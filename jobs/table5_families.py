@@ -1,16 +1,14 @@
-"""spark-submit entrypoint: Table 5 - learned model families.
+"""Job entrypoint: Table 5 - learned model families.
 
-Usage: spark-submit jobs/table5_families.py   (or: python jobs/table5_families.py)
+Usage: python jobs/table5_families.py
 """
-from _common import emit, get_spark
+from _common import emit
 
 from repro.experiments import table5
 
 
 def main() -> None:
-    spark = get_spark("table5_families")
-    emit("Table 5 - learned model families", table5.run(spark))
-    spark.stop()
+    emit("Table 5 - learned model families", table5.run())
 
 
 if __name__ == "__main__":

@@ -1,16 +1,14 @@
-"""spark-submit entrypoint: Table 6 - meta-learners for the combined model.
+"""Job entrypoint: Table 6 - meta-learners for the combined model.
 
-Usage: spark-submit jobs/table6_meta.py   (or: python jobs/table6_meta.py)
+Usage: python jobs/table6_meta.py
 """
-from _common import emit, get_spark
+from _common import emit
 
 from repro.experiments import table6
 
 
 def main() -> None:
-    spark = get_spark("table6_meta")
-    emit("Table 6 - meta-learners for the combined model", table6.run(spark))
-    spark.stop()
+    emit("Table 6 - meta-learners for the combined model", table6.run())
 
 
 if __name__ == "__main__":

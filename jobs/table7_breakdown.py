@@ -1,16 +1,14 @@
-"""spark-submit entrypoint: Table 7 - all vs ad-hoc breakdown (cluster1).
+"""Job entrypoint: Table 7 - all vs ad-hoc breakdown (cluster1).
 
-Usage: spark-submit jobs/table7_breakdown.py   (or: python jobs/table7_breakdown.py)
+Usage: python jobs/table7_breakdown.py
 """
-from _common import emit, get_spark
+from _common import emit
 
 from repro.experiments import table7
 
 
 def main() -> None:
-    spark = get_spark("table7_breakdown")
-    emit("Table 7 - all vs ad-hoc breakdown (cluster1)", table7.run(spark))
-    spark.stop()
+    emit("Table 7 - all vs ad-hoc breakdown (cluster1)", table7.run())
 
 
 if __name__ == "__main__":

@@ -1,16 +1,14 @@
-"""spark-submit entrypoint: Table 8 - default vs combined per cluster.
+"""Job entrypoint: Table 8 - default vs combined per cluster.
 
-Usage: spark-submit jobs/table8_clusters.py   (or: python jobs/table8_clusters.py)
+Usage: python jobs/table8_clusters.py
 """
-from _common import emit, get_spark
+from _common import emit
 
 from repro.experiments import table8
 
 
 def main() -> None:
-    spark = get_spark("table8_clusters")
-    emit("Table 8 - default vs combined per cluster", table8.run(spark))
-    spark.stop()
+    emit("Table 8 - default vs combined per cluster", table8.run())
 
 
 if __name__ == "__main__":

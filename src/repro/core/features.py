@@ -88,8 +88,3 @@ def feature_matrix(pdf: pd.DataFrame | Mapping[str, np.ndarray],
         cols.append(np.asarray(pdf["cl"], dtype=float))
         cols.append(np.asarray(pdf["depth"], dtype=float))
     return np.column_stack(cols)
-
-
-def feature_names(context: bool = False) -> list[str]:
-    return ALL_FEATURE_NAMES if context else list(FEATURE_NAMES)
-

@@ -49,11 +49,8 @@ def _cv_group(pdf: pd.DataFrame, registry_name: str, folds: int) -> pd.DataFrame
             tr, te = idx != f, idx == f
             if tr.sum() < 3 or te.sum() == 0:
                 continue
-            try:
-                model = factory().fit(X[tr], y[tr])
-                p = np.asarray(model.predict(X[te]), dtype=float)
-            except Exception:
-                continue
+            model = factory().fit(X[tr], y[tr])
+            p = np.asarray(model.predict(X[te]), dtype=float)
             out_model.extend([name] * int(te.sum()))
             out_pred.extend(map(float, p))
             out_actual.extend(map(float, y[te]))

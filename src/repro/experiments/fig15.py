@@ -25,7 +25,7 @@ import pandas as pd
 
 from repro.core.combined import CombinedModel
 from repro.core.models import train_bank
-from repro.experiments.common import _cached, artifact_key, get_logs
+from repro.experiments.common import get_logs
 from repro.metrics import summarize
 
 PAPER = {
@@ -42,7 +42,7 @@ def _with_true_cards(ops: pd.DataFrame) -> pd.DataFrame:
     return out
 
 
-def run(spark=None, cluster: str = "cluster4") -> pd.DataFrame:
+def run(cluster: str = "cluster4") -> pd.DataFrame:
     ops, _ = get_logs(cluster)
     train, comb_src, test = (ops[ops.day == d] for d in (1, 2, 3))
     test = test.reset_index(drop=True)
@@ -50,14 +50,12 @@ def run(spark=None, cluster: str = "cluster4") -> pd.DataFrame:
 
     def build(transform):
         tr, cs, te = (transform(x) for x in (train, comb_src, test))
-        bank = train_bank(tr, spark=spark)
+        bank = train_bank(tr)
         comb = CombinedModel().fit(bank, cs)
         return comb.predict(bank, te.reset_index(drop=True))
 
-    pred_cleo = _cached(artifact_key("fig15_cleo", cluster), lambda: build(lambda x: x))
-    pred_cleo_card = _cached(
-        artifact_key("fig15_cleocard", cluster), lambda: build(_with_true_cards)
-    )
+    pred_cleo = build(lambda x: x)
+    pred_cleo_card = build(_with_true_cards)
     rows = []
     for name, pred in (
         ("Default", test["cost_default"].to_numpy()),

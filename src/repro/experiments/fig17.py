@@ -81,8 +81,8 @@ def _true_stage_cost(entry: dict, p: int) -> float:
     return total
 
 
-def run(spark=None, cluster: str = "cluster1", n_stages: int = 200) -> pd.DataFrame:
-    tc = trained_cluster(cluster, spark=spark)
+def run(cluster: str = "cluster1", n_stages: int = 200) -> pd.DataFrame:
+    tc = trained_cluster(cluster)
     bank = tc.bank
     stages = _collect_stages(bank, cluster, n_stages)
 

@@ -23,7 +23,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.models import train_bank
-from repro.experiments.common import _cached, artifact_key, cluster_config, get_logs
+from repro.experiments.common import cluster_config, get_logs
 from repro.optimizer.cascades import CleoPlanner, DefaultPlanner
 from repro.scope import simulator as sim
 from repro.scope.plan import (
@@ -52,19 +52,15 @@ PAPER = {
 }
 
 
-def _bank_for(cluster_name: str, spark):
+def _bank_for(cluster_name: str):
     ops, _ = get_logs(cluster_name)
-    return _cached(
-        artifact_key("bank12", cluster_name),
-        lambda: train_bank(ops[ops.day <= 2], spark=spark),
-    )
+    return train_bank(ops[ops.day <= 2])
 
 
-def run(spark=None, cluster: str = "cluster4", max_jobs: int = 120, day: int = 3
-        ) -> pd.DataFrame:
+def run(cluster: str = "cluster4", max_jobs: int = 120, day: int = 3) -> pd.DataFrame:
     cl = Cluster(cluster_config(cluster))
     cl._apply_churn_through(day)
-    bank = _bank_for(cluster, spark)
+    bank = _bank_for(cluster)
     planner = CleoPlanner(bank)
     planner_noexp = CleoPlanner(bank, explore_partitions=False)
     recs = []

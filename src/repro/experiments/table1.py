@@ -30,7 +30,7 @@ PAPER = {
 
 
 def run(spark=None, cluster: str = "cluster1", max_groups: int = 150) -> pd.DataFrame:
-    tc = trained_cluster(cluster, spark=spark)
+    tc = trained_cluster(cluster)
     preds = subgraph_cv(tc.train, "losses", spark=spark, max_groups=max_groups)
     out = cv_table(preds)[["model", "median_error_pct"]]
     out["paper_median_error_pct"] = out["model"].map(PAPER)

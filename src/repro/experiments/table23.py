@@ -28,8 +28,8 @@ from repro.experiments.common import trained_cluster
 N_FEATS = len(FEATURE_NAMES)
 
 
-def run(spark=None, cluster: str = "cluster1") -> pd.DataFrame:
-    tc = trained_cluster(cluster, spark=spark)
+def run(cluster: str = "cluster1") -> pd.DataFrame:
+    tc = trained_cluster(cluster)
     W = np.abs(tc.bank.std_coef[:, :N_FEATS])
     total = W.sum()
     rows = []

@@ -32,7 +32,7 @@ PAPER = {
 
 
 def run(spark=None, cluster: str = "cluster1", max_groups: int = 120) -> pd.DataFrame:
-    tc = trained_cluster(cluster, spark=spark)
+    tc = trained_cluster(cluster)
     preds = subgraph_cv(tc.train, "learners", spark=spark, max_groups=max_groups)
     out = cv_table(preds)
     # Default cost model row, evaluated over the same sampled groups.

@@ -30,8 +30,8 @@ PAPER = {
 }
 
 
-def run(spark=None, cluster: str = "cluster1") -> pd.DataFrame:
-    tc = trained_cluster(cluster, spark=spark)
+def run(cluster: str = "cluster1") -> pd.DataFrame:
+    tc = trained_cluster(cluster)
     rows = model_rows(tc.scored_test)
     for r in rows:
         corr, med, cov = PAPER[r["model"]]

@@ -32,8 +32,8 @@ PAPER_ADHOC = {
 }
 
 
-def run(spark=None, cluster: str = "cluster1") -> pd.DataFrame:
-    tc = trained_cluster(cluster, spark=spark)
+def run(cluster: str = "cluster1") -> pd.DataFrame:
+    tc = trained_cluster(cluster)
     out = []
     for subset, scored, paper in (
         ("all", tc.scored_test, PAPER_ALL),

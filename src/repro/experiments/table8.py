@@ -26,10 +26,10 @@ PAPER = {
 }
 
 
-def run(spark=None, clusters: tuple[str, ...] = tuple(PAPER)) -> pd.DataFrame:
+def run(clusters: tuple[str, ...] = tuple(PAPER)) -> pd.DataFrame:
     rows = []
     for name in clusters:
-        tc = trained_cluster(name, spark=spark)
+        tc = trained_cluster(name)
         sc = tc.scored_test
         a = sc["actual"].to_numpy()
         adhoc = sc["adhoc"].to_numpy()

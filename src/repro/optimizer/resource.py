@@ -176,7 +176,7 @@ def predict_costs_at(
 # Candidate generators (§5.3 sampling-based approach)
 # ---------------------------------------------------------------------------
 
-def geometric_samples(s: float, p_max: int = MAX_P, limit: int | None = None) -> list[int]:
+def geometric_samples(s: float, p_max: int = MAX_P) -> list[int]:
     """x_{i+1} = ceil(x_i + x_i / s), x_0 = 1, x_1 = 2 (§5.3)."""
     out = [1, 2]
     while out[-1] < p_max:
@@ -184,8 +184,6 @@ def geometric_samples(s: float, p_max: int = MAX_P, limit: int | None = None) ->
         if nxt > p_max:
             break
         out.append(nxt)
-        if limit is not None and len(out) >= limit:
-            break
     return out
 
 

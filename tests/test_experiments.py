@@ -1,60 +1,28 @@
 """Smoke + shape tests for the table/figure harnesses.
 
 Full-scale runs live in benchmarks/; here we verify the harness logic
-on the cached production clusters (generated once, reused) and that
+on the production clusters (built once per process, shared) and that
 each output carries the paper-comparison columns.
 """
 import dataclasses
 
 import numpy as np
-import pandas as pd
 import pytest
 
+from repro.core.models import train_bank
 from repro.experiments import common
 
 
-def test_cached_treats_unreadable_pickle_as_miss(tmp_path, monkeypatch, caplog):
-    monkeypatch.setattr(common, "CACHE_DIR", str(tmp_path))
-    # A pickle whose protocol byte was dropped, as in a mangled checkout.
-    (tmp_path / "k.pkl").write_bytes(b"\x04\x95\x05\x00")
-    with caplog.at_level("WARNING", logger=common.__name__):
-        assert common._cached("k", lambda: {"x": 1}) == {"x": 1}
-    assert "unreadable" in caplog.text
-    assert common._cached("k", lambda: None) == {"x": 1}  # rewritten, now a hit
-
-
-def test_artifact_key_changes_with_its_inputs(monkeypatch, tmp_path):
-    key = common.artifact_key("models", "cluster4")
-    assert key.startswith("models_cluster4_") and key == common.artifact_key("models", "cluster4")
-    assert common.artifact_key("logs", "cluster4") != key
-    assert common.artifact_key("models", "cluster3") != key
-    cfg = common.cluster_config("cluster4")
-    with monkeypatch.context() as m:
-        m.setattr(common, "cluster_config", lambda name: dataclasses.replace(cfg, churn=0.05))
-        assert common.artifact_key("models", "cluster4") != key
-    for split in ("DAYS", "TRAIN_DAYS", "COMBINED_DAYS", "TEST_DAYS"):
-        with monkeypatch.context() as m:
-            m.setattr(common, split, [*getattr(common, split), 4])
-            assert common.artifact_key("models", "cluster4") != key
-    with monkeypatch.context() as m:
-        m.setattr(common, "_source_digest", lambda: "0" * 64)
-        assert common.artifact_key("models", "cluster4") != key
-    # The source digest covers every file of repro.scope and repro.core.
-    for pkg in ("scope", "core/learners"):
-        (tmp_path / pkg).mkdir(parents=True)
-        (tmp_path / pkg / "a.py").write_text("x = 1\n")
-    digest = common._source_digest.__wrapped__  # uncached: the files change here
-    seen = {digest(tmp_path)}
-    (tmp_path / "core/learners/a.py").write_text("x = 2\n")
-    seen.add(digest(tmp_path))
-    (tmp_path / "scope/b.py").write_text("")
-    seen.add(digest(tmp_path))
-    assert len(seen) == 3
-
-
 @pytest.fixture(scope="module")
-def tc1(spark):
-    return common.trained_cluster("cluster1", spark=spark)
+def tc1():
+    return common.trained_cluster("cluster1")
+
+
+def test_trained_cluster_is_memoized_and_driver_trained(tc1):
+    assert common.trained_cluster("cluster1") is tc1
+    bank = train_bank(tc1.train)
+    for f in dataclasses.fields(bank):
+        assert np.array_equal(getattr(tc1.bank, f.name), getattr(bank, f.name)), f.name
 
 
 def test_trained_cluster_artifacts(tc1):
@@ -75,10 +43,10 @@ def test_model_rows_layout(tc1):
                           "p95_error_pct"}
 
 
-def test_table5_shape_matches_paper(spark, tc1):
+def test_table5_shape_matches_paper(tc1):
     from repro.experiments import table5
 
-    df = table5.run(spark)
+    df = table5.run()
     by = df.set_index("model")
     # Accuracy ladder: specialized models beat the operator model;
     # every learned model beats Default by a wide margin.
@@ -95,10 +63,10 @@ def test_table5_shape_matches_paper(spark, tc1):
     assert by.loc["Default", "correlation"] < 0.4
 
 
-def test_table7_adhoc_degrades_gracefully(spark, tc1):
+def test_table7_adhoc_degrades_gracefully(tc1):
     from repro.experiments import table7
 
-    df = table7.run(spark).set_index(["jobs", "model"])
+    df = table7.run().set_index(["jobs", "model"])
     # Ad-hoc coverage of specialized models drops but stays non-trivial (§6.2).
     assert df.loc[("ad-hoc", "Op-Subgraph"), "coverage_pct"] < df.loc[
         ("all", "Op-Subgraph"), "coverage_pct"
@@ -125,10 +93,10 @@ def test_fig9_workload_composition(spark):
     assert (df.adhoc_subexpr > 0).all()
 
 
-def test_fig17_partition_exploration(spark, tc1):
+def test_fig17_partition_exploration(tc1):
     from repro.experiments import fig17
 
-    df = fig17.run(spark, n_stages=25)
+    df = fig17.run(n_stages=25)
     assert set(df.strategy) == {"random", "uniform", "geometric", "analytical"}
     geo = df[df.strategy == "geometric"].set_index("n_samples")
     # More samples -> no worse cost error.
@@ -139,7 +107,7 @@ def test_fig17_partition_exploration(spark, tc1):
     assert ana.lookups_per_stage < dense.lookups_per_stage / 5
 
 
-def test_cv_helpers(spark, tc1):
+def test_cv_helpers(tc1):
     from repro.experiments.cv import cv_table, subgraph_cv
 
     preds = subgraph_cv(tc1.train, "losses", spark=None, max_groups=8, min_rows=10)
@@ -149,6 +117,17 @@ def test_cv_helpers(spark, tc1):
         "Mean Squared-Log Error",
     }
     assert (out.median_error_pct > 0).all()
+
+
+def test_cv_fit_failure_fails_the_table(tc1, monkeypatch):
+    from repro.experiments import cv
+
+    def broken():
+        raise RuntimeError("fit failed")
+
+    monkeypatch.setitem(cv.REGISTRIES, "broken", {"Broken": broken})
+    with pytest.raises(RuntimeError, match="fit failed"):
+        cv.subgraph_cv(tc1.train, "broken", spark=None, max_groups=2, min_rows=10)
 
 
 def test_fig20_paper_reference_table():

@@ -155,7 +155,3 @@ def test_learned_thetas_recover_partition_response():
     true_opt = np.sqrt((pdf.I.mean() * 100 / 1e7) / 0.03)
     assert 0.2 * true_opt < p_star < 5 * true_opt
 
-
-def test_feature_names_context_flag():
-    assert features.feature_names(False) == features.FEATURE_NAMES
-    assert features.feature_names(True) == features.ALL_FEATURE_NAMES
