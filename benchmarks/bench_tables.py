@@ -18,8 +18,8 @@ from repro.experiments import (
 )
 
 
-def test_bench_table1_loss_functions(benchmark, spark):
-    df = bench_table(benchmark, "table1", lambda: table1.run(spark))
+def test_bench_table1_loss_functions(benchmark):
+    df = bench_table(benchmark, "table1", table1.run)
     err = df.set_index("model").median_error_pct
     # Table 1 ordering: MSLE best, MedAE worst. The paper's contrast is
     # far larger (246% vs 14%) because production runtimes carry extreme
@@ -43,8 +43,8 @@ def test_bench_table23_features(benchmark):
                    "f_sqrtI_P", "f_sqrtC_P", "f_logI_P"}
 
 
-def test_bench_table4_ml_models(benchmark, spark):
-    df = bench_table(benchmark, "table4", lambda: table4.run(spark))
+def test_bench_table4_ml_models(benchmark):
+    df = bench_table(benchmark, "table4", table4.run)
     by = df.set_index("model")
     assert by.loc["Elastic net", "median_error_pct"] < by.loc["Default", "median_error_pct"] / 2
     # Every learned algorithm beats the default cost model (Table 4).

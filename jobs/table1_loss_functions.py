@@ -1,16 +1,14 @@
-"""spark-submit entrypoint: Table 1 - regression loss functions.
+"""Job entrypoint: Table 1 - regression loss functions.
 
-Usage: spark-submit jobs/table1_loss_functions.py   (or: python jobs/table1_loss_functions.py)
+Usage: python jobs/table1_loss_functions.py
 """
-from _common import emit, get_spark
+from _common import emit
 
 from repro.experiments import table1
 
 
 def main() -> None:
-    spark = get_spark("table1_loss_functions")
-    emit("Table 1 - regression loss functions", table1.run(spark))
-    spark.stop()
+    emit("Table 1 - regression loss functions", table1.run())
 
 
 if __name__ == "__main__":

@@ -1,16 +1,14 @@
-"""spark-submit entrypoint: Table 4 - ML algorithms for operator-subgraph models.
+"""Job entrypoint: Table 4 - ML algorithms for operator-subgraph models.
 
-Usage: spark-submit jobs/table4_ml_models.py   (or: python jobs/table4_ml_models.py)
+Usage: python jobs/table4_ml_models.py
 """
-from _common import emit, get_spark
+from _common import emit
 
 from repro.experiments import table4
 
 
 def main() -> None:
-    spark = get_spark("table4_ml_models")
-    emit("Table 4 - ML algorithms for operator-subgraph models", table4.run(spark))
-    spark.stop()
+    emit("Table 4 - ML algorithms for operator-subgraph models", table4.run())
 
 
 if __name__ == "__main__":

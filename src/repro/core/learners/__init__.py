@@ -13,7 +13,7 @@ paper evaluates are implemented here with the paper's hyper-parameters:
   mean-squared, mean-squared-log), used only for the Table 1 loss
   comparison.
 - :class:`~repro.core.learners.tree.DecisionTreeRegressor` — depth-15
-  CART with histogram splits, grown one depth level at a time.
+  CART with histogram splits.
 - :class:`~repro.core.learners.ensemble.RandomForestRegressor` — 20
   trees, depth 5, bagging + feature subsampling.
 - :class:`~repro.core.learners.ensemble.FastTreeRegressor` — stochastic
@@ -21,14 +21,19 @@ paper evaluates are implemented here with the paper's hyper-parameters:
   variant the paper uses as the combined-model meta-learner.
 - :class:`~repro.core.learners.mlp.MLPRegressor` — 3-layer perceptron,
   hidden size 30, ReLU, Adam, L2 = 0.005.
+
+All five fit the log1p of the target (the paper's MSLE objective) and
+predict on the raw scale. The three tree learners keep their trees as
+one :class:`~repro.core.learners.tree.Forest` table of node arrays,
+grown level by level by :func:`~repro.core.learners.tree.grow`.
 """
 from repro.core.learners.ensemble import FastTreeRegressor, RandomForestRegressor
 from repro.core.learners.linear import ElasticNet, GDLinear
 from repro.core.learners.mlp import MLPRegressor
 from repro.core.learners.tree import DecisionTreeRegressor
 
-# Factories are the classes themselves (constructor defaults carry the
-# paper's hyper-parameters) so trained banks pickle cleanly.
+# Factories are the classes themselves: constructor defaults carry the
+# paper's hyper-parameters.
 LEARNER_FACTORIES = {
     "Elastic net": ElasticNet,
     "Decision Tree": DecisionTreeRegressor,

@@ -6,22 +6,20 @@ regression trees that uses an efficient implementation of the MART
 gradient boosting algorithm" — with a maximum of 20 trees, depth 5,
 mean-squared-log-error loss and a sub-sampling rate of 0.9 (§4.3).
 Both fit in log1p space (the MSLE objective) over quantile-binned
-features shared across all trees.
+features shared across all trees, and keep their trees as one
+:class:`~repro.core.learners.tree.Forest`. The random forest's trees are
+independent, so they grow together in one level pass; each boosting
+round fits the residual of the rounds before it, so FastTree grows one
+tree per round and joins them.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.learners.tree import _Tree, bin_codes, quantile_bin
+from repro.core.learners.tree import Forest, bin_codes, grow, quantile_bin
 
 
-class _BinnedEnsembleBase:
-    def _bin_fit(self, X: np.ndarray):
-        codes, self.edges_ = quantile_bin(np.asarray(X, dtype=float))
-        return codes
-
-
-class RandomForestRegressor(_BinnedEnsembleBase):
+class RandomForestRegressor:
     """Bagged depth-5 trees with sqrt-feature subsampling per tree."""
 
     def __init__(
@@ -29,38 +27,35 @@ class RandomForestRegressor(_BinnedEnsembleBase):
         n_estimators: int = 20,
         max_depth: int = 5,
         min_samples_leaf: int = 2,
-        log_target: bool = True,
         seed: int = 0,
     ):
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self.log_target = log_target
         self.seed = seed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
-        y = np.asarray(y, dtype=float)
-        t = np.log1p(np.maximum(y, 0.0)) if self.log_target else y
-        codes = self._bin_fit(X)
+        t = np.log1p(np.maximum(np.asarray(y, dtype=float), 0.0))
+        codes, self.edges_ = quantile_bin(np.asarray(X, dtype=float))
         n, d = codes.shape
         rng = np.random.default_rng(self.seed)
         n_feats = max(1, int(np.sqrt(d)))
-        self.trees_: list[_Tree] = []
+        boots, feats = [], []
         for _ in range(self.n_estimators):
-            boot = rng.integers(0, n, n)
-            feats = rng.choice(d, size=n_feats, replace=False)
-            tr = _Tree(self.max_depth, self.min_samples_leaf)
-            tr.fit_binned(codes[boot], t[boot], feat_idx=feats)
-            self.trees_.append(tr)
+            boots.append(rng.integers(0, n, n))
+            feats.append(rng.choice(d, size=n_feats, replace=False))
+        # Tree k fits the k-th block of n bootstrap rows.
+        rows = np.concatenate(boots)
+        self.forest_ = grow(codes[rows], t[rows], self.max_depth, self.min_samples_leaf,
+                            bounds=np.arange(self.n_estimators + 1) * n, feats=np.array(feats))
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        codes = bin_codes(X, self.edges_)
-        z = np.mean([t.predict_binned(codes) for t in self.trees_], axis=0)
-        return np.expm1(np.clip(z, -30, 30)) if self.log_target else z
+        z = self.forest_.predict_binned(bin_codes(X, self.edges_)).mean(axis=0)
+        return np.expm1(np.clip(z, -30, 30))
 
 
-class FastTreeRegressor(_BinnedEnsembleBase):
+class FastTreeRegressor:
     """Stochastic gradient-boosted regression trees (MART).
 
     Each successive tree fits the residual of the trees preceding it
@@ -75,7 +70,6 @@ class FastTreeRegressor(_BinnedEnsembleBase):
         learning_rate: float = 0.25,
         subsample: float = 0.9,
         min_samples_leaf: int = 3,
-        log_target: bool = True,
         seed: int = 0,
     ):
         self.n_estimators = n_estimators
@@ -83,35 +77,33 @@ class FastTreeRegressor(_BinnedEnsembleBase):
         self.learning_rate = learning_rate
         self.subsample = subsample
         self.min_samples_leaf = min_samples_leaf
-        self.log_target = log_target
         self.seed = seed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "FastTreeRegressor":
-        y = np.asarray(y, dtype=float)
-        t = np.log1p(np.maximum(y, 0.0)) if self.log_target else y
-        codes = self._bin_fit(X)
+        t = np.log1p(np.maximum(np.asarray(y, dtype=float), 0.0))
+        codes, self.edges_ = quantile_bin(np.asarray(X, dtype=float))
         n = len(t)
         rng = np.random.default_rng(self.seed)
         self.base_ = float(t.mean())
         pred = np.full(n, self.base_)
-        self.trees_: list[_Tree] = []
+        rounds = []
         m = max(1, int(self.subsample * n))
         for _ in range(self.n_estimators):
             sub = rng.choice(n, size=m, replace=False) if m < n else np.arange(n)
-            resid = t[sub] - pred[sub]
-            tr = _Tree(self.max_depth, self.min_samples_leaf)
-            tr.fit_binned(codes[sub], resid)
-            self.trees_.append(tr)
-            pred += self.learning_rate * tr.predict_binned(codes)
+            rounds.append(grow(codes[sub], t[sub] - pred[sub], self.max_depth,
+                               self.min_samples_leaf))
+            pred += self.learning_rate * rounds[-1].predict_binned(codes)[0]
+        self.forest_ = Forest.concat(rounds)
         return self
 
     def predict_log(self, X: np.ndarray) -> np.ndarray:
+        """Prediction in log1p space: the base score plus each tree's
+        shrunk leaf value, added in tree order."""
         codes = bin_codes(X, self.edges_)
         z = np.full(len(codes), self.base_)
-        for t in self.trees_:
-            z += self.learning_rate * t.predict_binned(codes)
+        for row in self.forest_.predict_binned(codes):
+            z += self.learning_rate * row
         return z
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        z = self.predict_log(X)
-        return np.expm1(np.clip(z, -30, 30)) if self.log_target else z
+        return np.expm1(np.clip(self.predict_log(X), -30, 30))

@@ -112,14 +112,12 @@ class ElasticNet:
         max_iter: int = 300,
         tol: float = 1e-6,
         alpha_scale: float = 0.02,
-        log_target: bool = True,
     ):
         self.alpha = alpha * alpha_scale
         self.l1_ratio = l1_ratio
         self.fit_intercept = fit_intercept
         self.max_iter = max_iter
         self.tol = tol
-        self.log_target = log_target
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "ElasticNet":
         fits = self.fit_groups(X, y, np.array([0, len(X)]))
@@ -148,7 +146,7 @@ class ElasticNet:
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
-        t = np.log1p(np.maximum(y, 0.0)) if self.log_target else y
+        t = np.log1p(np.maximum(y, 0.0))
         K, d = len(bounds) - 1, X.shape[1]
         mu, sd, G = np.empty((K, d)), np.empty((K, d)), np.empty((K, d, d))
         q, intercept = np.empty((K, d)), np.zeros(K)
@@ -177,10 +175,7 @@ class ElasticNet:
         return np.clip(z, self.z_lo_, self.z_hi_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        z = self.predict_log(X)
-        if not self.log_target:
-            return z
-        return np.expm1(np.clip(z, -30.0, 30.0))
+        return np.expm1(np.clip(self.predict_log(X), -30.0, 30.0))
 
 
 class GDLinear:

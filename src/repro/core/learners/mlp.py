@@ -18,7 +18,6 @@ class MLPRegressor:
         lr: float = 0.01,
         epochs: int = 300,
         batch_size: int = 256,
-        log_target: bool = True,
         seed: int = 0,
     ):
         self.hidden = hidden
@@ -26,13 +25,12 @@ class MLPRegressor:
         self.lr = lr
         self.epochs = epochs
         self.batch_size = batch_size
-        self.log_target = log_target
         self.seed = seed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "MLPRegressor":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
-        t = np.log1p(np.maximum(y, 0.0)) if self.log_target else y
+        t = np.log1p(np.maximum(y, 0.0))
         Xs, self.mu_, self.sd_ = _standardize(X)
         n, d = Xs.shape
         h = self.hidden
@@ -93,4 +91,4 @@ class MLPRegressor:
         a1 = np.maximum(Xs @ W1 + b1_, 0)
         a2 = np.maximum(a1 @ W2 + b2_, 0)
         z = np.clip((a2 @ W3 + b3_).ravel(), self.z_lo_, self.z_hi_)
-        return np.expm1(np.clip(z, -30, 30)) if self.log_target else z
+        return np.expm1(np.clip(z, -30, 30))

@@ -1,23 +1,20 @@
-"""Per-subgraph k-fold cross-validation, Spark-parallelized.
+"""Per-subgraph k-fold cross-validation, on the driver.
 
 Shared by the Table 1 (loss functions) and Table 4 (ML algorithms)
-experiments: operator-subgraph groups are distributed with
-``applyInPandas`` and each task runs the full learner × fold grid for
-its group, returning pooled held-out predictions — the same pattern as
-the paper's parallel model trainer (§5.1).
+experiments: for each sampled operator-subgraph group, the full
+learner × fold grid runs in turn and the held-out predictions of every
+group are pooled per model.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import types as T
 
 from repro.core.features import feature_matrix
 from repro.core.learners import LEARNER_FACTORIES
 from repro.core.learners.linear import GDLinear
 from repro.metrics import summarize
 
-# Registries resolvable on executors (factories must be importable).
 LOSS_FITTERS = {
     "Median Absolute Error": lambda: GDLinear(loss="medae"),
     "Mean Absolute Error": lambda: GDLinear(loss="mae"),
@@ -25,14 +22,6 @@ LOSS_FITTERS = {
     "Mean Squared-Log Error": lambda: GDLinear(loss="msle"),
 }
 REGISTRIES = {"losses": LOSS_FITTERS, "learners": LEARNER_FACTORIES}
-
-_CV_SCHEMA = T.StructType(
-    [
-        T.StructField("model", T.StringType()),
-        T.StructField("pred", T.DoubleType()),
-        T.StructField("actual", T.DoubleType()),
-    ]
-)
 
 _COLS = ["I", "B", "C", "L", "P", "in_hash", "pm", "cl", "depth", "actual", "sig_sub"]
 
@@ -68,29 +57,14 @@ def select_groups(ops: pd.DataFrame, max_groups: int, min_rows: int) -> pd.DataF
 def subgraph_cv(
     ops: pd.DataFrame,
     registry_name: str,
-    spark=None,
     max_groups: int = 150,
     min_rows: int = 10,
     folds: int = 3,
 ) -> pd.DataFrame:
     """Pooled held-out predictions per model over sampled subgraphs."""
     data = select_groups(ops, max_groups, min_rows)[_COLS]
-    if spark is not None:
-        sdf = spark.createDataFrame(data)
-        preds = (
-            sdf.repartition("sig_sub")
-            .groupBy("sig_sub")
-            .applyInPandas(
-                lambda pdf: _cv_group(pdf, registry_name, folds), schema=_CV_SCHEMA
-            )
-            .toPandas()
-        )
-    else:
-        parts = [
-            _cv_group(grp, registry_name, folds) for _, grp in data.groupby("sig_sub")
-        ]
-        preds = pd.concat(parts, ignore_index=True)
-    return preds
+    parts = [_cv_group(grp, registry_name, folds) for _, grp in data.groupby("sig_sub")]
+    return pd.concat(parts, ignore_index=True)
 
 
 def cv_table(preds: pd.DataFrame) -> pd.DataFrame:

@@ -91,8 +91,7 @@ def run(cluster: str = "cluster1", n_stages: int = 200) -> pd.DataFrame:
     windows = []
     true_opts = []
     for e in stages:
-        p_def = e["p_default"]
-        lo, hi = max(1, p_def // 3), min(res.MAX_P, p_def * 3)
+        lo, hi = res.exploration_window(e["p_default"])
         windows.append((lo, hi))
         grid = np.unique(np.linspace(lo, hi, 60).round().astype(int))
         true_opts.append(min(_true_stage_cost(e, int(p)) for p in grid))

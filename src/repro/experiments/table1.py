@@ -12,7 +12,7 @@ The paper's takeaway: with heavy-tailed runtimes the raw-scale losses
 chase the big jobs (and MedAE barely fits at all), while the
 log-transformed squared loss minimizes *relative* error. We run k-fold
 CV per operator-subgraph with :class:`repro.core.learners.linear.GDLinear`
-under each loss, Spark-parallel across subgraphs.
+under each loss, on the driver (:mod:`repro.experiments.cv`).
 """
 from __future__ import annotations
 
@@ -29,9 +29,9 @@ PAPER = {
 }
 
 
-def run(spark=None, cluster: str = "cluster1", max_groups: int = 150) -> pd.DataFrame:
+def run(cluster: str = "cluster1", max_groups: int = 150) -> pd.DataFrame:
     tc = trained_cluster(cluster)
-    preds = subgraph_cv(tc.train, "losses", spark=spark, max_groups=max_groups)
+    preds = subgraph_cv(tc.train, "losses", max_groups=max_groups)
     out = cv_table(preds)[["model", "median_error_pct"]]
     out["paper_median_error_pct"] = out["model"].map(PAPER)
     return out

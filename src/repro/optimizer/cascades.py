@@ -48,6 +48,10 @@ from repro.scope.plan import (
 from repro.scope.workload import JobTemplate
 
 MAX_CANDIDATES = 64  # exhaustive enumeration cap (<= 2 joins x 1 agg here)
+# A stage takes the explored count only if its predicted cost is below
+# this share of the cost at the heuristic count: a churn guard in the
+# spirit of §6.7's regression guards.
+ACCEPT_MARGIN = 0.75
 
 
 @dataclass
@@ -118,19 +122,9 @@ class DefaultPlanner:
 class CleoPlanner:
     """Learned cost models + resource-aware partition selection."""
 
-    def __init__(
-        self,
-        bank: ModelBank,
-        strategy: str = "analytical",  # or "geometric"/"uniform"/"random"
-        sample_n: int = 20,
-        explore_partitions: bool = True,
-        accept_margin: float = 0.75,
-    ):
+    def __init__(self, bank: ModelBank, explore_partitions: bool = True):
         self.bank = bank
-        self.strategy = strategy
-        self.sample_n = sample_n
         self.explore_partitions = explore_partitions
-        self.accept_margin = accept_margin
         # (tpl_id, choices) -> (logical tree, signatures and resolved models)
         self._plans: dict[tuple, tuple[PlanNode, res.PlanModels]] = {}
 
@@ -161,34 +155,17 @@ class CleoPlanner:
                 (n for n in stage if n.op in ("HashJoin", "MergeJoin")), None
             )
             ctx = curves[[row_of[id(n)] for n in stage]]  # the stage's resource-context
-            # Exploration window around the heuristic count: the learned
-            # models were trained near the logged partition counts, so
-            # counts far outside that envelope are priced blindly (their
-            # log-space predictions are clipped). Restricting the window
-            # is the kind of regression guard §6.7 describes for
-            # production; the full-range §5.3 cases live in resource.py
-            # and are exercised by the Fig 17 experiment.
+            # The §5.3 analytical optimum, clamped to the exploration
+            # window around the heuristic count.
             p_def = stage_root.partitions
-            p_lo, p_hi = max(1, p_def // 3), min(res.MAX_P, p_def * 3)
-            if self.strategy == "analytical":
-                p = res.optimize_stage_analytical(ctx, counter)
-            else:
-                if self.strategy == "geometric":
-                    cand = res.geometric_samples_n(self.sample_n)
-                elif self.strategy == "uniform":
-                    cand = res.uniform_samples(self.sample_n)
-                else:
-                    cand = res.random_samples(self.sample_n)
-                cand = [c for c in cand if p_lo <= c <= p_hi] or [p_def]
-                p = res.optimize_stage_sampling(ctx, cand, counter)
-            p = int(np.clip(p, p_lo, p_hi))
+            p_lo, p_hi = res.exploration_window(p_def)
+            p = int(np.clip(res.optimize_stage_analytical(ctx, counter), p_lo, p_hi))
             # Partition optimization (Fig 8a step 9): keep the heuristic
-            # count unless the models predict a material stage-cost win
-            # (acceptance margin — churn guard in the §6.7 spirit).
+            # count unless the models predict a material stage-cost win.
             both = np.array(sorted({p, p_def}), dtype=float)
             costs = res.stage_costs_at(ctx, both, counter)
             cost_at = dict(zip(both.astype(int), costs))
-            if cost_at[p] < self.accept_margin * cost_at[p_def]:
+            if cost_at[p] < ACCEPT_MARGIN * cost_at[p_def]:
                 stage_root.partitions = p
             if parent_join is not None:
                 # Required property: the other join input must

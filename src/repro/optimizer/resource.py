@@ -172,6 +172,17 @@ def predict_costs_at(
     return np.where(curves.covered[:, None], np.expm1(z), 0.0)
 
 
+def exploration_window(p_def: int) -> tuple[int, int]:
+    """The partition counts a stage may explore around its heuristic
+    count ``p_def``: from a third of it to three times it. The learned
+    models were trained near the logged counts, so counts far outside
+    that envelope are priced blindly (their log-space predictions are
+    clipped); restricting the window is the kind of regression guard
+    §6.7 describes for production. The full-range §5.3 cases are
+    exercised by the Fig 17 experiment."""
+    return max(1, p_def // 3), min(MAX_P, 3 * p_def)
+
+
 # ---------------------------------------------------------------------------
 # Candidate generators (§5.3 sampling-based approach)
 # ---------------------------------------------------------------------------

@@ -124,15 +124,6 @@ def test_co_partitioning_preserved_after_exploration(planning_setup, tiny_bank):
             assert ps[0] == ps[1]
 
 
-@pytest.mark.parametrize("strategy", ["analytical", "geometric", "uniform", "random"])
-def test_all_strategies_plan(planning_setup, tiny_bank, strategy):
-    cl, tpl, pm, bc, bl, seed = planning_setup
-    r = CleoPlanner(tiny_bank, strategy=strategy, sample_n=6).plan(
-        tpl, cl.world, bc, bl, pm, seed
-    )
-    assert r.actual_latency > 0
-
-
 def test_planner_explores_impl_alternatives(tiny, tiny_bank):
     """Across many templates, CLEO must sometimes pick a different
     implementation than the logged plan (§6.6.1)."""

@@ -1,8 +1,8 @@
-"""Unit tests for the histogram CART tree."""
+"""Unit tests for the histogram CART tree and its grower."""
 import numpy as np
 import pytest
 
-from repro.core.learners.tree import DecisionTreeRegressor, _Tree, quantile_bin
+from repro.core.learners.tree import DecisionTreeRegressor, grow, quantile_bin
 from repro.metrics import median_error_pct
 
 
@@ -31,8 +31,8 @@ def test_single_split_recovered():
     # y depends on a single threshold — a depth-1 tree should find it.
     X = np.linspace(0, 1, 200).reshape(-1, 1)
     y = np.where(X[:, 0] < 0.5, 1.0, 9.0)
-    t = DecisionTreeRegressor(max_depth=1, log_target=False).fit(X, y)
-    pred = t.predict(X)
+    codes, _ = quantile_bin(X)
+    pred = grow(codes, y, max_depth=1, min_samples_leaf=2).predict_binned(codes)[0]
     assert np.allclose(pred[X[:, 0] < 0.49], 1.0, atol=0.2)
     assert np.allclose(pred[X[:, 0] > 0.51], 9.0, atol=0.2)
 
@@ -40,16 +40,15 @@ def test_single_split_recovered():
 def test_depth_zero_is_mean():
     X = np.random.default_rng(0).random((50, 2))
     y = np.arange(50.0)
-    t = DecisionTreeRegressor(max_depth=0, log_target=False).fit(X, y)
-    assert np.allclose(t.predict(X), y.mean())
+    codes, _ = quantile_bin(X)
+    assert np.allclose(grow(codes, y, max_depth=0, min_samples_leaf=2).predict_binned(codes), y.mean())
 
 
 def test_min_samples_leaf_respected():
     X = np.linspace(0, 1, 20).reshape(-1, 1)
     y = X[:, 0]
-    tree = _Tree(max_depth=10, min_samples_leaf=8)
     codes, _ = quantile_bin(X)
-    tree.fit_binned(codes, y)
+    tree = grow(codes, y, max_depth=10, min_samples_leaf=8)
     # Count leaf populations by routing all samples.
     leaf_of = []
     for i in range(len(X)):

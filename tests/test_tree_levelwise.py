@@ -1,18 +1,23 @@
-"""Level-wise tree growth against the node-by-node recursive reference.
+"""Level-wise forest growth against the node-by-node recursive reference.
 
-``_Tree.fit_binned`` grows one depth level at a time from a
-``(node, feature, bin)`` histogram. ``RecursiveTree`` below is the
-recursive growth it replaced, kept as the reference: every split, node
-value and prediction must be bit-identical. Node numbering differs
-(breadth-first vs depth-first preorder), so trees are compared per
-depth.
+``grow`` grows every tree of a forest one depth level at a time from a
+``(slot, feature, bin)`` histogram, one slot per ``(tree, node)``.
+``RecursiveTree`` below is the recursive growth of one tree it replaced,
+kept as the reference: every split, node value and prediction must be
+bit-identical. Node numbering differs (breadth-first over all trees vs
+depth-first preorder), so trees are compared per depth.
 """
 import numpy as np
 import pytest
 
-from repro.core.learners import ensemble, tree
 from repro.core.learners.ensemble import FastTreeRegressor, RandomForestRegressor
-from repro.core.learners.tree import DecisionTreeRegressor, _Tree, quantile_bin
+from repro.core.learners.tree import (
+    DecisionTreeRegressor,
+    Forest,
+    bin_codes,
+    grow,
+    quantile_bin,
+)
 
 
 class RecursiveTree:
@@ -93,11 +98,12 @@ class RecursiveTree:
         return value[node_of]
 
 
-def _by_depth(t):
-    """Sorted ``(feature, threshold, value)`` of each depth's nodes."""
+def _by_depth(t, root=0):
+    """Sorted ``(feature, threshold, value)`` of each depth's nodes of the
+    tree at ``root``."""
     feature, threshold = np.asarray(t.feature), np.asarray(t.threshold)
     left, right, value = np.asarray(t.left), np.asarray(t.right), np.asarray(t.value)
-    levels, level = [], [0]
+    levels, level = [], [int(root)]
     while level:
         levels.append(sorted((int(feature[v]), int(threshold[v]), float(value[v])) for v in level))
         level = [int(c) for v in level if feature[v] >= 0 for c in (left[v], right[v])]
@@ -111,17 +117,38 @@ def _data(n, d=6, seed=0, offset=0.0):
     return X, y
 
 
+def _unseen(codes):
+    """Code combinations never seen in training."""
+    return np.random.default_rng(1).integers(0, codes.max() + 1, codes.shape).astype(codes.dtype)
+
+
 def assert_same_tree(X, y, max_depth, min_samples_leaf, feat_idx=None, min_gain=1e-12):
     codes, _ = quantile_bin(X)
     ref = RecursiveTree(max_depth, min_samples_leaf, min_gain).fit_binned(codes, y, feat_idx)
-    new = _Tree(max_depth, min_samples_leaf, min_gain).fit_binned(codes, y, feat_idx)
+    feats = None if feat_idx is None else [feat_idx]
+    new = grow(codes, y, max_depth, min_samples_leaf, feats=feats, min_gain=min_gain)
     assert len(new.value) == len(ref.value)
     assert _by_depth(new) == _by_depth(ref)
-    assert np.array_equal(new.predict_binned(codes), ref.predict_binned(codes))
-    # Code combinations never seen in training route the same way too.
-    other = np.random.default_rng(1).integers(0, codes.max() + 1, codes.shape).astype(codes.dtype)
-    assert np.array_equal(new.predict_binned(other), ref.predict_binned(other))
+    assert np.array_equal(new.predict_binned(codes)[0], ref.predict_binned(codes))
+    other = _unseen(codes)
+    assert np.array_equal(new.predict_binned(other)[0], ref.predict_binned(other))
     return new
+
+
+def assert_same_forest(codes, y, bounds, feats, max_depth, min_samples_leaf):
+    """Every tree of one ``grow`` call equals the reference grown on its
+    own rows and features alone."""
+    forest = grow(codes, y, max_depth, min_samples_leaf, bounds=bounds, feats=feats)
+    other = _unseen(codes)
+    pred, pred_other = forest.predict_binned(codes), forest.predict_binned(other)
+    assert pred.shape == (len(feats), len(codes))
+    for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        ref = RecursiveTree(max_depth, min_samples_leaf).fit_binned(
+            codes[lo:hi], y[lo:hi], feats[t])
+        assert _by_depth(forest, forest.roots[t]) == _by_depth(ref)
+        assert np.array_equal(pred[t], ref.predict_binned(codes))
+        assert np.array_equal(pred_other[t], ref.predict_binned(other))
+    return forest
 
 
 @pytest.mark.parametrize("min_samples_leaf", [1, 3, 8])
@@ -223,7 +250,7 @@ def test_rounding_ties_break_like_the_scan():
     ])
     codes = np.array([[0, 2], [1, 1], [2, 0], [3, 3], [4, 4], [5, 5]], dtype=np.int16)
     ref = RecursiveTree(1, 1).fit_binned(codes, y)
-    t = _Tree(1, 1).fit_binned(codes, y)
+    t = grow(codes, y, 1, 1)
     assert ref.feature[0] == t.feature[0] == 0
     # A mirrored target: splitting after bin 0 and after bin 12 are the
     # same partition mirrored. Bin 12 scores higher by rounding and wins,
@@ -236,30 +263,126 @@ def test_rounding_ties_break_like_the_scan():
     y = np.concatenate([half, half[::-1]])
     codes = np.arange(14, dtype=np.int16)[:, None]
     ref = RecursiveTree(1, 1).fit_binned(codes, y)
-    t = _Tree(1, 1).fit_binned(codes, y)
+    t = grow(codes, y, 1, 1)
     assert ref.threshold[0] == t.threshold[0] == 12
-    assert np.array_equal(t.predict_binned(codes), ref.predict_binned(codes))
+    assert np.array_equal(t.predict_binned(codes)[0], ref.predict_binned(codes))
+
+
+@pytest.mark.parametrize("n,d", [(4, 3), (37, 5), (300, 8), (1000, 15), (4000, 10), (2000, 3)])
+def test_forest_matches_reference_per_tree(n, d):
+    # A random forest's draws: 20 bootstraps and sqrt(d)-feature subsets.
+    X, y = _data(n, d=d, seed=n + d)
+    codes, _ = quantile_bin(X)
+    g = np.random.default_rng(d)
+    boots = [g.integers(0, n, n) for _ in range(20)]
+    feats = np.array([g.choice(d, size=max(1, int(np.sqrt(d))), replace=False)
+                      for _ in range(20)])
+    rows = np.concatenate(boots)
+    assert_same_forest(codes[rows], y[rows], np.arange(21) * n, feats, 5, 2)
+
+
+def test_forest_pools_bin_counts_over_trees():
+    # The trees see different maximum bin codes: low-cardinality columns,
+    # a continuous one, and rows cut to its low range. The pooled bin
+    # count gives the first trees empty trailing bins, never chosen.
+    g = np.random.default_rng(12)
+    n = 600
+    X = np.column_stack([g.integers(0, 2, n), g.integers(0, 5, n), g.random(n)]).astype(float)
+    y = 3 * X[:, 0] + X[:, 1] + np.sin(6 * X[:, 2]) + g.normal(0, 0.2, n)
+    codes, _ = quantile_bin(X)
+    low = np.flatnonzero(X[:, 2] < 0.3)
+    blocks = [np.arange(n), g.integers(0, n, n), np.arange(n), low]
+    feats = np.array([[0, 1], [1, 0], [2, 0], [2, 1]])
+    rows = np.concatenate(blocks)
+    bounds = np.cumsum([0] + [len(b) for b in blocks])
+    max_codes = [int(codes[b][:, f].max()) for b, f in zip(blocks, feats)]
+    assert len(set(max_codes)) == 3 and max(max_codes) == int(codes.max())
+    forest = assert_same_forest(codes[rows], y[rows], bounds, feats, 6, 2)
+    assert (forest.feature >= 0).sum() > 4 * 3  # every tree splits
+
+
+def _log1p_target(y):
+    return np.log1p(np.maximum(y, 0.0))
+
+
+def _raw_scale(z):
+    return np.expm1(np.clip(z, -30, 30))
+
+
+def reference_decision_tree(X, y, X_test):
+    m = DecisionTreeRegressor()
+    codes, edges = quantile_bin(X)
+    tree = RecursiveTree(m.max_depth, m.min_samples_leaf).fit_binned(codes, _log1p_target(y))
+    return _raw_scale(tree.predict_binned(bin_codes(X_test, edges)))
+
+
+def reference_random_forest(X, y, X_test):
+    """Bagged reference trees from the forest's own draws, in its RNG order."""
+    m = RandomForestRegressor()
+    t = _log1p_target(y)
+    codes, edges = quantile_bin(X)
+    test = bin_codes(X_test, edges)
+    n, d = codes.shape
+    rng = np.random.default_rng(m.seed)
+    preds = []
+    for _ in range(m.n_estimators):
+        boot = rng.integers(0, n, n)
+        feats = rng.choice(d, size=max(1, int(np.sqrt(d))), replace=False)
+        tree = RecursiveTree(m.max_depth, m.min_samples_leaf).fit_binned(
+            codes[boot], t[boot], feats)
+        preds.append(tree.predict_binned(test))
+    return _raw_scale(np.mean(preds, axis=0))
+
+
+def reference_fasttree(X, y, X_test):
+    """Boosted reference trees on FastTree's own subsamples, added in
+    round order."""
+    m = FastTreeRegressor()
+    t = _log1p_target(y)
+    codes, edges = quantile_bin(X)
+    test = bin_codes(X_test, edges)
+    n = len(t)
+    rng = np.random.default_rng(m.seed)
+    pred, z = np.full(n, t.mean()), np.full(len(test), t.mean())
+    k = max(1, int(m.subsample * n))
+    for _ in range(m.n_estimators):
+        sub = rng.choice(n, size=k, replace=False) if k < n else np.arange(n)
+        tree = RecursiveTree(m.max_depth, m.min_samples_leaf).fit_binned(
+            codes[sub], t[sub] - pred[sub])
+        pred += m.learning_rate * tree.predict_binned(codes)
+        z += m.learning_rate * tree.predict_binned(test)
+    return _raw_scale(z)
 
 
 @pytest.mark.parametrize(
-    "factory",
-    [FastTreeRegressor, RandomForestRegressor, DecisionTreeRegressor],
+    "factory,reference",
+    [
+        (FastTreeRegressor, reference_fasttree),
+        (RandomForestRegressor, reference_random_forest),
+        (DecisionTreeRegressor, reference_decision_tree),
+    ],
     ids=["fasttree", "random_forest", "decision_tree"],
 )
-def test_learners_match_reference(factory, loglinear_data, monkeypatch):
+def test_learners_match_reference(factory, reference, loglinear_data):
     X, y = loglinear_data
-    new = factory().fit(X[:900], y[:900]).predict(X)
-    monkeypatch.setattr(ensemble, "_Tree", RecursiveTree)
-    monkeypatch.setattr(tree, "_Tree", RecursiveTree)
-    ref = factory().fit(X[:900], y[:900]).predict(X)
-    assert np.array_equal(new, ref)
+    assert np.array_equal(factory().fit(X[:900], y[:900]).predict(X), reference(X[:900], y[:900], X))
+    # Tiny data: 4 rows, so a node of 3 or fewer samples cannot split.
+    assert np.array_equal(factory().fit(X[:4], y[:4]).predict(X), reference(X[:4], y[:4], X))
 
 
 def test_fitted_tree_is_arrays():
     X, y = _data(200, seed=11)
     codes, _ = quantile_bin(X)
-    t = _Tree(5, 2).fit_binned(codes, y)
+    f = grow(codes, y, 5, 2, bounds=np.array([0, 120, 200]), feats=np.array([[0, 1], [2, 3]]))
+    assert isinstance(f, Forest)
     for name in ("feature", "threshold", "left", "right", "value"):
-        a = getattr(t, name)
-        assert isinstance(a, np.ndarray) and a.shape == (len(t.value),)
-    assert t.value.dtype == float
+        a = getattr(f, name)
+        assert isinstance(a, np.ndarray) and a.shape == (len(f.value),)
+    assert f.value.dtype == float
+    assert f.roots.tolist() == [0, 1]
+    assert 1 <= f.depth <= 5
+    # Leaves point at themselves, so routing past a leaf stays put.
+    leaf = f.feature < 0
+    nodes = np.arange(len(f.value))
+    assert (f.left[leaf] == nodes[leaf]).all() and (f.right[leaf] == nodes[leaf]).all()
+    assert (f.left[~leaf] > nodes[~leaf]).all() and (f.right[~leaf] > nodes[~leaf]).all()
