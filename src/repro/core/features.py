@@ -18,7 +18,7 @@ The per-partition features are also what the resource-aware planning
 of §5.2-§5.3 consumes: every feature of the form ``g(I,C,L)/P``
 contributes its learned weight to θ_P, the raw ``P`` feature contributes
 θ_C, and every other feature is free of P (see
-:func:`repro.optimizer.resource.cost_curves`).
+:func:`repro.optimizer.resource.fold_curves`).
 """
 from __future__ import annotations
 

@@ -203,9 +203,6 @@ class GDLinear:
         self.epochs = epochs
         self.l2 = l2
 
-    def _raw_pred(self, Xs, w, b):
-        return np.expm1(np.clip(Xs @ w + b, -30.0, 30.0))
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GDLinear":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)

@@ -40,17 +40,15 @@ def _collect_stages(bank, cluster_name: str, n_stages: int, day: int = 3):
     resource-context (its operators' cost curves under ``bank``) and the
     state needed to recompute true stage cost at any partition count."""
     cl = Cluster(cluster_config(cluster_name))
-    cl._apply_churn_through(day)
     out = []
-    for tpl in cl.templates:
-        if not tpl.alive(day):
-            continue
+    for tpl in cl.live_templates(day):
         pm, base_cards, base_lens = cl.instance_inputs(tpl, day, 0)
         seed = (cl.cfg.name, tpl.tpl_id, day, 0)
         root = expand_physical(tpl.logical_root, tpl.choices)
         assign_input_templates(root)
         sim.instantiate(root, cl.world, base_cards, base_lens, pm, seed)
-        nodes, curves = res.plan_cost_curves(bank, root, pm)
+        nodes = list(root.walk())
+        curves = res.instance_curves(res.resolve_plan(bank, root), nodes, pm)
         row_of = {id(n): i for i, n in enumerate(nodes)}
         for stage in plan_stages(root):
             if stage[0].op != "Exchange":

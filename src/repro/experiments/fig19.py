@@ -59,13 +59,11 @@ def _bank_for(cluster_name: str):
 
 def run(cluster: str = "cluster4", max_jobs: int = 120, day: int = 3) -> pd.DataFrame:
     cl = Cluster(cluster_config(cluster))
-    cl._apply_churn_through(day)
     bank = _bank_for(cluster)
     planner = CleoPlanner(bank)
     planner_noexp = CleoPlanner(bank, explore_partitions=False)
     recs = []
-    live = [t for t in cl.templates if t.alive(day)]
-    for tpl in live[:max_jobs]:
+    for tpl in cl.live_templates(day)[:max_jobs]:
         pm, base_cards, base_lens = cl.instance_inputs(tpl, day, 0)
         seed = (cl.cfg.name, tpl.tpl_id, day, 0)
         base = expand_physical(tpl.logical_root, tpl.choices)

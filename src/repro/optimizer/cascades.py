@@ -1,13 +1,17 @@
 """Cascades-style physical planning with pluggable cost models (§5).
 
-``CleoPlanner`` mirrors the paper's modified *Optimize Inputs* task
-(Fig 8a): it enumerates physical alternatives for the logical choice
-points (join implementation, aggregation strategy, optional local
-pre-aggregation — the §6.6.2 plan-change classes), derives statistics,
-and costs each candidate with the learned model hierarchy instead of
-the default cost model. Each operator's model is resolved once per
-physical plan of a template (the planner keeps the look-up) and folded
-into a partition-cost curve per candidate, and a stage's
+:class:`Planner` holds the one candidate loop, SCOPE's *Optimize
+Inputs* task (Fig 8a): it enumerates physical alternatives for the
+logical choice points (join implementation, aggregation strategy,
+optional local pre-aggregation — the §6.6.2 plan-change classes),
+derives statistics and heuristic partition counts, and keeps the
+candidate its cost model prices cheapest. The two planners differ only
+in that cost model (``_cost``).
+
+``CleoPlanner`` costs each candidate with the learned model hierarchy
+instead of the default cost model. Each operator's model is resolved
+once per physical plan of a template (the planner keeps the look-up)
+and folded into a partition-cost curve per candidate, and a stage's
 operators' curves form its resource-context (partition exploration);
 at the stage boundary the partitioning operator picks the count
 minimizing total predicted stage cost (partition optimization). The
@@ -77,41 +81,39 @@ def _candidates(tpl: JobTemplate) -> list[dict]:
     return [dict(zip(ids, combo)) for combo in combos]
 
 
-def _prepared(tpl: JobTemplate, choices: dict, world: sim.World, base_cards,
-              base_lens, pm: float, draws: sim.Draws) -> PlanNode:
-    """One candidate physical plan with the statistics and heuristic
-    partition counts the optimizer sees. ``draws`` is shared by every
-    candidate of the job instance. Latencies are simulated only for the
-    plan a planner picks."""
-    root = expand_physical(tpl.logical_root, choices)
-    assign_input_templates(root)
-    sim.derive_statistics(root, world, base_cards, base_lens, pm, draws)
-    sim.assign_partitions(root, draws)
-    return root
+class Planner:
+    """The Cascades candidate loop that both cost models plug into: it
+    enumerates the physical alternatives, derives each one's statistics
+    and heuristic partition counts from the job instance's shared
+    draws, prices it with :meth:`_cost`, keeps the cheapest and
+    simulates the latencies of that one only."""
 
-
-class DefaultPlanner:
-    """Baseline: default cost model, heuristic partitioning."""
-
-    def __init__(self, cluster: str):
-        self.cluster = cluster
+    def _cost(self, tpl: JobTemplate, choices: dict, root: PlanNode, pm: float,
+              counter: res.LookupCounter) -> float:
+        """Predicted cost of the candidate ``root``; may re-assign its
+        partition counts."""
+        raise NotImplementedError
 
     def plan(self, tpl: JobTemplate, world: sim.World, base_cards, base_lens,
              pm: float, seed_parts: tuple) -> PlanResult:
         t0 = time.perf_counter()
+        counter = res.LookupCounter()
         draws = sim.Draws(seed_parts)
         costs = {}
         best = None
         for choices in _candidates(tpl):
-            root = _prepared(tpl, choices, world, base_cards, base_lens, pm, draws)
-            cost = costs[tuple(choices.items())] = sum(
-                dc.default_cost(self.cluster, n) for n in root.walk())
+            root = expand_physical(tpl.logical_root, choices)
+            assign_input_templates(root)
+            sim.derive_statistics(root, world, base_cards, base_lens, pm, draws)
+            sim.assign_partitions(root, draws)
+            cost = costs[tuple(choices.items())] = self._cost(tpl, choices, root, pm, counter)
             if best is None or cost < best[0]:
                 best = (cost, root, choices)
         cost, root, choices = best
         sim.simulate_latencies(root, world, pm, seed_parts)
         return PlanResult(
-            root=root, choices=choices, predicted_cost=cost, lookups=0,
+            root=root, choices=choices, predicted_cost=cost,
+            lookups=counter.lookups,
             planning_seconds=time.perf_counter() - t0,
             actual_latency=sim.job_latency(root),
             cpu_seconds=sim.job_cpu_seconds(root),
@@ -119,7 +121,17 @@ class DefaultPlanner:
         )
 
 
-class CleoPlanner:
+class DefaultPlanner(Planner):
+    """Baseline: default cost model, heuristic partitioning."""
+
+    def __init__(self, cluster: str):
+        self.cluster = cluster
+
+    def _cost(self, tpl, choices, root, pm, counter) -> float:
+        return sum(dc.default_cost(self.cluster, n) for n in root.walk())
+
+
+class CleoPlanner(Planner):
     """Learned cost models + resource-aware partition selection."""
 
     def __init__(self, bank: ModelBank, explore_partitions: bool = True):
@@ -176,36 +188,15 @@ class CleoPlanner:
                         sp.partitions = stage_root.partitions
                         pinned.add(id(sp))
 
-    def plan(self, tpl: JobTemplate, world: sim.World, base_cards, base_lens,
-             pm: float, seed_parts: tuple) -> PlanResult:
-        t0 = time.perf_counter()
-        counter = res.LookupCounter()
-        draws = sim.Draws(seed_parts)
-        costs = {}
-        best = None
-        for choices in _candidates(tpl):
-            root = _prepared(tpl, choices, world, base_cards, base_lens, pm, draws)
-            # Each operator's model is resolved once per physical plan of
-            # a template; the statistics the curves read do not depend
-            # on partition counts.
-            nodes = list(root.walk())
-            curves = res.instance_curves(self._resolved(tpl, choices, root), nodes, pm)
-            if self.explore_partitions:
-                self._optimize_partitions(root, nodes, curves, counter)
-                # Derive the operators above each chosen count.
-                sim.rederive_partitions(root)
-            p = np.array([[n.partitions] for n in nodes], dtype=float)
-            cost = costs[tuple(choices.items())] = float(
-                res.predict_costs_at(curves, p, counter).sum())
-            if best is None or cost < best[0]:
-                best = (cost, root, choices)
-        cost, root, choices = best
-        sim.simulate_latencies(root, world, pm, seed_parts)
-        return PlanResult(
-            root=root, choices=choices, predicted_cost=cost,
-            lookups=counter.lookups,
-            planning_seconds=time.perf_counter() - t0,
-            actual_latency=sim.job_latency(root),
-            cpu_seconds=sim.job_cpu_seconds(root),
-            candidate_costs=costs,
-        )
+    def _cost(self, tpl, choices, root, pm, counter) -> float:
+        # Each operator's model is resolved once per physical plan of a
+        # template; the statistics the curves read do not depend on
+        # partition counts.
+        nodes = list(root.walk())
+        curves = res.instance_curves(self._resolved(tpl, choices, root), nodes, pm)
+        if self.explore_partitions:
+            self._optimize_partitions(root, nodes, curves, counter)
+            # Derive the operators above each chosen count.
+            sim.rederive_partitions(root)
+        p = np.array([[n.partitions] for n in nodes], dtype=float)
+        return float(res.predict_costs_at(curves, p, counter).sum())

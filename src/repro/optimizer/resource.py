@@ -14,17 +14,16 @@ The partition-cost information is a curve. Every Table 2/3 feature is
 free of the partition count P, of the form ``g(I,C,L)/P``, or ``P``
 itself, so with an operator's other statistics fixed, the log-cost its
 linear model predicts is exactly ``a + θ_P / P + θ_C · P``, clipped to
-the model's training envelope ``[z_lo, z_hi]``. :func:`plan_cost_curves`
-resolves each operator's model once per candidate plan, through the
-bank's §5.1 look-up (:meth:`ModelBank.resolve`), and folds it into
-these arrays (:class:`CostCurves`); a stage's resource-context is
-the slice of them for its operators. The look-up and the signatures it
-reads depend only on the template and its physical choices
-(:class:`PlanModels`, from :func:`resolve_plan`); only the statistics,
-and with them each curve's ``a`` and ``θ_P``, change per instance
-(:func:`instance_curves`). Every planning decision reads the
-curves: sampling, the analytical optimum, the planner's acceptance
-check and the plan's final cost.
+the model's training envelope ``[z_lo, z_hi]``. :func:`resolve_plan`
+resolves each operator's model of a physical plan through the bank's
+§5.1 look-up (:meth:`ModelBank.resolve`); the look-up and the
+signatures it reads depend only on the template and its physical
+choices (:class:`PlanModels`). :func:`instance_curves` folds them
+(:func:`fold_curves`) with one instance's statistics, which change
+each curve's ``a`` and ``θ_P``, into arrays (:class:`CostCurves`); a
+stage's resource-context is the slice of them for its operators.
+Every planning decision reads the curves: sampling, the analytical
+optimum, the planner's acceptance check and the plan's final cost.
 
 The analytical model sums the θs across the stage's operators and
 differentiates: ``P* = sqrt(Σθ_P / Σθ_C)`` when both sums are positive,
@@ -111,8 +110,11 @@ def resolve_plan(bank: ModelBank, root: PlanNode) -> PlanModels:
     return PlanModels(ident, models)
 
 
-def _fold(models: tuple[np.ndarray, ...], cols: Mapping[str, Sequence]) -> CostCurves:
-    """Fold resolved models into the curves of the operators in ``cols``."""
+def fold_curves(models: tuple[np.ndarray, ...], cols: Mapping[str, Sequence]) -> CostCurves:
+    """Fold resolved models (:meth:`ModelBank.resolve`) into the curves
+    of the operators in ``cols``: one entry per operator in each of the
+    feature inputs (I, B, C, L, pm as numpy arrays; in_hash, cl,
+    depth)."""
     coef, intercept, z_lo, z_hi, covered = models
     # At P = 1 a per-partition feature equals its numerator g(I,C,L).
     terms = coef * feature_matrix({**cols, "P": np.ones(len(covered))}, context=True)
@@ -127,20 +129,11 @@ def _fold(models: tuple[np.ndarray, ...], cols: Mapping[str, Sequence]) -> CostC
     )
 
 
-def cost_curves(bank: ModelBank, cols: Mapping[str, Sequence]) -> CostCurves:
-    """Resolve the model of each operator in ``cols``
-    (:meth:`ModelBank.resolve`) and fold it into its curve. ``cols``
-    holds one entry per operator in each of the feature inputs (I, B,
-    C, L, pm as numpy arrays; in_hash, cl, depth) and the family keys
-    (sig_sub, sig_approx, sig_opinput, op)."""
-    return _fold(bank.resolve(cols), cols)
-
-
 def instance_curves(plan: PlanModels, nodes: list[PlanNode], pm: float) -> CostCurves:
     """The cost curves of an instantiated plan's ``nodes`` (in
     ``root.walk()`` order) from the statistics the optimizer sees (the
     estimated cardinalities) and the plan's resolved models."""
-    return _fold(plan.models, {
+    return fold_curves(plan.models, {
         **plan.ident,
         "I": np.array([n.est_in for n in nodes]),
         "B": np.array([n.est_base for n in nodes]),
@@ -148,15 +141,6 @@ def instance_curves(plan: PlanModels, nodes: list[PlanNode], pm: float) -> CostC
         "L": np.array([n.row_len for n in nodes]),
         "pm": np.full(len(nodes), pm),
     })
-
-
-def plan_cost_curves(
-    bank: ModelBank, root: PlanNode, pm: float
-) -> tuple[list[PlanNode], CostCurves]:
-    """The nodes of an instantiated plan in ``root.walk()`` order and
-    their cost curves."""
-    nodes = list(root.walk())
-    return nodes, instance_curves(resolve_plan(bank, root), nodes, pm)
 
 
 def predict_costs_at(

@@ -297,28 +297,22 @@ def derive_statistics(
 
 def assign_partitions(root: PlanNode, draws: Draws) -> None:
     """Partition counts: partitioning operators set the count from their
-    local estimated stats and their ``"part"`` draw (§5.2); everything
-    else derives from its first child's stage; joins force both sides'
-    exchanges to a common count (co-partitioning)."""
+    local estimated stats and their ``"part"`` draw (§5.2); each join,
+    bottom-up, forces both inputs' exchanges to the larger of their
+    counts (co-partitioning); everything else then derives its count
+    (:func:`rederive_partitions`)."""
     for node in root.walk():
         if node.op == "Extract":
             node.partitions = default_partitions(node.est_base, draws["part", node.tpl_op_id])
         elif node.op == "Exchange":
             node.partitions = default_partitions(node.est_in, draws["part", node.tpl_op_id])
-        else:
-            node.partitions = node.children[0].partitions if node.children else 1
-            if node.op in ("HashJoin", "MergeJoin"):
-                p = max(c.stage_partition_root().partitions for c in node.children)
-                for c in node.children:
-                    sp = c.stage_partition_root()
-                    if sp.op == "Exchange":
-                        sp.partitions = p
-                # Re-derive the side chains after co-partitioning.
-                for c in node.children:
-                    rederive_partitions(c)
-                node.partitions = max(
-                    c.stage_partition_root().partitions for c in node.children
-                )
+        elif node.op in ("HashJoin", "MergeJoin"):
+            sides = [c.stage_partition_root() for c in node.children]
+            p = max(sp.partitions for sp in sides)
+            for sp in sides:
+                if sp.op == "Exchange":
+                    sp.partitions = p
+    rederive_partitions(root)
 
 
 def rederive_partitions(node: PlanNode) -> None:

@@ -234,10 +234,11 @@ class Cluster:
                            root=physical, inputs=tuple(inputs),
                            freq=freq, born_day=born_day)
 
-    def _apply_churn_through(self, day: int) -> None:
-        """Advance the template timeline: each day some recurring
-        templates die and are replaced by fresh ones (workload drift,
-        Fig 10 / Fig 14a coverage decay)."""
+    def live_templates(self, day: int) -> list[JobTemplate]:
+        """The recurring templates alive on ``day``. The template
+        timeline advances as far as ``day`` first: each day some
+        recurring templates die and are replaced by fresh ones (workload
+        drift, Fig 10 / Fig 14a coverage decay)."""
         while self._churn_applied_through < day:
             d = self._churn_applied_through + 1
             g = self._churn_rng
@@ -246,6 +247,7 @@ class Cluster:
                     t.dead_day = d
                     self.templates.append(self._make_template(g, born_day=d))
             self._churn_applied_through = d
+        return [t for t in self.templates if t.alive(day)]
 
     # ------------------------------------------------------------------
     def _input_drift(self, name: str, day: int) -> float:
@@ -278,13 +280,11 @@ class Cluster:
 
     def generate_days(self, days: list[int]) -> tuple[pd.DataFrame, pd.DataFrame]:
         """Instantiate all jobs for ``days``; returns (ops_df, jobs_df)."""
-        self._apply_churn_through(max(days))
         op_rows: list[dict] = []
         job_rows: list[dict] = []
         for day in days:
             g_day = np.random.default_rng(hash64(self.cfg.name, "day", day) & 0xFFFFFFFF)
-            live = [t for t in self.templates if t.alive(day)]
-            recurring_runs = [(t, k) for t in live for k in range(t.freq)]
+            recurring_runs = [(t, k) for t in self.live_templates(day) for k in range(t.freq)]
             n_adhoc = int(round(
                 len(recurring_runs) * self.cfg.adhoc_frac / (1 - self.cfg.adhoc_frac)
             ))

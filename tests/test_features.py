@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import features
 from repro.core.learners.linear import ElasticNet
-from repro.optimizer.resource import cost_curves
+from repro.optimizer.resource import fold_curves
 from tests.banks import bank_of
 
 
@@ -111,7 +111,8 @@ def _thetas(coef, i_card, c_card, row_len):
     cols = {"I": [i_card], "B": [1.0], "C": [c_card], "L": [row_len], "in_hash": [0.5],
             "pm": [0.5], "cl": [1], "depth": [1], "sig_sub": [1], "sig_approx": [2],
             "sig_opinput": [3], "op": ["Extract"]}
-    curves = cost_curves(bank, {k: np.array(v) for k, v in cols.items()})
+    cols = {k: np.array(v) for k, v in cols.items()}
+    curves = fold_curves(bank.resolve(cols), cols)
     return float(curves.theta_p[0]), float(curves.theta_c[0])
 
 

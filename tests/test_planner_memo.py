@@ -14,7 +14,7 @@ COMPARED = [f.name for f in fields(PlanResult) if f.name != "planning_seconds"]
 def day_jobs(cl: Cluster, day: int = 3) -> list:
     """Every recurring instance of ``day`` as ``plan`` arguments."""
     out = []
-    for tpl in (t for t in cl.templates if t.alive(day)):
+    for tpl in cl.live_templates(day):
         for k in range(tpl.freq):
             pm, cards, lens = cl.instance_inputs(tpl, day, k)
             out.append((tpl, cl.world, cards, lens, pm, (cl.cfg.name, tpl.tpl_id, day, k)))
@@ -43,7 +43,6 @@ def test_planner_reused_on_two_clusters_equals_fresh_planners(tiny, tiny_bank, n
     templates."""
     cl, _, _ = tiny
     other = Cluster(replace(tiny_cluster(seed=8), name=name))
-    other._apply_churn_through(3)
     jobs = [job for pair in zip(day_jobs(cl), day_jobs(other)) for job in pair]
     planner = CleoPlanner(tiny_bank)
     for job in jobs:

@@ -66,7 +66,8 @@ def _row(p=10):
 
 def _curves(bank, rows):
     """Cost curves of operators given as :func:`_row`-style dicts."""
-    return res.cost_curves(bank, {k: np.array([r[k] for r in rows]) for k in rows[0]})
+    cols = {k: np.array([r[k] for r in rows]) for k in rows[0]}
+    return res.fold_curves(bank.resolve(cols), cols)
 
 
 def reference_costs(bank, rows):
@@ -233,8 +234,8 @@ def test_plan_cost_curves_from_plan(tiny, tiny_bank):
 
     pm, bc, bl = cl.instance_inputs(tpl, 1, 0)
     sim.instantiate(tpl.root, cl.world, bc, bl, pm, ("t", 1))
-    nodes, curves = res.plan_cost_curves(tiny_bank, tpl.root, pm)
-    assert nodes == list(tpl.root.walk())
+    nodes = list(tpl.root.walk())
+    curves = res.instance_curves(res.resolve_plan(tiny_bank, tpl.root), nodes, pm)
     p = np.array([[n.partitions] for n in nodes], dtype=float)
     got = res.predict_costs_at(curves, p, res.LookupCounter())[:, 0]
     want = reference_costs(tiny_bank, plan_rows(tpl.root, pm))

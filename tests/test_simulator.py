@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.optimizer.cascades import _candidates
 from repro.scope import simulator as sim
 from repro.scope.plan import assign_input_templates, expand_physical, plan_identity, PlanNode
 
@@ -105,6 +106,60 @@ def test_join_copartitioning():
         if n.op in ("HashJoin", "MergeJoin"):
             roots = [c.stage_partition_root() for c in n.children]
             assert roots[0].partitions == roots[1].partitions
+
+
+def make_candidate(tpl, choices):
+    root = expand_physical(tpl.logical_root, choices)
+    assign_input_templates(root)
+    return root
+
+
+def reference_assign_partitions(root: PlanNode, draws: sim.Draws) -> None:
+    """Partition assignment as it was before joins were co-partitioned
+    in one pass: each join re-derives its inputs' chains in place."""
+    for node in root.walk():
+        if node.op == "Extract":
+            node.partitions = sim.default_partitions(node.est_base, draws["part", node.tpl_op_id])
+        elif node.op == "Exchange":
+            node.partitions = sim.default_partitions(node.est_in, draws["part", node.tpl_op_id])
+        else:
+            node.partitions = node.children[0].partitions if node.children else 1
+            if node.op in ("HashJoin", "MergeJoin"):
+                p = max(c.stage_partition_root().partitions for c in node.children)
+                for c in node.children:
+                    sp = c.stage_partition_root()
+                    if sp.op == "Exchange":
+                        sp.partitions = p
+                for c in node.children:
+                    sim.rederive_partitions(c)
+                node.partitions = max(
+                    c.stage_partition_root().partitions for c in node.children
+                )
+
+
+def test_assign_partitions_matches_per_join_rederivation(tiny):
+    """On every candidate of every day-3 template, including the
+    two-join ones, one co-partitioning pass and one re-derivation give
+    the counts of re-deriving at each join, and re-deriving again
+    changes nothing."""
+    cl, _, _ = tiny
+    two_join_plans = 0
+    for tpl in cl.live_templates(3):
+        pm, cards, lens = cl.instance_inputs(tpl, 3, 0)
+        draws = sim.Draws((cl.cfg.name, tpl.tpl_id, 3, 0))
+        for choices in _candidates(tpl):
+            got, want = make_candidate(tpl, choices), make_candidate(tpl, choices)
+            for root, assign in ((got, sim.assign_partitions),
+                                 (want, reference_assign_partitions)):
+                sim.derive_statistics(root, cl.world, cards, lens, pm, draws)
+                assign(root, draws)
+            counts = [n.partitions for n in got.walk()]
+            assert counts == [n.partitions for n in want.walk()]
+            sim.rederive_partitions(got)
+            assert [n.partitions for n in got.walk()] == counts
+            joins = sum(n.op in ("HashJoin", "MergeJoin") for n in got.walk())
+            two_join_plans += joins == 2
+    assert two_join_plans > 0
 
 
 def test_partition_latency_tradeoff():

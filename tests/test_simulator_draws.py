@@ -113,7 +113,7 @@ def test_every_candidate_matches_the_eager_draws(tiny):
     heuristic partitions of fresh per-operator generators."""
     cl, _, _ = tiny
     checked = 0
-    for tpl in (t for t in cl.templates if t.alive(3)):
+    for tpl in cl.live_templates(3):
         for k in range(tpl.freq):
             pm, cards, lens = cl.instance_inputs(tpl, 3, k)
             seed = (cl.cfg.name, tpl.tpl_id, 3, k)
@@ -142,7 +142,7 @@ def test_only_drawing_operators_seed_a_generator(tiny):
     """Leaves and selectivity-estimating operators draw ``est-jit``;
     Extract and Exchange draw ``part``; nothing else draws."""
     cl, _, _ = tiny
-    tpl = next(t for t in cl.templates if t.alive(3))
+    tpl = cl.live_templates(3)[0]
     pm, cards, lens = cl.instance_inputs(tpl, 3, 0)
     root = _physical(tpl, tpl.choices)
     draws = sim.Draws(("x", 1))

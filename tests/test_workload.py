@@ -87,11 +87,14 @@ def test_churn_replaces_templates():
     cfg = ClusterConfig("churny", n_inputs=6, n_templates=30, adhoc_frac=0.1,
                         churn=0.3, seed=1)
     cl = Cluster(cfg)
-    cl._apply_churn_through(5)
+    live = cl.live_templates(5)
     dead = [t for t in cl.templates if t.dead_day is not None]
     born_later = [t for t in cl.templates if t.born_day > 1]
     assert dead and born_later
     assert len(dead) == len(born_later)
+    # Every template that died was replaced the same day.
+    assert len(live) == cfg.n_templates
+    assert not {id(t) for t in dead} & {id(t) for t in live}
 
 
 def test_production_cluster_configs():
