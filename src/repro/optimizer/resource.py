@@ -28,13 +28,19 @@ optimum, the planner's acceptance check and the plan's final cost.
 The analytical model sums the θs across the stage's operators and
 differentiates: ``P* = sqrt(Σθ_P / Σθ_C)`` when both sums are positive,
 the maximum when increasing P is free, and the minimum when it only
-hurts (the three cases of §5.3). Model look-ups are counted — one per
-covered operator per partition count priced, one per covered operator
-for the analytical model — so the Fig 8c / Fig 17 efficiency comparison
-can be reproduced.
+hurts (the three cases of §5.3). :func:`analytical_optima` and
+:func:`stage_costs` take many stages at once, as consecutive runs of
+curve rows with per-stage lengths, so the planner prices every explored
+stage of every candidate plan of a job instance in one array pass;
+:func:`optimize_stage_analytical` and :func:`stage_costs_at` are their
+one-stage case. Model look-ups are counted — one per covered operator
+per distinct partition count priced, one per covered operator for the
+analytical model — so the Fig 8c / Fig 17 efficiency comparison can be
+reproduced.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -98,6 +104,15 @@ class PlanModels:
     ident: dict[str, list]
     models: tuple[np.ndarray, ...]
 
+    @staticmethod
+    def concat(plans: Sequence["PlanModels"]) -> "PlanModels":
+        """The operators of ``plans``, one plan after another."""
+        return PlanModels(
+            {k: list(itertools.chain.from_iterable(p.ident[k] for p in plans))
+             for k in plans[0].ident},
+            tuple(np.concatenate(cols) for cols in zip(*(p.models for p in plans))),
+        )
+
 
 def resolve_plan(bank: ModelBank, root: PlanNode) -> PlanModels:
     """Signatures and resolved models of every operator of a physical
@@ -143,6 +158,14 @@ def instance_curves(plan: PlanModels, nodes: list[PlanNode], pm: float) -> CostC
     })
 
 
+def _costs_at(curves: CostCurves, p: np.ndarray) -> np.ndarray:
+    z = curves.a[:, None] + curves.theta_p[:, None] / p + curves.theta_c[:, None] * p
+    # np.clip's bits, without its per-call overhead: max, then min.
+    z = np.minimum(np.maximum(z, curves.z_lo[:, None]), curves.z_hi[:, None])
+    z = np.minimum(np.maximum(z, -30.0), 30.0)
+    return np.where(curves.covered[:, None], np.expm1(z), 0.0)
+
+
 def predict_costs_at(
     curves: CostCurves, partitions: np.ndarray, counter: LookupCounter
 ) -> np.ndarray:
@@ -150,21 +173,20 @@ def predict_costs_at(
     (columns). ``partitions`` is a 1-D array of counts shared by every
     operator, or a column holding one count per operator."""
     p = np.asarray(partitions, dtype=float)
-    z = curves.a[:, None] + curves.theta_p[:, None] / p + curves.theta_c[:, None] * p
-    z = np.clip(np.clip(z, curves.z_lo[:, None], curves.z_hi[:, None]), -30.0, 30.0)
     counter.lookups += int(curves.covered.sum()) * p.shape[-1]
-    return np.where(curves.covered[:, None], np.expm1(z), 0.0)
+    return _costs_at(curves, p)
 
 
-def exploration_window(p_def: int) -> tuple[int, int]:
+def exploration_window(p_def: int | np.ndarray) -> tuple:
     """The partition counts a stage may explore around its heuristic
     count ``p_def``: from a third of it to three times it. The learned
     models were trained near the logged counts, so counts far outside
     that envelope are priced blindly (their log-space predictions are
     clipped); restricting the window is the kind of regression guard
     §6.7 describes for production. The full-range §5.3 cases are
-    exercised by the Fig 17 experiment."""
-    return max(1, p_def // 3), min(MAX_P, 3 * p_def)
+    exercised by the Fig 17 experiment. ``p_def`` may be an array of
+    counts: one window per entry."""
+    return np.maximum(1, p_def // 3), np.minimum(MAX_P, 3 * p_def)
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +229,68 @@ def random_samples(n: int, p_max: int = MAX_P, seed: int = 0) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Stage-level exploration + optimization, over a stage's resource-context
+# Stage-level exploration + optimization, over stages' resource-contexts
 # ---------------------------------------------------------------------------
+# Many stages are passed as one CostCurves whose rows are the stages'
+# operators, stage after stage, with ``lengths`` operators per stage.
+
+def stage_sums(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum of each stage's rows of ``x``, added in row order from 0.
+
+    That order is what ``ndarray.sum()`` uses for fewer than 8 terms and
+    what ``.sum(axis=0)`` uses on a block of several columns, so a stage
+    sums to the same bits as when it is priced alone (Exchange stages
+    have 1-4 operators). ``np.add.reduceat`` pairs the terms of a segment
+    differently and does not reproduce those bits. Shorter stages add
+    0.0 past their end, which changes no sum."""
+    width = np.arange(int(lengths.max(initial=0)))
+    live = width < lengths[:, None]
+    rows = x[np.where(live, (np.cumsum(lengths) - lengths)[:, None] + width, 0)]
+    rows[~live] = 0.0
+    out = np.zeros((len(lengths),) + x.shape[1:])
+    for k in width.tolist():
+        out += rows[:, k]
+    return out
+
+
+def analytical_optima(
+    curves: CostCurves, lengths: np.ndarray, counter: LookupCounter, p_max: int = MAX_P
+) -> np.ndarray:
+    """The closed-form optimum of §5.3 of every stage, from its summed
+    curve weights."""
+    counter.lookups += int(curves.covered.sum())
+    sum_tp, sum_tc = stage_sums(np.column_stack([curves.theta_p, curves.theta_c]), lengths).T
+    interior = (sum_tp > 0) & (sum_tc > 0)
+    p_star = np.rint(np.sqrt(np.divide(sum_tp, sum_tc, out=np.ones_like(sum_tp), where=interior)))
+    # With Σθ_P > 0 and Σθ_C <= 0 more partitions never hurt: the
+    # maximum. Without Σθ_P > 0 they only hurt, or the learned weights
+    # carry no partition signal: 1.
+    p = np.where(sum_tp > 0, np.where(sum_tc > 0, p_star, p_max), 1)
+    return np.minimum(np.maximum(p, 1), p_max).astype(int)
+
+
+def stage_costs(
+    curves: CostCurves, lengths: np.ndarray, partitions: np.ndarray,
+    counter: LookupCounter,
+) -> np.ndarray:
+    """Total predicted cost of each stage (rows of ``partitions``) at
+    each of its partition counts (columns). A count a stage lists twice
+    is one look-up per covered operator."""
+    p = np.asarray(partitions, dtype=float)
+    distinct = 1 + (np.diff(np.sort(p, axis=1), axis=1) != 0).sum(axis=1)
+    counter.lookups += int(np.repeat(distinct, lengths)[curves.covered].sum())
+    return stage_sums(_costs_at(curves, np.repeat(p, lengths, axis=0)), lengths)
+
+
+def _one_stage(ctx: CostCurves) -> np.ndarray:
+    return np.array([len(ctx.a)])
+
 
 def stage_costs_at(
     ctx: CostCurves, partitions: np.ndarray, counter: LookupCounter
 ) -> np.ndarray:
     """Total predicted stage cost at each candidate partition count."""
-    return predict_costs_at(ctx, partitions, counter).sum(axis=0)
+    return stage_costs(ctx, _one_stage(ctx), np.asarray(partitions)[None, :], counter)[0]
 
 
 def optimize_stage_sampling(
@@ -228,14 +304,5 @@ def optimize_stage_sampling(
 def optimize_stage_analytical(
     ctx: CostCurves, counter: LookupCounter, p_max: int = MAX_P
 ) -> int:
-    """The closed-form optimum of §5.3 from the summed curve weights."""
-    counter.lookups += int(ctx.covered.sum())
-    sum_tp = float(ctx.theta_p.sum())
-    sum_tc = float(ctx.theta_c.sum())
-    if sum_tp > 0 and sum_tc <= 0:
-        return p_max  # more partitions never hurt
-    if sum_tp <= 0 and sum_tc > 0:
-        return 1  # more partitions only hurt
-    if sum_tp > 0 and sum_tc > 0:
-        return int(np.clip(round(math.sqrt(sum_tp / sum_tc)), 1, p_max))
-    return 1  # degenerate: no partition signal in the learned weights
+    """The closed-form optimum of §5.3 of one stage."""
+    return int(analytical_optima(ctx, _one_stage(ctx), counter, p_max)[0])

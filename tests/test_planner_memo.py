@@ -1,6 +1,6 @@
 """A planner reused across jobs and clusters plans exactly as a fresh
-planner per job: CleoPlanner keeps each physical plan's signatures and
-resolved models per ``(template, choices)``."""
+planner per job: CleoPlanner keeps each physical plan's signatures,
+resolved models and explored-stage layout per ``(template, choices)``."""
 from dataclasses import fields, replace
 
 import pytest

@@ -240,3 +240,60 @@ def test_plan_cost_curves_from_plan(tiny, tiny_bank):
     got = res.predict_costs_at(curves, p, res.LookupCounter())[:, 0]
     want = reference_costs(tiny_bank, plan_rows(tpl.root, pm))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("cols", [None, 2, 5])
+def test_stage_sums_reproduce_numpy_sums(cols):
+    """Stage sums add each stage's rows in order, so a stage of fewer
+    than 8 terms sums to the bits of ``ndarray.sum()`` on it alone, and
+    a block of several columns to those of ``.sum(axis=0)`` at any
+    length. ``np.add.reduceat`` is not used because it pairs a segment's
+    terms differently: on standard-normal data it misses these bits in
+    a third to a half of the segments of 3 to 7 terms."""
+    g = np.random.default_rng(5)
+    lengths = np.array([n for n in range(1, 8) for _ in range(40)])
+    g.shuffle(lengths)
+    shape = (lengths.sum(),) if cols is None else (lengths.sum(), cols)
+    x = g.standard_normal(shape) * np.exp(g.uniform(-20, 20, shape))
+    got = res.stage_sums(x, lengths)
+    starts = np.cumsum(lengths) - lengths
+    for i, (s, n) in enumerate(zip(starts, lengths)):
+        want = x[s:s + n].sum() if cols is None else x[s:s + n].sum(axis=0)
+        assert np.array_equal(got[i], want), (n, got[i], want)
+    if cols is not None:  # several columns: any length
+        x = g.standard_normal((25, cols))
+        assert np.array_equal(res.stage_sums(x, np.array([25])), x.sum(axis=0)[None])
+
+
+def test_batched_stage_search_equals_one_stage_case():
+    """The closed form over many stages equals the scalar closed form
+    stage by stage, and the stage costs equal the one-stage costs,
+    look-ups included; a count a stage lists twice costs one look-up
+    per covered operator."""
+    from tests.test_cascades_reference import ref_optimize_stage_analytical
+
+    g = np.random.default_rng(7)
+    bank = _bank_with_operator_model({"f_IL_P": 1e-8, "f_P": 1e-3, "f_I": 1e-7})
+    lengths = g.integers(1, 5, 30)
+    rows = [{**_row(), "I": float(g.uniform(1e4, 1e7)), "L": float(g.uniform(10, 500)),
+             "op": "Extract" if g.random() < 0.8 else "Sort"} for _ in range(lengths.sum())]
+    curves = _curves(bank, rows)
+    # Flip some stages' signs to reach every §5.3 case.
+    flip = np.repeat(g.choice([-1.0, 1.0], (len(lengths), 2)), lengths, axis=0)
+    curves.theta_p = curves.theta_p * flip[:, 0]
+    curves.theta_c = curves.theta_c * flip[:, 1]
+    counts = np.column_stack([g.integers(1, 100, len(lengths)), g.integers(1, 100, len(lengths))])
+    counts[::3, 1] = counts[::3, 0]
+    batched = res.LookupCounter()
+    p = res.analytical_optima(curves, lengths, batched)
+    costs = res.stage_costs(curves, lengths, counts, batched)
+    alone = res.LookupCounter()
+    starts = np.cumsum(lengths) - lengths
+    for i, (s, n) in enumerate(zip(starts, lengths)):
+        ctx = curves[np.arange(s, s + n)]
+        assert p[i] == ref_optimize_stage_analytical(ctx, alone)
+        distinct = np.unique(counts[i])
+        want = dict(zip(distinct, res.stage_costs_at(ctx, distinct, alone)))
+        assert costs[i].tolist() == [want[c] for c in counts[i]]
+    assert batched.lookups == alone.lookups
+    assert {1, res.MAX_P} <= set(p.tolist()) and len(set(p.tolist())) > 2
