@@ -81,6 +81,13 @@ the *shape* of every result should hold, as described per section.
 `paper_*` columns embed the published numbers next to ours; tables
 without such columns state the paper's numbers in the preamble.
 
+Every simulated table is checked: `tests/test_golden.py` (Tier-1)
+regenerates it and compares it, as printed, with the tracked
+`results/<name>.md` this file is built from. Two kinds of rows are
+excluded by name, because they are wall-clock timings: Fig 19's
+`*_planning_ms_per_job` and `cleo_vs_default_planning_x` rows, and all
+of Fig 20, which times real Spark queries.
+
 Caveats (honest deviations):
 
 - Raw-scale Pearson correlations are fragile under our heavy-tailed
@@ -93,10 +100,10 @@ Caveats (honest deviations):
   than SCOPE's tuned optimizer, leaving more headroom); the *quality*
   of changes — fraction improved, latency/CPU deltas, wins coming with
   less parallelism — matches.
-- Fig 19's planning overhead: CLEO plans in about 3.7x the default
-  planner's time here (3.1-3.9x over four runs; 10 vs 2.6-3.2 ms per
-  job), against the paper's
-  1.05-1.10x (look-ups add 5-10% to compile time). Both planners are
+- Fig 19's planning overhead: CLEO plans in about 3x the default
+  planner's time here (3.0x in the tracked run: 7.6 vs 2.5 ms per
+  job), against the paper's 1.05-1.10x (look-ups add 5-10% to compile
+  time). Both planners are
   Python and share the simulator's statistics derivation, which draws
   each operator's randomness once per job instance. Profiled on
   cluster4 day 3, about 40% of CLEO's time is the signature pass and

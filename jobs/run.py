@@ -17,24 +17,10 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from make_experiments_md import SECTIONS  # noqa: E402
+from repro.session import get_spark  # noqa: E402
 
 TITLES = {key: title for key, title, _ in SECTIONS}
 SPARK_EXPERIMENTS = ("fig9", "fig20")
-
-
-def get_spark(app: str):
-    from pyspark.sql import SparkSession
-
-    s = (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions",
-                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    s.sparkContext.setLogLevel("ERROR")
-    return s
 
 
 def main(argv: list[str] | None = None) -> None:

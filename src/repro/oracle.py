@@ -5,15 +5,14 @@ over ``tables`` and asserts the sorted rows match ``spark_df`` (the
 Spark result). This catches wrong results from a rewritten plan or a
 custom operator — "it ran" is not "it is correct".
 
-``tables`` may be Spark or pandas DataFrames; Spark inputs are
-collected via ``.toPandas()``. Alias every output column identically
-on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
-``count_star()``) and project to scalar columns — array/map/struct
-columns are not orderable so cannot be compared here.
+``tables`` are pandas DataFrames: the frames the Spark views were
+created from. Alias every output column identically on both sides
+(Spark names ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``)
+and project to scalar columns — array/map/struct columns are not
+orderable so cannot be compared here.
 """
 import duckdb
 import pandas as pd
-from pyspark.sql import DataFrame
 
 
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -25,11 +24,11 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+def assert_equivalent(spark_df, sql: str, **tables: pd.DataFrame) -> None:
     con = duckdb.connect()
     try:
         for name, t in tables.items():
-            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
+            con.register(name, t)
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()

@@ -14,29 +14,22 @@ constants much closer to the truth and partition-aware, but still using
 the same estimated cardinalities and still context-blind — so it
 improves the ratio distribution without fixing the correlation.
 
-Both models also come in ``*_true_card`` variants fed perfect
+Both models take a ``true_cards=True`` flag that feeds them perfect
 cardinalities, reproducing the Figure 1(b) dotted lines / §6.4 finding
 that fixing cardinalities alone does not fix cost estimates.
 """
 from __future__ import annotations
 
+import functools
 import math
 
-import numpy as np
-
-from repro.scope.plan import PlanNode, hash64
-from repro.scope.simulator import OP_COEF, OVERHEAD_PER_PARTITION, WORK_UNIT
+from repro.scope.plan import PlanNode
+from repro.scope.simulator import OP_COEF, OVERHEAD_PER_PARTITION, WORK_UNIT, _rng
 
 FIXED_PARTITIONS = 250  # the default model's assumed degree of parallelism
 
 
-def _rng(*parts) -> np.random.Generator:
-    return np.random.default_rng(hash64(*parts) & 0xFFFF_FFFF)
-
-
-_COEFF_CACHE: dict = {}
-
-
+@functools.cache
 def _hand_coeffs(cluster: str, op: str, flavor: str) -> tuple[float, float]:
     """Hand-crafted (alpha, beta) constants for one operator.
 
@@ -45,24 +38,18 @@ def _hand_coeffs(cluster: str, op: str, flavor: str) -> tuple[float, float]:
     truth — the manual improvement shifted the curve but could not model
     context or resources.
     """
-    key = (cluster, op, flavor)
-    if key in _COEFF_CACHE:
-        return _COEFF_CACHE[key]
     alpha, beta, _ = OP_COEF[op]
     if flavor == "default":
         g = _rng(cluster, "default-cost", op)
-        out = (
+        return (
             alpha * math.exp(g.normal(1.4, 2.1)),
             beta * math.exp(g.normal(1.4, 2.1)),
         )
-    else:
-        g = _rng(cluster, "tuned-cost", op)
-        out = (
-            alpha * math.exp(g.normal(0.5, 0.9)),
-            beta * math.exp(g.normal(0.5, 0.9)),
-        )
-    _COEFF_CACHE[key] = out
-    return out
+    g = _rng(cluster, "tuned-cost", op)
+    return (
+        alpha * math.exp(g.normal(0.5, 0.9)),
+        beta * math.exp(g.normal(0.5, 0.9)),
+    )
 
 
 def default_cost(cluster: str, node: PlanNode, true_cards: bool = False) -> float:

@@ -268,7 +268,7 @@ class Cluster:
         pm = float(g_inst.random())
         base_cards: dict[str, float] = {}
         base_lens: dict[str, float] = {}
-        for name in set(tpl.root.input_templates):
+        for name in dict.fromkeys(tpl.root.input_templates):
             it = self.inputs[name]
             base_cards[name] = max(
                 10.0,

@@ -1,12 +1,12 @@
 """Synthetic OLAP data at a configurable scale factor.
 
 SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
-DuckDB oracle sees identical input.
+benchmarks use SF~=0.1. Each generator returns a pandas frame and is
+deterministic in ``seed``; ``repro.tpch.schema.load_tables`` hands the
+same frames to Spark (as views) and to the DuckDB oracle.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
@@ -15,17 +15,13 @@ _N_PART_PER_SF = 200_000
 _N_SUPPLIER_PER_SF = 10_000
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
+def lineitem(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
     n = max(1, int(_N_LINEITEM_PER_SF * sf))
     n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
     n_part = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
+    g = np.random.default_rng(seed)
     n_supp = max(1, int(_N_SUPPLIER_PER_SF * sf))
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
             "l_orderkey": g.integers(1, n_orders + 1, n),
             "l_partkey": g.integers(1, n_part + 1, n),
@@ -41,14 +37,13 @@ def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFra
             + pd.to_timedelta(g.integers(0, 2557, n), unit="D"),
         }
     )
-    return spark.createDataFrame(pdf)
 
 
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
+def orders(*, sf: float = 0.01, seed: int = 1) -> pd.DataFrame:
     n = max(1, int(_N_ORDERS_PER_SF * sf))
     n_cust = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
+    g = np.random.default_rng(seed)
+    return pd.DataFrame(
         {
             "o_orderkey": np.arange(1, n + 1),
             "o_custkey": g.integers(1, n_cust + 1, n),
@@ -61,13 +56,12 @@ def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame
             ),
         }
     )
-    return spark.createDataFrame(pdf)
 
 
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
+def part(*, sf: float = 0.01, seed: int = 5) -> pd.DataFrame:
     n = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
+    g = np.random.default_rng(seed)
+    return pd.DataFrame(
         {
             "p_partkey": np.arange(1, n + 1),
             "p_type": g.choice(
@@ -78,13 +72,12 @@ def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
             "p_retailprice": (900 + (np.arange(1, n + 1) % 1000) / 10.0).round(2),
         }
     )
-    return spark.createDataFrame(pdf)
 
 
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
+def customer(*, sf: float = 0.01, seed: int = 2) -> pd.DataFrame:
     n = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
+    g = np.random.default_rng(seed)
+    return pd.DataFrame(
         {
             "c_custkey": np.arange(1, n + 1),
             "c_nationkey": g.integers(0, 25, n),
@@ -94,22 +87,20 @@ def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFra
             ),
         }
     )
-    return spark.createDataFrame(pdf)
 
 
-def supplier(spark: SparkSession, *, sf: float = 0.01, seed: int = 6) -> DataFrame:
+def supplier(*, sf: float = 0.01, seed: int = 6) -> pd.DataFrame:
     """TPC-H-lite supplier (10K rows per SF) — added for the Q5/Q8/Q9/
     Q11/Q16/Q20-style join paths of the Figure 20 experiment."""
     n = max(1, int(_N_SUPPLIER_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
+    g = np.random.default_rng(seed)
+    return pd.DataFrame(
         {
             "s_suppkey": np.arange(1, n + 1),
             "s_nationkey": g.integers(0, 25, n),
             "s_acctbal": (g.random(n) * 11000 - 1000).round(2),
         }
     )
-    return spark.createDataFrame(pdf)
 
 
 _NATION_NAMES = [
@@ -120,30 +111,12 @@ _NATION_NAMES = [
 ]
 
 
-def nation(spark: SparkSession) -> DataFrame:
+def nation() -> pd.DataFrame:
     """The fixed 25-row TPC-H nation table."""
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
             "n_nationkey": np.arange(25),
             "n_name": _NATION_NAMES,
             "n_regionkey": np.arange(25) % 5,
         }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
     )

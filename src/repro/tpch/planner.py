@@ -27,19 +27,17 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.learners.linear import ElasticNet
+from repro.session import SHUFFLE_PARTITIONS
 from repro.tpch.queries import QUERIES, Query
 
 # (join strategy, shuffle partitions). The first entry is Spark's
-# default plan (sort-merge under the disabled-broadcast session, 64
-# shuffle partitions from conftest).
-DEFAULT_CONFIG = ("default", 64)
+# default plan: sort-merge under the disabled-broadcast session, at the
+# session's shuffle-partition count (``repro.session``).
+DEFAULT_CONFIG = ("default", SHUFFLE_PARTITIONS)
 CANDIDATE_CONFIGS: list[tuple[str, int]] = [
-    ("default", 64),
-    ("default", 16),
-    ("default", 4),
-    ("shuffle_hash", 64),
-    ("shuffle_hash", 16),
-    ("shuffle_hash", 4),
+    (strategy, partitions)
+    for strategy in ("default", "shuffle_hash")
+    for partitions in (SHUFFLE_PARTITIONS, 16, 4)
 ]
 
 

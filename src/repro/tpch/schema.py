@@ -10,15 +10,16 @@ TABLES = ("lineitem", "orders", "customer", "part", "supplier", "nation")
 
 
 def load_tables(spark: SparkSession, sf: float, seed: int = 0) -> dict[str, pd.DataFrame]:
-    """Generate all TPC-H-lite tables as pandas frames (for DuckDB) and
-    register them as Spark temp views. Deterministic in (sf, seed)."""
+    """Generate all TPC-H-lite tables as pandas frames, register each as
+    a Spark temp view, and return the frames for the DuckDB oracle.
+    Deterministic in (sf, seed)."""
     frames = {
-        "lineitem": synth_data.lineitem(spark, sf=sf, seed=seed).toPandas(),
-        "orders": synth_data.orders(spark, sf=sf, seed=seed + 1).toPandas(),
-        "customer": synth_data.customer(spark, sf=sf, seed=seed + 2).toPandas(),
-        "part": synth_data.part(spark, sf=sf, seed=seed + 5).toPandas(),
-        "supplier": synth_data.supplier(spark, sf=sf, seed=seed + 6).toPandas(),
-        "nation": synth_data.nation(spark).toPandas(),
+        "lineitem": synth_data.lineitem(sf=sf, seed=seed),
+        "orders": synth_data.orders(sf=sf, seed=seed + 1),
+        "customer": synth_data.customer(sf=sf, seed=seed + 2),
+        "part": synth_data.part(sf=sf, seed=seed + 5),
+        "supplier": synth_data.supplier(sf=sf, seed=seed + 6),
+        "nation": synth_data.nation(),
     }
     for name, pdf in frames.items():
         spark.createDataFrame(pdf).createOrReplaceTempView(name)

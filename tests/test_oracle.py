@@ -33,13 +33,6 @@ def test_oracle_order_insensitive(spark):
     assert_equivalent(sdf, "SELECT k FROM t", t=pdf)
 
 
-def test_oracle_accepts_spark_table_inputs(spark):
-    pdf = pd.DataFrame({"k": [1, 1, 2], "v": [1.0, 2.0, 3.0]})
-    sdf_in = spark.createDataFrame(pdf)
-    out = sdf_in.groupBy("k").count()
-    assert_equivalent(out, "SELECT k, COUNT(*) AS count FROM t GROUP BY k", t=sdf_in)
-
-
 def test_oracle_float_tolerance(spark):
     pdf = pd.DataFrame({"v": [1.0000000001, 2.0]})
     sdf = spark.createDataFrame(pd.DataFrame({"v": [1.0, 2.0]}))

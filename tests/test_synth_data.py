@@ -1,65 +1,51 @@
 """Tests for the TPC-H-lite generators."""
-import pytest
-
 from repro import synth_data
 
 
-def test_lineitem_schema_and_size(spark):
-    df = synth_data.lineitem(spark, sf=0.001)
+def test_lineitem_schema_and_size():
+    df = synth_data.lineitem(sf=0.001)
     cols = set(df.columns)
     assert {"l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
             "l_extendedprice", "l_discount", "l_shipdate"} <= cols
-    assert df.count() == 6000
+    assert len(df) == 6000
 
 
-def test_lineitem_deterministic(spark):
-    a = synth_data.lineitem(spark, sf=0.001, seed=3).toPandas()
-    b = synth_data.lineitem(spark, sf=0.001, seed=3).toPandas()
+def test_lineitem_deterministic():
+    a = synth_data.lineitem(sf=0.001, seed=3)
+    b = synth_data.lineitem(sf=0.001, seed=3)
     assert a.equals(b)
 
 
-def test_orders_keys_dense(spark):
-    pdf = synth_data.orders(spark, sf=0.001).toPandas()
+def test_orders_keys_dense():
+    pdf = synth_data.orders(sf=0.001)
     assert pdf.o_orderkey.min() == 1
     assert pdf.o_orderkey.is_unique
 
 
-def test_customer_nationkeys_valid(spark):
-    pdf = synth_data.customer(spark, sf=0.001).toPandas()
+def test_customer_nationkeys_valid():
+    pdf = synth_data.customer(sf=0.001)
     assert pdf.c_nationkey.between(0, 24).all()
 
 
-def test_part_brands(spark):
-    pdf = synth_data.part(spark, sf=0.001).toPandas()
+def test_part_brands():
+    pdf = synth_data.part(sf=0.001)
     assert pdf.p_brand.str.match(r"Brand#\d\d").all()
 
 
-def test_supplier_size_and_keys(spark):
-    pdf = synth_data.supplier(spark, sf=0.01).toPandas()
+def test_supplier_size_and_keys():
+    pdf = synth_data.supplier(sf=0.01)
     assert len(pdf) == 100
     assert pdf.s_suppkey.is_unique
     assert pdf.s_nationkey.between(0, 24).all()
 
 
-def test_nation_fixed(spark):
-    pdf = synth_data.nation(spark).toPandas()
+def test_nation_fixed():
+    pdf = synth_data.nation()
     assert len(pdf) == 25
     assert "FRANCE" in set(pdf.n_name)
 
 
-def test_lineitem_supplier_fk_compatible(spark):
-    li = synth_data.lineitem(spark, sf=0.001).toPandas()
-    su = synth_data.supplier(spark, sf=0.001).toPandas()
+def test_lineitem_supplier_fk_compatible():
+    li = synth_data.lineitem(sf=0.001)
+    su = synth_data.supplier(sf=0.001)
     assert li.l_suppkey.max() <= su.s_suppkey.max()
-
-
-def test_zipf_keys_skewed(spark):
-    pdf = synth_data.zipf_keys(spark, n=20000, n_keys=1000).toPandas()
-    counts = pdf.k.value_counts()
-    assert counts.iloc[0] > counts.median() * 5
-
-
-def test_uniform_keys_flat(spark):
-    pdf = synth_data.uniform_keys(spark, n=20000, n_keys=100).toPandas()
-    counts = pdf.k.value_counts()
-    assert counts.max() < counts.median() * 2

@@ -17,8 +17,9 @@ def tpch_tables(spark):
 
 
 def test_all_tables_registered(spark, tpch_tables):
+    assert set(tpch_tables) == set(TABLES)
     for t in TABLES:
-        assert spark.table(t).count() > 0
+        assert spark.table(t).count() == len(tpch_tables[t]) > 0
 
 
 @pytest.mark.parametrize("name", QUERY_NAMES)

@@ -1,5 +1,10 @@
 """Tests for the recurring-workload generator (§2.2 / Figure 9)."""
+import os
+import subprocess
+import sys
+
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.scope.workload import (
@@ -127,3 +132,28 @@ def test_latencies_heavy_tailed(tiny):
     _, ops, _ = tiny
     q = ops.actual.quantile([0.5, 0.99])
     assert q[0.99] / q[0.5] > 5  # cloud workloads are heavy-tailed
+
+
+_GENERATE_TINY = """
+import sys
+import pandas as pd
+from repro.scope.workload import Cluster, tiny_cluster
+pd.to_pickle(Cluster(tiny_cluster()).generate_days([1, 2, 3]), sys.argv[1])
+"""
+
+
+def test_generation_independent_of_hash_seed(tmp_path):
+    """Two interpreters with different string-hash seeds generate the
+    same logs: no draw may follow the iteration order of a set."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    logs = []
+    for seed in ("0", "14"):
+        out = tmp_path / f"tiny-{seed}.pkl"
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", _GENERATE_TINY, str(out)], env=env, check=True,
+                       timeout=600)
+        logs.append(pd.read_pickle(out))
+    (ops_a, jobs_a), (ops_b, jobs_b) = logs
+    assert ops_a.equals(ops_b)
+    assert jobs_a.equals(jobs_b)
