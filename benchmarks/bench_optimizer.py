@@ -5,7 +5,7 @@ from repro.experiments import fig17, fig19
 
 
 def test_bench_fig17_partition_exploration(benchmark):
-    df = bench_table(benchmark, "fig17", lambda: fig17.run(n_stages=200))
+    df = bench_table(benchmark, "fig17", fig17.run)
     ana = df[df.strategy == "analytical"].iloc[0]
     geo = df[df.strategy == "geometric"].set_index("n_samples")
     # Analytical beats small-sample sampling (Fig 17) at a fraction of
@@ -18,7 +18,7 @@ def test_bench_fig17_partition_exploration(benchmark):
 
 
 def test_bench_fig19_production(benchmark):
-    df = bench_table(benchmark, "fig19", lambda: fig19.run(max_jobs=120))
+    df = bench_table(benchmark, "fig19", fig19.run)
     m = df.set_index("metric").measured
     # Majority of changed plans improve; latency and processing time
     # both improve in aggregate (Fig 19a/19b).

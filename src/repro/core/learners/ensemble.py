@@ -22,17 +22,12 @@ from repro.core.learners.tree import Forest, bin_codes, grow, quantile_bin
 class RandomForestRegressor:
     """Bagged depth-5 trees with sqrt-feature subsampling per tree."""
 
-    def __init__(
-        self,
-        n_estimators: int = 20,
-        max_depth: int = 5,
-        min_samples_leaf: int = 2,
-        seed: int = 0,
-    ):
+    max_depth = 5
+    min_samples_leaf = 2
+    seed = 0
+
+    def __init__(self, n_estimators: int = 20):
         self.n_estimators = n_estimators
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.seed = seed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         t = np.log1p(np.maximum(np.asarray(y, dtype=float), 0.0))
@@ -63,20 +58,13 @@ class FastTreeRegressor:
     each stage.
     """
 
-    def __init__(
-        self,
-        n_estimators: int = 20,
-        max_depth: int = 5,
-        learning_rate: float = 0.25,
-        subsample: float = 0.9,
-        min_samples_leaf: int = 3,
-        seed: int = 0,
-    ):
+    max_depth = 5
+    learning_rate = 0.25
+    subsample = 0.9
+    min_samples_leaf = 3
+
+    def __init__(self, n_estimators: int = 20, seed: int = 0):
         self.n_estimators = n_estimators
-        self.max_depth = max_depth
-        self.learning_rate = learning_rate
-        self.subsample = subsample
-        self.min_samples_leaf = min_samples_leaf
         self.seed = seed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "FastTreeRegressor":

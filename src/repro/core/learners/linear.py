@@ -17,6 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _EPS = 1e-12
+# ElasticNet's ``alpha`` in the units of standardized features and a
+# log-scale target.
+ALPHA_SCALE = 0.02
 
 
 def _standardize(X: np.ndarray):
@@ -95,29 +98,21 @@ def _coordinate_descent(G: np.ndarray, q: np.ndarray, l1: float, l2: float,
 class ElasticNet:
     """L1+L2-regularized linear regression on the log1p-transformed target.
 
-    Parameters mirror the paper (§3.4): ``alpha=1.0``, ``l1_ratio=0.5``,
-    ``fit_intercept=True``. ``alpha`` here is scaled by a factor chosen
-    for standardized features and a log-scale target (the paper's scale
-    is not published); the default keeps a handful of non-zero weights
-    per small training group, which is the behaviour §3.4 describes
+    The paper's hyper-parameters (§3.4) are fixed: ``l1_ratio = 0.5``
+    and an intercept, with ``alpha = 1.0`` the default. ``alpha`` is
+    multiplied by :data:`ALPHA_SCALE` (the paper's scale is not
+    published); the default keeps a handful of non-zero weights per
+    small training group, which is the behaviour §3.4 describes
     ("automatic feature selection"). :meth:`fit` is the one-group case
     of :meth:`fit_groups`.
     """
 
-    def __init__(
-        self,
-        alpha: float = 1.0,
-        l1_ratio: float = 0.5,
-        fit_intercept: bool = True,
-        max_iter: int = 300,
-        tol: float = 1e-6,
-        alpha_scale: float = 0.02,
-    ):
-        self.alpha = alpha * alpha_scale
-        self.l1_ratio = l1_ratio
-        self.fit_intercept = fit_intercept
+    l1_ratio = 0.5
+    tol = 1e-6  # stop when a sweep moves no weight by more than this
+
+    def __init__(self, alpha: float = 1.0, max_iter: int = 300):
+        self.alpha = alpha * ALPHA_SCALE
         self.max_iter = max_iter
-        self.tol = tol
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "ElasticNet":
         fits = self.fit_groups(X, y, np.array([0, len(X)]))
@@ -155,8 +150,7 @@ class ElasticNet:
             lo, hi = bounds[k], bounds[k + 1]
             Xs, mu[k], sd[k] = _standardize(X[lo:hi])
             tk = t[lo:hi]
-            if self.fit_intercept:
-                intercept[k] = tk.mean()
+            intercept[k] = tk.mean()
             G[k] = Xs.T @ Xs / (hi - lo)
             q[k] = Xs.T @ (tk - intercept[k]) / (hi - lo)
             # Extrapolation guard: a linear model in log space explodes
@@ -195,13 +189,14 @@ class GDLinear:
     Trained with Adam on standardized features.
     """
 
-    def __init__(self, loss: str = "msle", lr: float = 0.05, epochs: int = 400, l2: float = 1e-4):
+    lr = 0.05
+    l2 = 1e-4
+
+    def __init__(self, loss: str = "msle", epochs: int = 400):
         if loss not in ("msle", "mse", "mae", "medae"):
             raise ValueError(f"unknown loss {loss!r}")
         self.loss = loss
-        self.lr = lr
         self.epochs = epochs
-        self.l2 = l2
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GDLinear":
         X = np.asarray(X, dtype=float)

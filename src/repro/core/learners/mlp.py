@@ -11,20 +11,13 @@ from repro.core.learners.linear import _standardize
 
 
 class MLPRegressor:
-    def __init__(
-        self,
-        hidden: int = 30,
-        l2: float = 0.005,
-        lr: float = 0.01,
-        epochs: int = 300,
-        batch_size: int = 256,
-        seed: int = 0,
-    ):
-        self.hidden = hidden
-        self.l2 = l2
-        self.lr = lr
+    hidden = 30
+    l2 = 0.005
+    lr = 0.01
+    batch_size = 256
+
+    def __init__(self, epochs: int = 300, seed: int = 0):
         self.epochs = epochs
-        self.batch_size = batch_size
         self.seed = seed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "MLPRegressor":

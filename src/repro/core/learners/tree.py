@@ -25,7 +25,7 @@ import numpy as np
 _MAX_BINS = 64
 
 
-def quantile_bin(X: np.ndarray, max_bins: int = _MAX_BINS):
+def quantile_bin(X: np.ndarray):
     """Per-feature quantile bin edges and binned codes.
 
     Returns ``(codes, edges)`` where ``codes[i, j]`` is the bin index of
@@ -33,7 +33,7 @@ def quantile_bin(X: np.ndarray, max_bins: int = _MAX_BINS):
     (length = n_bins_j - 1). Repeated quantiles collapse, so a constant
     column gets no empty bins.
     """
-    qs = np.linspace(0, 1, max_bins + 1)[1:-1]
+    qs = np.linspace(0, 1, _MAX_BINS + 1)[1:-1]
     edges = [np.unique(np.quantile(X[:, j], qs)) for j in range(X.shape[1])]
     return bin_codes(X, edges), edges
 

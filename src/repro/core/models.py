@@ -167,14 +167,14 @@ def _padded(w: np.ndarray) -> np.ndarray:
     return np.pad(w, ((0, 0), (0, N_WEIGHTS - w.shape[1])))
 
 
-def train_family_spark(spark_ops: DataFrame, spec: FamilySpec, alpha: float = 1.0) -> ModelBank:
+def train_family_spark(spark_ops: DataFrame, spec: FamilySpec) -> ModelBank:
     """:func:`train_family_pandas` in parallel on Spark: signatures are
     hashed into buckets, and each `applyInPandas` task fits one bucket's
     groups in one batched solve."""
     n_buckets = BUCKETS_PER_CORE * spark_ops.sparkSession.sparkContext.defaultParallelism
 
     def fit(pdf: pd.DataFrame) -> pd.DataFrame:
-        fam = train_family_pandas(pdf, spec, alpha)
+        fam = train_family_pandas(pdf, spec)
         return pd.DataFrame({
             "key": fam.key.astype(str),
             "raw_coef": pd.Series(list(fam.raw_coef), dtype=object),
@@ -209,7 +209,7 @@ def train_family_spark(spark_ops: DataFrame, spec: FamilySpec, alpha: float = 1.
     )
 
 
-def train_family_pandas(ops: pd.DataFrame, spec: FamilySpec, alpha: float = 1.0) -> ModelBank:
+def train_family_pandas(ops: pd.DataFrame, spec: FamilySpec) -> ModelBank:
     """Fit one elastic net per signature group with at least
     ``spec.min_occurrences`` rows, all in one batched solve."""
     keys, row_key, counts = np.unique(ops[spec.key_col].to_numpy(), return_inverse=True,
@@ -221,7 +221,7 @@ def train_family_pandas(ops: pd.DataFrame, spec: FamilySpec, alpha: float = 1.0)
     n_train = counts[fitted]
     X = feature_matrix(ops, context=spec.context)[rows]
     y = ops["actual"].to_numpy(dtype=float)[rows]
-    fits = ElasticNet(alpha=alpha).fit_groups(X, y, np.concatenate([[0], np.cumsum(n_train)]))
+    fits = ElasticNet().fit_groups(X, y, np.concatenate([[0], np.cumsum(n_train)]))
     return ModelBank(
         family=np.full(len(n_train), FAMILY_INDEX[spec.name]), key=keys[fitted],
         raw_coef=_padded(fits.raw_coef), raw_intercept=fits.raw_intercept,
@@ -230,11 +230,7 @@ def train_family_pandas(ops: pd.DataFrame, spec: FamilySpec, alpha: float = 1.0)
     )
 
 
-def train_bank(
-    ops: pd.DataFrame,
-    spark: SparkSession | None = None,
-    alpha: float = 1.0,
-) -> ModelBank:
+def train_bank(ops: pd.DataFrame, spark: SparkSession | None = None) -> ModelBank:
     """Train all four families over a training log.
 
     With a SparkSession, each family trains as one distributed
@@ -243,11 +239,11 @@ def train_bank(
     parallel"); otherwise on the driver.
     """
     if spark is None:
-        return ModelBank.concat([train_family_pandas(ops, spec, alpha) for spec in FAMILIES])
+        return ModelBank.concat([train_family_pandas(ops, spec) for spec in FAMILIES])
     spark_ops = spark.createDataFrame(
         ops[_TRAIN_COLS + ["sig_sub", "sig_approx", "sig_opinput", "op"]]
     ).persist()
     try:
-        return ModelBank.concat([train_family_spark(spark_ops, spec, alpha) for spec in FAMILIES])
+        return ModelBank.concat([train_family_spark(spark_ops, spec) for spec in FAMILIES])
     finally:
         spark_ops.unpersist()

@@ -24,17 +24,21 @@ LOSS_FITTERS = {
 REGISTRIES = {"losses": LOSS_FITTERS, "learners": LEARNER_FACTORIES}
 
 _COLS = ["I", "B", "C", "L", "P", "in_hash", "pm", "cl", "depth", "actual", "sig_sub"]
+# 3 folds, not the paper's 5: a group of MIN_ROWS rows then trains on at
+# least 6 and holds out at least 3 in every fold.
+FOLDS = 3
+MIN_ROWS = 10  # smallest subgraph group that is cross-validated
 
 
-def _cv_group(pdf: pd.DataFrame, registry_name: str, folds: int) -> pd.DataFrame:
+def _cv_group(pdf: pd.DataFrame, registry_name: str) -> pd.DataFrame:
     registry = REGISTRIES[registry_name]
     X = feature_matrix(pdf)
     y = pdf["actual"].to_numpy(dtype=float)
     n = len(y)
-    idx = np.arange(n) % folds  # deterministic fold assignment
+    idx = np.arange(n) % FOLDS  # deterministic fold assignment
     out_model, out_pred, out_actual = [], [], []
     for name, factory in registry.items():
-        for f in range(folds):
+        for f in range(FOLDS):
             tr, te = idx != f, idx == f
             if tr.sum() < 3 or te.sum() == 0:
                 continue
@@ -46,24 +50,18 @@ def _cv_group(pdf: pd.DataFrame, registry_name: str, folds: int) -> pd.DataFrame
     return pd.DataFrame({"model": out_model, "pred": out_pred, "actual": out_actual})
 
 
-def select_groups(ops: pd.DataFrame, max_groups: int, min_rows: int) -> pd.DataFrame:
+def select_groups(ops: pd.DataFrame, max_groups: int) -> pd.DataFrame:
     """Deterministic sample of subgraph groups big enough for CV."""
     counts = ops.groupby("sig_sub").size()
-    eligible = counts[counts >= min_rows].index.to_numpy()
+    eligible = counts[counts >= MIN_ROWS].index.to_numpy()
     eligible = np.sort(eligible)[:max_groups]  # hash order = arbitrary but stable
     return ops[ops.sig_sub.isin(set(eligible))]
 
 
-def subgraph_cv(
-    ops: pd.DataFrame,
-    registry_name: str,
-    max_groups: int = 150,
-    min_rows: int = 10,
-    folds: int = 3,
-) -> pd.DataFrame:
+def subgraph_cv(ops: pd.DataFrame, registry_name: str, max_groups: int) -> pd.DataFrame:
     """Pooled held-out predictions per model over sampled subgraphs."""
-    data = select_groups(ops, max_groups, min_rows)[_COLS]
-    parts = [_cv_group(grp, registry_name, folds) for _, grp in data.groupby("sig_sub")]
+    data = select_groups(ops, max_groups)[_COLS]
+    parts = [_cv_group(grp, registry_name) for _, grp in data.groupby("sig_sub")]
     return pd.concat(parts, ignore_index=True)
 
 

@@ -42,8 +42,8 @@ def _with_true_cards(ops: pd.DataFrame) -> pd.DataFrame:
     return out
 
 
-def run(cluster: str = "cluster4") -> pd.DataFrame:
-    ops, _ = get_logs(cluster)
+def run() -> pd.DataFrame:
+    ops, _ = get_logs("cluster4")
     train, comb_src, test = (ops[ops.day == d] for d in (1, 2, 3))
     test = test.reset_index(drop=True)
     a = test["actual"].to_numpy()

@@ -33,17 +33,19 @@ from repro.scope.plan import assign_input_templates, expand_physical, plan_stage
 from repro.scope.workload import Cluster
 
 SAMPLE_SIZES = [2, 4, 6, 8, 10, 15, 20, 25, 30]
+CLUSTER = "cluster1"
+DAY = 3  # the test day
 
 
-def _collect_stages(bank, cluster_name: str, n_stages: int, day: int = 3):
-    """Exchange-rooted stages from logged day-``day`` plans: each stage's
+def _collect_stages(bank, n_stages: int):
+    """Exchange-rooted stages from logged test-day plans: each stage's
     resource-context (its operators' cost curves under ``bank``) and the
     state needed to recompute true stage cost at any partition count."""
-    cl = Cluster(cluster_config(cluster_name))
+    cl = Cluster(cluster_config(CLUSTER))
     out = []
-    for tpl in cl.live_templates(day):
-        pm, base_cards, base_lens = cl.instance_inputs(tpl, day, 0)
-        seed = (cl.cfg.name, tpl.tpl_id, day, 0)
+    for tpl in cl.live_templates(DAY):
+        pm, base_cards, base_lens = cl.instance_inputs(tpl, DAY, 0)
+        seed = (cl.cfg.name, tpl.tpl_id, DAY, 0)
         root = expand_physical(tpl.logical_root, tpl.choices)
         assign_input_templates(root)
         sim.instantiate(root, cl.world, base_cards, base_lens, pm, seed)
@@ -79,10 +81,8 @@ def _true_stage_cost(entry: dict, p: int) -> float:
     return total
 
 
-def run(cluster: str = "cluster1", n_stages: int = 200) -> pd.DataFrame:
-    tc = trained_cluster(cluster)
-    bank = tc.bank
-    stages = _collect_stages(bank, cluster, n_stages)
+def run(n_stages: int = 200) -> pd.DataFrame:
+    stages = _collect_stages(trained_cluster(CLUSTER).bank, n_stages)
 
     # Per-stage identifiability window (the planner's clamp) and the
     # true-optimal cost within it.

@@ -52,24 +52,24 @@ PAPER = {
 }
 
 
-def _bank_for(cluster_name: str):
-    ops, _ = get_logs(cluster_name)
-    return train_bank(ops[ops.day <= 2])
+CLUSTER = "cluster4"
+DAY = 3  # the test day: the bank trains on days 1-2
 
 
-def run(cluster: str = "cluster4", max_jobs: int = 120, day: int = 3) -> pd.DataFrame:
-    cl = Cluster(cluster_config(cluster))
-    bank = _bank_for(cluster)
+def run() -> pd.DataFrame:
+    cl = Cluster(cluster_config(CLUSTER))
+    ops, _ = get_logs(CLUSTER)
+    bank = train_bank(ops[ops.day < DAY])
     planner = CleoPlanner(bank)
     planner_noexp = CleoPlanner(bank, explore_partitions=False)
     recs = []
-    for tpl in cl.live_templates(day)[:max_jobs]:
-        pm, base_cards, base_lens = cl.instance_inputs(tpl, day, 0)
-        seed = (cl.cfg.name, tpl.tpl_id, day, 0)
+    for tpl in cl.live_templates(DAY):
+        pm, base_cards, base_lens = cl.instance_inputs(tpl, DAY, 0)
+        seed = (cl.cfg.name, tpl.tpl_id, DAY, 0)
         base = expand_physical(tpl.logical_root, tpl.choices)
         assign_input_templates(base)
         sim.instantiate(base, cl.world, base_cards, base_lens, pm, seed)
-        base_planner = DefaultPlanner(cluster)
+        base_planner = DefaultPlanner(CLUSTER)
         t_base = base_planner.plan(tpl, cl.world, base_cards, base_lens, pm, seed)
         r = planner.plan(tpl, cl.world, base_cards, base_lens, pm, seed)
         r0 = planner_noexp.plan(tpl, cl.world, base_cards, base_lens, pm, seed)

@@ -27,9 +27,9 @@ from repro.tpch.schema import load_tables
 PAPER_CHANGED = {"q8": 28, "q9": 22, "q11": 8, "q16": 12, "q17": -10, "q20": 12}
 
 
-def run(spark, sf: float = 0.05, query_names=None, repeats: int = 2) -> pd.DataFrame:
+def run(spark, sf: float = 0.05) -> pd.DataFrame:
     load_tables(spark, sf=sf)
-    results = plan_and_measure(spark, query_names=query_names, repeats=repeats)
+    results = plan_and_measure(spark)
     out = results_table(results)
     out["paper_change_pct"] = out["query"].map(lambda q: PAPER_CHANGED.get(q, 0))
     return out

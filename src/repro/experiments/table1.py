@@ -1,5 +1,6 @@
 """Table 1 — median error of the per-subgraph elastic-net-style linear
-model under four regression loss functions (5-fold CV in the paper):
+model under four regression loss functions (5-fold CV in the paper,
+3-fold here: :data:`repro.experiments.cv.FOLDS`):
 
 | Loss Function          | Median Error |
 |------------------------|--------------|
@@ -12,7 +13,8 @@ The paper's takeaway: with heavy-tailed runtimes the raw-scale losses
 chase the big jobs (and MedAE barely fits at all), while the
 log-transformed squared loss minimizes *relative* error. We run k-fold
 CV per operator-subgraph with :class:`repro.core.learners.linear.GDLinear`
-under each loss, on the driver (:mod:`repro.experiments.cv`).
+under each loss, on cluster1's day-1 log, on the driver
+(:mod:`repro.experiments.cv`).
 """
 from __future__ import annotations
 
@@ -29,9 +31,12 @@ PAPER = {
 }
 
 
-def run(cluster: str = "cluster1", max_groups: int = 150) -> pd.DataFrame:
-    tc = trained_cluster(cluster)
-    preds = subgraph_cv(tc.train, "losses", max_groups=max_groups)
+MAX_GROUPS = 150  # subgraph groups cross-validated
+
+
+def run() -> pd.DataFrame:
+    tc = trained_cluster("cluster1")
+    preds = subgraph_cv(tc.train, "losses", MAX_GROUPS)
     out = cv_table(preds)[["model", "median_error_pct"]]
     out["paper_median_error_pct"] = out["model"].map(PAPER)
     return out

@@ -28,8 +28,8 @@ from repro.experiments.common import trained_cluster
 N_FEATS = len(FEATURE_NAMES)
 
 
-def run(cluster: str = "cluster1") -> pd.DataFrame:
-    tc = trained_cluster(cluster)
+def run() -> pd.DataFrame:
+    tc = trained_cluster("cluster1")
     W = np.abs(tc.bank.std_coef[:, :N_FEATS])
     total = W.sum()
     rows = []

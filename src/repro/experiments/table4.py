@@ -1,5 +1,6 @@
 """Table 4 — correlation and median error of five ML algorithms for the
-operator-subgraph models (5-fold CV in the paper):
+operator-subgraph models on cluster1 (5-fold CV in the paper, 3-fold
+here: :data:`repro.experiments.cv.FOLDS`):
 
 | Model                | Correlation | Median Error |
 |----------------------|-------------|--------------|
@@ -18,7 +19,7 @@ from __future__ import annotations
 import pandas as pd
 
 from repro.experiments.common import trained_cluster
-from repro.experiments.cv import cv_table, subgraph_cv
+from repro.experiments.cv import cv_table, select_groups, subgraph_cv
 from repro.metrics import summarize
 
 PAPER = {
@@ -31,14 +32,15 @@ PAPER = {
 }
 
 
-def run(cluster: str = "cluster1", max_groups: int = 120) -> pd.DataFrame:
-    tc = trained_cluster(cluster)
-    preds = subgraph_cv(tc.train, "learners", max_groups=max_groups)
+MAX_GROUPS = 120  # subgraph groups cross-validated
+
+
+def run() -> pd.DataFrame:
+    tc = trained_cluster("cluster1")
+    preds = subgraph_cv(tc.train, "learners", MAX_GROUPS)
     out = cv_table(preds)
     # Default cost model row, evaluated over the same sampled groups.
-    from repro.experiments.cv import select_groups
-
-    sample = select_groups(tc.train, max_groups, 10)
+    sample = select_groups(tc.train, MAX_GROUPS)
     d = summarize(sample["cost_default"].to_numpy(), sample["actual"].to_numpy())
     default_row = pd.DataFrame(
         [{

@@ -30,8 +30,8 @@ PAPER = {
 }
 
 
-def run(cluster: str = "cluster1") -> pd.DataFrame:
-    tc = trained_cluster(cluster)
+def run() -> pd.DataFrame:
+    tc = trained_cluster("cluster1")
     rows = model_rows(tc.scored_test)
     for r in rows:
         corr, med, cov = PAPER[r["model"]]

@@ -35,8 +35,8 @@ PAPER = {
 }
 
 
-def run(cluster: str = "cluster1") -> pd.DataFrame:
-    tc = trained_cluster(cluster)
+def run() -> pd.DataFrame:
+    tc = trained_cluster("cluster1")
     comb_src = tc.ops[tc.ops.day.isin(COMBINED_DAYS)]
     test = tc.test.reset_index(drop=True)
     a = test["actual"].to_numpy()

@@ -32,8 +32,8 @@ PAPER_ADHOC = {
 }
 
 
-def run(cluster: str = "cluster1") -> pd.DataFrame:
-    tc = trained_cluster(cluster)
+def run() -> pd.DataFrame:
+    tc = trained_cluster("cluster1")
     out = []
     for subset, scored, paper in (
         ("all", tc.scored_test, PAPER_ALL),

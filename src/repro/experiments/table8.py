@@ -26,9 +26,9 @@ PAPER = {
 }
 
 
-def run(clusters: tuple[str, ...] = tuple(PAPER)) -> pd.DataFrame:
+def run() -> pd.DataFrame:
     rows = []
-    for name in clusters:
+    for name in PAPER:
         tc = trained_cluster(name)
         sc = tc.scored_test
         a = sc["actual"].to_numpy()

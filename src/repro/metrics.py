@@ -62,11 +62,9 @@ def summarize(pred: np.ndarray, actual: np.ndarray) -> dict:
     }
 
 
-def fmt_table(rows: list[dict], columns: list[str] | None = None) -> str:
+def fmt_table(rows: list[dict]) -> str:
     """Render experiment rows as a GitHub-markdown table for EXPERIMENTS.md."""
     pdf = pd.DataFrame(rows)
-    if columns:
-        pdf = pdf[columns]
 
     def _fmt(v):
         if isinstance(v, float):

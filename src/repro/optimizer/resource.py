@@ -204,28 +204,28 @@ def geometric_samples(s: float, p_max: int = MAX_P) -> list[int]:
     return out
 
 
-def geometric_samples_n(n: int, p_max: int = MAX_P) -> list[int]:
+def geometric_samples_n(n: int) -> list[int]:
     """A geometric ladder with ~n samples: binary-search the skipping
-    coefficient so the ladder reaches p_max in n steps."""
+    coefficient so the ladder reaches ``MAX_P`` in n steps."""
     n = max(2, n)
     lo, hi = 0.3, 200.0
     for _ in range(40):
         s = (lo + hi) / 2
-        k = len(geometric_samples(s, p_max))
+        k = len(geometric_samples(s))
         if k < n:
             lo = s
         else:
             hi = s
-    return geometric_samples(hi, p_max)[:n]
+    return geometric_samples(hi)[:n]
 
 
-def uniform_samples(n: int, p_max: int = MAX_P) -> list[int]:
-    return sorted({int(round(x)) for x in np.linspace(1, p_max, max(2, n))})
+def uniform_samples(n: int) -> list[int]:
+    return sorted({int(round(x)) for x in np.linspace(1, MAX_P, max(2, n))})
 
 
-def random_samples(n: int, p_max: int = MAX_P, seed: int = 0) -> list[int]:
+def random_samples(n: int, seed: int = 0) -> list[int]:
     g = np.random.default_rng(seed)
-    return sorted({1, *map(int, g.integers(1, p_max + 1, max(1, n - 1)))})
+    return sorted({1, *map(int, g.integers(1, MAX_P + 1, max(1, n - 1)))})
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def stage_sums(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def analytical_optima(
-    curves: CostCurves, lengths: np.ndarray, counter: LookupCounter, p_max: int = MAX_P
+    curves: CostCurves, lengths: np.ndarray, counter: LookupCounter
 ) -> np.ndarray:
     """The closed-form optimum of §5.3 of every stage, from its summed
     curve weights."""
@@ -265,8 +265,8 @@ def analytical_optima(
     # With Σθ_P > 0 and Σθ_C <= 0 more partitions never hurt: the
     # maximum. Without Σθ_P > 0 they only hurt, or the learned weights
     # carry no partition signal: 1.
-    p = np.where(sum_tp > 0, np.where(sum_tc > 0, p_star, p_max), 1)
-    return np.minimum(np.maximum(p, 1), p_max).astype(int)
+    p = np.where(sum_tp > 0, np.where(sum_tc > 0, p_star, MAX_P), 1)
+    return np.minimum(np.maximum(p, 1), MAX_P).astype(int)
 
 
 def stage_costs(
@@ -301,8 +301,6 @@ def optimize_stage_sampling(
     return int(cand[int(np.argmin(stage_costs_at(ctx, cand, counter)))])
 
 
-def optimize_stage_analytical(
-    ctx: CostCurves, counter: LookupCounter, p_max: int = MAX_P
-) -> int:
+def optimize_stage_analytical(ctx: CostCurves, counter: LookupCounter) -> int:
     """The closed-form optimum of §5.3 of one stage."""
-    return int(analytical_optima(ctx, _one_stage(ctx), counter, p_max)[0])
+    return int(analytical_optima(ctx, _one_stage(ctx), counter)[0])

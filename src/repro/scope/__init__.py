@@ -19,5 +19,5 @@ statistical structure (see DESIGN.md for the substitution argument):
   cloud noise and rare straggler outliers; plus estimated statistics
   whose errors compound up the plan;
 - :mod:`repro.scope.default_cost` — the miscalibrated hand-crafted cost
-  model (and its "manually tuned" variant) that CLEO replaces.
+  model that CLEO replaces.
 """

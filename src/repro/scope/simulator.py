@@ -109,15 +109,20 @@ class Draws(dict):
         return z
 
 
+# Spreads of the hidden truth: log-space sigmas of the cloud noise, of
+# the per-(inputs, logical op) multipliers τ and of the per-operator
+# selectivity-estimate errors, and the straggler probability.
+NOISE_SIGMA = 0.14
+TAU_SIGMA = 0.5
+EST_SIGMA = 0.7
+STRAGGLER_PROB = 0.01
+
+
 @dataclass
 class World:
     """Hidden per-cluster truth the learned models must discover."""
 
     cluster: str
-    noise_sigma: float = 0.14
-    tau_sigma: float = 0.5
-    est_sigma: float = 0.7
-    outlier_prob: float = 0.01
 
     def __post_init__(self):
         self._tau_cache: dict = {}
@@ -128,7 +133,7 @@ class World:
         key = (tuple(sorted(set(input_templates))), logical)
         if key not in self._tau_cache:
             g = _rng(self.cluster, "tau", *key[0], logical)
-            self._tau_cache[key] = float(np.exp(g.normal(0.0, self.tau_sigma)))
+            self._tau_cache[key] = float(np.exp(g.normal(0.0, TAU_SIGMA)))
         return self._tau_cache[key]
 
     def est_error_factor(self, tpl_op_id: str, logical: str, z_inst: float) -> float:
@@ -139,7 +144,7 @@ class World:
         if tpl_op_id not in self._est_cache:
             g_sys = _rng(self.cluster, "est", tpl_op_id)
             bias = EST_BIAS.get(logical, 0.0)
-            self._est_cache[tpl_op_id] = math.exp(g_sys.normal(bias, self.est_sigma))
+            self._est_cache[tpl_op_id] = math.exp(g_sys.normal(bias, EST_SIGMA))
         return self._est_cache[tpl_op_id] * math.exp(0.08 * z_inst)
 
     # ------------------------------------------------------------------
@@ -199,8 +204,8 @@ class World:
             ctx = 0.8
         tau = self.tau(node.input_templates, node.logical)
         pm_factor = math.exp(0.35 * (pm - 0.5))
-        noise = math.exp(g_inst.normal(0.0, self.noise_sigma))
-        if g_inst.random() < self.outlier_prob:
+        noise = math.exp(g_inst.normal(0.0, NOISE_SIGMA))
+        if g_inst.random() < STRAGGLER_PROB:
             noise *= g_inst.uniform(2.0, 5.0)
         parallel = work / max(node.partitions, 1)
         overhead = gscale * OVERHEAD_PER_PARTITION * node.partitions

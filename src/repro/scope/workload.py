@@ -282,6 +282,7 @@ class Cluster:
         """Instantiate all jobs for ``days``; returns (ops_df, jobs_df)."""
         op_rows: list[dict] = []
         job_rows: list[dict] = []
+        idents: dict[str, dict[str, list]] = {}  # plan_identity per template
         for day in days:
             g_day = np.random.default_rng(hash64(self.cfg.name, "day", day) & 0xFFFFFFFF)
             recurring_runs = [(t, k) for t in self.live_templates(day) for k in range(t.freq)]
@@ -301,7 +302,9 @@ class Cluster:
                 pm, base_cards, base_lens = self.instance_inputs(tpl, day, k)
                 sim.instantiate(tpl.root, self.world, base_cards, base_lens, pm,
                                 seed_parts=(self.cfg.name, tpl.tpl_id, day, k))
-                ident = plan_identity(tpl.root)
+                ident = idents.get(tpl.tpl_id)
+                if ident is None:
+                    ident = idents[tpl.tpl_id] = plan_identity(tpl.root)
                 for i, node in enumerate(tpl.root.walk()):
                     op_rows.append(self._op_row(node, {c: v[i] for c, v in ident.items()},
                                                 job_id, tpl, day, is_adhoc, pm))
@@ -344,6 +347,5 @@ class Cluster:
             "true_C": node.true_out,
             "actual": node.actual_latency,
             "cost_default": dc.default_cost(self.cfg.name, node),
-            "cost_tuned": dc.tuned_cost(self.cfg.name, node),
             "cost_default_truecard": dc.default_cost(self.cfg.name, node, true_cards=True),
         }

@@ -2,8 +2,9 @@
 
 SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
 benchmarks use SF~=0.1. Each generator returns a pandas frame and is
-deterministic in ``seed``; ``repro.tpch.schema.load_tables`` hands the
-same frames to Spark (as views) and to the DuckDB oracle.
+deterministic: each table draws from its own fixed seed (``lineitem``'s
+may be given). ``repro.tpch.schema.load_tables`` hands the same frames
+to Spark (as views) and to the DuckDB oracle.
 """
 import numpy as np
 import pandas as pd
@@ -39,10 +40,10 @@ def lineitem(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
     )
 
 
-def orders(*, sf: float = 0.01, seed: int = 1) -> pd.DataFrame:
+def orders(*, sf: float = 0.01) -> pd.DataFrame:
     n = max(1, int(_N_ORDERS_PER_SF * sf))
     n_cust = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(1)
     return pd.DataFrame(
         {
             "o_orderkey": np.arange(1, n + 1),
@@ -58,9 +59,9 @@ def orders(*, sf: float = 0.01, seed: int = 1) -> pd.DataFrame:
     )
 
 
-def part(*, sf: float = 0.01, seed: int = 5) -> pd.DataFrame:
+def part(*, sf: float = 0.01) -> pd.DataFrame:
     n = max(1, int(_N_PART_PER_SF * sf))
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(5)
     return pd.DataFrame(
         {
             "p_partkey": np.arange(1, n + 1),
@@ -74,9 +75,9 @@ def part(*, sf: float = 0.01, seed: int = 5) -> pd.DataFrame:
     )
 
 
-def customer(*, sf: float = 0.01, seed: int = 2) -> pd.DataFrame:
+def customer(*, sf: float = 0.01) -> pd.DataFrame:
     n = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(2)
     return pd.DataFrame(
         {
             "c_custkey": np.arange(1, n + 1),
@@ -89,11 +90,11 @@ def customer(*, sf: float = 0.01, seed: int = 2) -> pd.DataFrame:
     )
 
 
-def supplier(*, sf: float = 0.01, seed: int = 6) -> pd.DataFrame:
+def supplier(*, sf: float = 0.01) -> pd.DataFrame:
     """TPC-H-lite supplier (10K rows per SF) — added for the Q5/Q8/Q9/
     Q11/Q16/Q20-style join paths of the Figure 20 experiment."""
     n = max(1, int(_N_SUPPLIER_PER_SF * sf))
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(6)
     return pd.DataFrame(
         {
             "s_suppkey": np.arange(1, n + 1),

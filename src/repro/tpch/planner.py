@@ -39,6 +39,9 @@ CANDIDATE_CONFIGS: list[tuple[str, int]] = [
     for strategy in ("default", "shuffle_hash")
     for partitions in (SHUFFLE_PARTITIONS, 16, 4)
 ]
+TRAIN_SEEDS = (0, 1)  # parameter instances each configuration trains on
+TEST_SEED = 99  # the fresh instance the model plans
+REPEATS = 2  # timed runs per plan of the test instance; the median counts
 
 
 def run_query(spark: SparkSession, q: Query, params: dict, config: tuple[str, int]
@@ -84,36 +87,28 @@ class QueryPlanResult:
         return 100.0 * (self.default_latency_s - self.learned_latency_s) / self.default_latency_s
 
 
-def plan_and_measure(
-    spark: SparkSession,
-    query_names: list[str] | None = None,
-    train_seeds: tuple[int, ...] = (0, 1),
-    test_seed: int = 99,
-    repeats: int = 2,
-) -> list[QueryPlanResult]:
-    """Figure 20 pipeline over the chosen queries (tables must already
-    be registered as temp views via :func:`repro.tpch.schema.load_tables`)."""
-    names = query_names or list(QUERIES)
+def plan_and_measure(spark: SparkSession) -> list[QueryPlanResult]:
+    """Figure 20 pipeline over every query (tables must already be
+    registered as temp views via :func:`repro.tpch.schema.load_tables`)."""
     results = []
-    for name in names:
-        q = QUERIES[name]
+    for name, q in QUERIES.items():
         X, y = [], []
-        for seed in train_seeds:
+        for seed in TRAIN_SEEDS:
             params = q.params(seed)
             for config in CANDIDATE_CONFIGS:
                 lat = run_query(spark, q, params, config)
                 X.append(_features(config, seed))
                 y.append(lat)
         model = ElasticNet(alpha=0.05).fit(np.array(X), np.array(y))
-        test_params = q.params(test_seed)
-        cand_X = np.array([_features(c, test_seed) for c in CANDIDATE_CONFIGS])
+        test_params = q.params(TEST_SEED)
+        cand_X = np.array([_features(c, TEST_SEED) for c in CANDIDATE_CONFIGS])
         pred = model.predict(cand_X)
         chosen = CANDIDATE_CONFIGS[int(np.argmin(pred))]
         lat_default = np.median(
-            [run_query(spark, q, test_params, DEFAULT_CONFIG) for _ in range(repeats)]
+            [run_query(spark, q, test_params, DEFAULT_CONFIG) for _ in range(REPEATS)]
         )
         lat_learned = np.median(
-            [run_query(spark, q, test_params, chosen) for _ in range(repeats)]
+            [run_query(spark, q, test_params, chosen) for _ in range(REPEATS)]
         )
         results.append(
             QueryPlanResult(

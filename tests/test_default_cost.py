@@ -1,4 +1,4 @@
-"""Tests for the hand-crafted default/tuned cost models (§2.4)."""
+"""Tests for the hand-crafted default cost model (§2.4)."""
 import numpy as np
 
 from repro.metrics import summarize
@@ -6,24 +6,10 @@ from repro.scope import default_cost as dc
 
 
 def test_hand_coeffs_cached_and_deterministic():
-    a = dc._hand_coeffs("c1", "HashJoin", "default")
-    b = dc._hand_coeffs("c1", "HashJoin", "default")
+    a = dc._hand_coeffs("c1", "HashJoin")
+    b = dc._hand_coeffs("c1", "HashJoin")
     assert a is b  # cached
-    assert dc._hand_coeffs("c2", "HashJoin", "default") != a
-
-
-def test_tuned_closer_to_truth_than_default():
-    """Tuned constants are within ~e^1 of truth; default within ~e^4."""
-    from repro.scope.simulator import OP_COEF
-
-    ratios_d, ratios_t = [], []
-    for op in OP_COEF:
-        for cluster in ("cluster1", "cluster2", "cluster3", "cluster4"):
-            a_d, _ = dc._hand_coeffs(cluster, op, "default")
-            a_t, _ = dc._hand_coeffs(cluster, op, "tuned")
-            ratios_d.append(abs(np.log(a_d / OP_COEF[op][0])))
-            ratios_t.append(abs(np.log(a_t / OP_COEF[op][0])))
-    assert np.mean(ratios_t) < np.mean(ratios_d)
+    assert dc._hand_coeffs("c2", "HashJoin") != a
 
 
 def test_default_cost_orders_of_magnitude_off():
@@ -58,4 +44,3 @@ def test_truecard_variant_still_inaccurate(tiny):
 def test_costs_positive(tiny):
     _, ops, _ = tiny
     assert (ops.cost_default > 0).all()
-    assert (ops.cost_tuned > 0).all()

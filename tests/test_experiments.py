@@ -110,7 +110,7 @@ def test_fig17_partition_exploration(tc1):
 def test_cv_helpers(tc1):
     from repro.experiments.cv import cv_table, subgraph_cv
 
-    preds = subgraph_cv(tc1.train, "losses", max_groups=8, min_rows=10)
+    preds = subgraph_cv(tc1.train, "losses", max_groups=8)
     out = cv_table(preds)
     assert set(out.model) == {
         "Median Absolute Error", "Mean Absolute Error", "Mean Squared Error",
@@ -127,7 +127,7 @@ def test_cv_fit_failure_fails_the_table(tc1, monkeypatch):
 
     monkeypatch.setitem(cv.REGISTRIES, "broken", {"Broken": broken})
     with pytest.raises(RuntimeError, match="fit failed"):
-        cv.subgraph_cv(tc1.train, "broken", max_groups=2, min_rows=10)
+        cv.subgraph_cv(tc1.train, "broken", max_groups=2)
 
 
 def test_fig20_paper_reference_table():

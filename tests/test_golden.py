@@ -1,8 +1,8 @@
 """Golden check: every simulated table regenerates to the tracked
 ``results/<name>.md`` that EXPERIMENTS.md is built from.
 
-Tables are compared as printed (``metrics.fmt_table``), with the
-arguments ``benchmarks/`` uses when it writes them. Excluded by name:
+Tables are compared as printed (``metrics.fmt_table``), from the same
+calls ``benchmarks/`` makes when it writes them. Excluded by name:
 Fig 19's planning-time rows (``*_planning_ms_per_job``,
 ``cleo_vs_default_planning_x``), which are wall-clock timings, and all
 of Fig 20, which times real Spark queries.
@@ -39,8 +39,8 @@ SIMULATED = {
     "table7": table7.run,
     "table8": table8.run,
     "fig15": fig15.run,
-    "fig17": lambda: fig17.run(n_stages=200),
-    "fig19": lambda: fig19.run(max_jobs=120),
+    "fig17": fig17.run,
+    "fig19": fig19.run,
 }
 
 

@@ -54,7 +54,7 @@ def reference_derive_statistics(root: PlanNode, world: sim.World, base_cards, ba
             if node.tpl_op_id not in world._est_cache:
                 g_sys = sim._rng(world.cluster, "est", node.tpl_op_id)
                 bias = sim.EST_BIAS.get(node.logical, 0.0)
-                world._est_cache[node.tpl_op_id] = math.exp(g_sys.normal(bias, world.est_sigma))
+                world._est_cache[node.tpl_op_id] = math.exp(g_sys.normal(bias, sim.EST_SIGMA))
             err = world._est_cache[node.tpl_op_id] * math.exp(g_node.normal(0.0, 0.08))
             node.est_out = max(1.0, node.est_in * true_sel * err)
 

@@ -27,7 +27,7 @@ def test_ops_schema(tiny):
     for col in ("cluster", "day", "job_id", "template_id", "adhoc", "op", "logical",
                 "depth", "cl", "sig_sub", "sig_approx", "sig_opinput", "in_hash",
                 "pm", "I", "B", "C", "L", "P", "true_I", "true_B", "true_C",
-                "actual", "cost_default", "cost_tuned", "cost_default_truecard"):
+                "actual", "cost_default", "cost_default_truecard"):
         assert col in ops.columns, col
 
 
