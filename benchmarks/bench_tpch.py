@@ -1,7 +1,7 @@
 """Benchmark for Figure 20: TPC-H-lite on real Spark with learned
 cost-model feedback choosing join implementation + partition count.
 
-SF is configurable via REPRO_TPCH_SF (default 0.05 ~ 50 MB) to bound
+SF is configurable via REPRO_TPCH_SF (default ``fig20.SF``, 0.05 ~ 50 MB) to bound
 wall-clock; the paper ran SF1000 on production clusters.
 """
 import os
@@ -11,7 +11,7 @@ from repro.experiments import fig20
 
 
 def test_bench_fig20_tpch(benchmark, spark):
-    sf = float(os.environ.get("REPRO_TPCH_SF", "0.05"))
+    sf = float(os.environ.get("REPRO_TPCH_SF", fig20.SF))
     df = bench_table(benchmark, "fig20", lambda: fig20.run(spark, sf=sf))
     assert len(df) == 11
     # Plans change (6 of 22 in the paper; here nearly all — local

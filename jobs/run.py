@@ -5,7 +5,7 @@ Usage: python jobs/run.py <name> [sf]     (or spark-submit jobs/run.py ...)
 ``name`` is one of the sections of EXPERIMENTS.md
 (``make_experiments_md.SECTIONS``): table1, table23, table4-table8,
 fig9, fig15, fig17, fig19, fig20. Only fig9 and fig20 start Spark;
-fig20 takes an optional TPC-H scale factor ``sf`` (default 0.05).
+fig20 takes an optional TPC-H scale factor ``sf`` (default ``fig20.SF``).
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ def main(argv: list[str] | None = None) -> None:
     else:
         spark = get_spark(name)
         if name == "fig20":
-            sf = float(argv[1]) if len(argv) > 1 else 0.05
+            sf = float(argv[1]) if len(argv) > 1 else experiment.SF
             title += f" (SF={sf})"
             df = experiment.run(spark, sf=sf)
         else:

@@ -10,7 +10,9 @@ had a prediction for the instance; missing predictions are imputed with
 the operator model's (always available), which lets the regression
 trees "characterize the space where each model performs well".
 
-The meta-learner is pluggable for the Table 6 comparison.
+The meta-learner is pluggable for the Table 6 comparison. A learner with
+``fit_many`` (FastTree) fits every operator's model in one call, which
+grows boosting round r of all of them as one forest.
 """
 from __future__ import annotations
 
@@ -51,10 +53,15 @@ class CombinedModel:
         """Train on a held-out day: individual models predict it, and the
         meta-learner fits actual runtimes on those predictions (§5.1)."""
         scored = bank.predict_all(train_ops)
-        for op, grp in scored.groupby("op"):
-            X = meta_features(grp)
-            y = grp["actual"].to_numpy(dtype=float)
-            self.models[str(op)] = self.learner_factory().fit(X, y)
+        groups = list(scored.groupby("op"))
+        Xs = [meta_features(grp) for _, grp in groups]
+        ys = [grp["actual"].to_numpy(dtype=float) for _, grp in groups]
+        learner = self.learner_factory()
+        if hasattr(learner, "fit_many"):
+            fitted = learner.fit_many(Xs, ys)
+        else:
+            fitted = [self.learner_factory().fit(X, y) for X, y in zip(Xs, ys)]
+        self.models.update(zip((str(op) for op, _ in groups), fitted))
         return self
 
     def predict(self, bank: ModelBank, pdf: pd.DataFrame) -> np.ndarray:

@@ -6,8 +6,9 @@ paper evaluates are implemented here with the paper's hyper-parameters:
 - :class:`~repro.core.learners.linear.ElasticNet` — L1+L2 regularized
   linear regression on the log-transformed target (the paper's MSLE
   loss), fit by coordinate descent with covariance updates, batched
-  over many groups (``fit_groups``). The workhorse for all individual
-  (per-signature) models.
+  over many groups (``fit_groups``) and over batches of different
+  feature counts (``fit_batches``: the whole model bank in one solve).
+  The workhorse for all individual (per-signature) models.
 - :class:`~repro.core.learners.linear.GDLinear` — gradient-descent
   linear model with pluggable loss (median-absolute, mean-absolute,
   mean-squared, mean-squared-log), used only for the Table 1 loss
@@ -18,7 +19,9 @@ paper evaluates are implemented here with the paper's hyper-parameters:
   trees, depth 5, bagging + feature subsampling.
 - :class:`~repro.core.learners.ensemble.FastTreeRegressor` — stochastic
   gradient-boosted trees (20 trees, depth 5, subsample 0.9), the MART
-  variant the paper uses as the combined-model meta-learner.
+  variant the paper uses as the combined-model meta-learner. Each
+  boosting round grows one tree per model; ``fit_many`` grows round r
+  of many models (the 12 per-operator meta-models) as one forest.
 - :class:`~repro.core.learners.mlp.MLPRegressor` — 3-layer perceptron,
   hidden size 30, ReLU, Adam, L2 = 0.005.
 

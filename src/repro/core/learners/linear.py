@@ -31,7 +31,7 @@ def _standardize(X: np.ndarray):
 
 @dataclass
 class ElasticNetFits:
-    """K elastic nets fit by :meth:`ElasticNet.fit_groups`, one row per group."""
+    """K elastic nets fit by :meth:`ElasticNet.fit_batches`, one row per group."""
 
     coef: np.ndarray  # (K, d) weights on standardized features
     intercept: np.ndarray  # (K,)
@@ -51,6 +51,46 @@ class ElasticNetFits:
     @property
     def raw_intercept(self) -> np.ndarray:
         return self.intercept - (self.coef * self.mu / self.sd).sum(axis=1)
+
+
+def _moments(X: np.ndarray, y: np.ndarray, bounds: np.ndarray):
+    """``(G, q, intercept, mu, sd, z_lo, z_hi)`` of the row groups
+    ``bounds[k]:bounds[k + 1]``, on standardized features and the log1p
+    target."""
+    t = np.log1p(np.maximum(y, 0.0))
+    K, d = len(bounds) - 1, X.shape[1]
+    mu, sd, G = np.empty((K, d)), np.empty((K, d)), np.empty((K, d, d))
+    q, intercept = np.empty((K, d)), np.zeros(K)
+    z_lo, z_hi = np.empty(K), np.empty(K)
+    for k in range(K):
+        lo, hi = bounds[k], bounds[k + 1]
+        Xs, mu[k], sd[k] = _standardize(X[lo:hi])
+        tk = t[lo:hi]
+        intercept[k] = tk.mean()
+        G[k] = Xs.T @ Xs / (hi - lo)
+        q[k] = Xs.T @ (tk - intercept[k]) / (hi - lo)
+        # Extrapolation guard: a linear model in log space explodes
+        # multiplicatively outside the training envelope, so clip
+        # predictions to the observed target range plus headroom.
+        z_lo[k], z_hi[k] = tk.min() - 0.7, tk.max() + 0.7
+    return G, q, intercept, mu, sd, z_lo, z_hi
+
+
+def _stacked(moments: list[tuple]):
+    """Every batch's groups in one ``(G, q)``, plus each batch's other
+    moments. A narrower batch's ``G`` and ``q`` are zero-padded. ``G``
+    is a view of a (column, row, group) array, the layout the solver
+    reads, so the solver needs no copy of it."""
+    d = max(m[1].shape[1] for m in moments)
+    K = sum(len(m[1]) for m in moments)
+    G = np.zeros((d, d, K)).transpose(2, 1, 0)
+    q = np.zeros((K, d))
+    lo = 0
+    for G_k, q_k, *_ in moments:
+        hi, w = lo + len(q_k), q_k.shape[1]
+        G[lo:hi, :w, :w], q[lo:hi, :w] = G_k, q_k
+        lo = hi
+    return G, q, [m[2:] for m in moments]
 
 
 def _coordinate_descent(G: np.ndarray, q: np.ndarray, l1: float, l2: float,
@@ -104,7 +144,8 @@ class ElasticNet:
     published); the default keeps a handful of non-zero weights per
     small training group, which is the behaviour §3.4 describes
     ("automatic feature selection"). :meth:`fit` is the one-group case
-    of :meth:`fit_groups`.
+    of :meth:`fit_groups`, which is the one-batch case of
+    :meth:`fit_batches`.
     """
 
     l1_ratio = 0.5
@@ -127,40 +168,46 @@ class ElasticNet:
         """Fit one model per row group in a single batched solve.
 
         Group k is rows ``bounds[k]:bounds[k + 1]`` of ``X`` and ``y``.
+        The one-batch case of :meth:`fit_batches`.
+        """
+        return self.fit_batches([(X, y, bounds)])[0]
+
+    def fit_batches(self, batches) -> list[ElasticNetFits]:
+        """Fit one model per row group of every batch ``(X, y, bounds)``,
+        all in one coordinate-descent solve.
+
         Each group's features are standardized, and the objective
         ``1/(2n)||t - Xs w||^2 + l1||w||_1 + l2/2 ||w||^2`` is minimized
         by coordinate descent with covariance updates (Friedman, Hastie
         & Tibshirani, JSS 2010): a group's data enter only through the
         moments ``G = XsᵀXs/n`` and ``q = Xsᵀ(t - t̄)/n``, so one
         coordinate step is a few numpy operations over all groups.
+        Batches may differ in feature count: a narrower batch's moments
+        are zero-padded, and a padded coordinate has a zero diagonal, so
+        it keeps weight 0 and never moves the others. Each batch's fits
+        have its own width. ``batches`` is read once, one batch at a
+        time, so an iterator need not hold every ``X`` at once.
 
         Every group has its own stopping test (the largest weight change
         of a sweep below ``tol``) and leaves the batch once it passes.
         All arithmetic on a group is elementwise, so its result is
-        bit-identical whichever other groups share the batch.
+        bit-identical whichever other groups share the solve.
         """
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        t = np.log1p(np.maximum(y, 0.0))
-        K, d = len(bounds) - 1, X.shape[1]
-        mu, sd, G = np.empty((K, d)), np.empty((K, d)), np.empty((K, d, d))
-        q, intercept = np.empty((K, d)), np.zeros(K)
-        z_lo, z_hi = np.empty(K), np.empty(K)
-        for k in range(K):
-            lo, hi = bounds[k], bounds[k + 1]
-            Xs, mu[k], sd[k] = _standardize(X[lo:hi])
-            tk = t[lo:hi]
-            intercept[k] = tk.mean()
-            G[k] = Xs.T @ Xs / (hi - lo)
-            q[k] = Xs.T @ (tk - intercept[k]) / (hi - lo)
-            # Extrapolation guard: a linear model in log space explodes
-            # multiplicatively outside the training envelope, so clip
-            # predictions to the observed target range plus headroom.
-            z_lo[k], z_hi[k] = tk.min() - 0.7, tk.max() + 0.7
+        # Each batch's own moments live only until they are stacked.
+        G, q, stats = _stacked([
+            _moments(np.asarray(X, dtype=float), np.asarray(y, dtype=float), b)
+            for X, y, b in batches
+        ])
         l1 = self.alpha * self.l1_ratio
         l2 = self.alpha * (1.0 - self.l1_ratio)
         coef, n_iter = _coordinate_descent(G, q, l1, l2, self.max_iter, self.tol)
-        return ElasticNetFits(coef, intercept, mu, sd, z_lo, z_hi, n_iter)
+        fits, lo = [], 0
+        for intercept, mu, sd, z_lo, z_hi in stats:
+            hi = lo + len(mu)
+            fits.append(ElasticNetFits(coef[lo:hi, :mu.shape[1]], intercept, mu, sd, z_lo, z_hi,
+                                       n_iter[lo:hi]))
+            lo = hi
+        return fits
 
     def predict_log(self, X: np.ndarray) -> np.ndarray:
         """Prediction in log1p space (the model's native space)."""
@@ -192,7 +239,7 @@ class GDLinear:
     lr = 0.05
     l2 = 1e-4
 
-    def __init__(self, loss: str = "msle", epochs: int = 400):
+    def __init__(self, loss: str, epochs: int = 400):
         if loss not in ("msle", "mse", "mae", "medae"):
             raise ValueError(f"unknown loss {loss!r}")
         self.loss = loss

@@ -71,12 +71,43 @@ class Forest:
 
     def predict_binned(self, codes: np.ndarray) -> np.ndarray:
         """Each tree's leaf value for each sample, shape ``(trees, n)``."""
+        return self.leaf_values(codes, np.repeat(self.roots[:, None], len(codes), axis=1))
+
+    def leaf_values(self, codes: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """The value of the leaf each sample reaches from ``node``: an
+        array of start nodes whose last axis runs over the samples."""
         rows = np.arange(len(codes))
-        node = np.repeat(self.roots[:, None], len(codes), axis=1)
         for _ in range(self.depth):
             goes_left = codes[rows, self.feature[node]] <= self.threshold[node]
             node = np.where(goes_left, self.left[node], self.right[node])
         return self.value[node]
+
+    def take(self, trees) -> "Forest":
+        """The trees ``trees`` (indices into ``roots``) as a forest of
+        their own, in that order. Each tree keeps its nodes' relative
+        order, renumbered from its first node, and the forest's depth is
+        its own deepest leaf's: a tree taken from a forest that
+        :func:`grow` grew with others has the arrays of that tree grown
+        alone."""
+        trees = np.asarray(trees)
+        owner = np.full(len(self.value), -1)
+        level = np.zeros(len(self.value), dtype=int)
+        owner[self.roots] = np.arange(len(self.roots))
+        nodes = self.roots
+        for d in range(1, self.depth + 1):
+            nodes = nodes[self.feature[nodes] >= 0]
+            kids = np.concatenate([self.left[nodes], self.right[nodes]])
+            owner[kids], level[kids] = np.tile(owner[nodes], 2), d
+            nodes = kids
+        rank = np.full(len(self.roots), len(trees))
+        rank[trees] = np.arange(len(trees))
+        keep = np.flatnonzero(rank[owner] < len(trees))
+        keep = keep[np.argsort(rank[owner[keep]], kind="stable")]
+        new = np.zeros(len(self.value), dtype=np.int64)
+        new[keep] = np.arange(len(keep))
+        return Forest(self.feature[keep], self.threshold[keep], new[self.left[keep]],
+                      new[self.right[keep]], self.value[keep], new[self.roots[trees]],
+                      int(level[keep].max(initial=0)))
 
     @classmethod
     def concat(cls, forests: list["Forest"]) -> "Forest":
@@ -157,16 +188,18 @@ def grow(
         slot = np.repeat(np.arange(m), total_cnt)
         key = ((slot[:, None] * n_feat + np.arange(n_feat)) * n_bins + X[rows]).ravel()
         shape, size = (m, n_feat, n_bins), m * n_feat * n_bins
-        cnt = np.bincount(key, minlength=size).reshape(shape)
-        s = np.bincount(key, weights=np.repeat(y[rows], n_feat), minlength=size).reshape(shape)
-        # Splitting after the last bin leaves the right side empty.
-        ccnt = np.cumsum(cnt, axis=2)[:, :, :-1]
-        csum = np.cumsum(s, axis=2)[:, :, :-1]
+        # Only the cumulative counts and sums over the bins are kept, not
+        # the histograms: with many trees in one growth, a level's arrays
+        # are large. Splitting after the last bin leaves the right side
+        # empty.
+        ccnt = np.cumsum(np.bincount(key, minlength=size).reshape(shape), axis=2)[:, :, :-1]
+        csum = np.cumsum(np.bincount(key, weights=np.repeat(y[rows], n_feat),
+                                     minlength=size).reshape(shape), axis=2)[:, :, :-1]
         rcnt = total_cnt[:, None, None] - ccnt
         valid = (ccnt >= msl) & (rcnt >= msl)
         with np.errstate(divide="ignore", invalid="ignore"):
             score = csum**2 / ccnt + (total_sum[:, None, None] - csum) ** 2 / rcnt
-        score = np.where(valid, score, -np.inf)
+        score[~valid] = -np.inf
         best_bin = np.argmax(score, axis=2)
         parent_score = total_sum * total_sum / total_cnt
         gain = score.max(axis=2) - parent_score[:, None]

@@ -9,14 +9,16 @@ Families, from most specialized to most general (Table 5):
 - **Op-Input** — per (root op, inputs), with the CL/D context features;
 - **Operator** — one model per physical operator (100% coverage).
 
-A family's models are fit together: the family's feature matrix is
-built once, and every signature group with ≥ ``MIN_OCCURRENCES``
-training rows (§4.1) gets its elastic net from one batched
-coordinate-descent solve (:meth:`ElasticNet.fit_groups`). The Operator
-family always fits (it is the coverage backstop). With Spark, the
-operator log is split into hash buckets of signatures and each
-`applyInPandas` task runs the same family fitter on its bucket — the
-analogue of the paper's SCOPE-based parallel model trainer (§5.1).
+The whole bank's models are fit together: each family's feature matrix
+is built once, and every signature group of every family with ≥
+``MIN_OCCURRENCES`` training rows (§4.1) gets its elastic net from one
+batched coordinate-descent solve (:meth:`ElasticNet.fit_batches`; the
+moments of the two families without the context features are
+zero-padded to ``N_WEIGHTS``). The Operator family always fits (it is
+the coverage backstop). With Spark, the operator log is split into hash
+buckets of signatures and each `applyInPandas` task runs the one-family
+fitter on its bucket — the analogue of the paper's SCOPE-based parallel
+model trainer (§5.1).
 
 The trained bank is one table of arrays (:class:`ModelBank`), one row
 per model, holding raw-feature weights: prediction is a dot product,
@@ -209,37 +211,56 @@ def train_family_spark(spark_ops: DataFrame, spec: FamilySpec) -> ModelBank:
     )
 
 
-def train_family_pandas(ops: pd.DataFrame, spec: FamilySpec) -> ModelBank:
-    """Fit one elastic net per signature group with at least
-    ``spec.min_occurrences`` rows, all in one batched solve."""
+def _signature_groups(ops: pd.DataFrame, spec: FamilySpec):
+    """``(keys, n_train, rows)`` of ``spec``'s signature groups with at
+    least ``spec.min_occurrences`` rows: ``rows`` are the groups' rows of
+    ``ops``, grouped by key in log order within a group."""
     keys, row_key, counts = np.unique(ops[spec.key_col].to_numpy(), return_inverse=True,
                                       return_counts=True)
     fitted = counts >= spec.min_occurrences
-    # The fitted groups' rows, grouped by key in log order within a group.
     rows = np.argsort(row_key, kind="stable")
-    rows = rows[fitted[row_key[rows]]]
-    n_train = counts[fitted]
-    X = feature_matrix(ops, context=spec.context)[rows]
-    y = ops["actual"].to_numpy(dtype=float)[rows]
-    fits = ElasticNet().fit_groups(X, y, np.concatenate([[0], np.cumsum(n_train)]))
-    return ModelBank(
-        family=np.full(len(n_train), FAMILY_INDEX[spec.name]), key=keys[fitted],
-        raw_coef=_padded(fits.raw_coef), raw_intercept=fits.raw_intercept,
-        z_lo=fits.z_lo, z_hi=fits.z_hi, std_coef=_padded(fits.coef),
-        n_train=n_train, n_iter=fits.n_iter,
+    return keys[fitted], counts[fitted], rows[fitted[row_key[rows]]]
+
+
+def _train_families(ops: pd.DataFrame, specs: list[FamilySpec]) -> ModelBank:
+    """Fit one elastic net per signature group of every family in
+    ``specs``, all in one batched solve."""
+    groups = [_signature_groups(ops, spec) for spec in specs]
+    actual = ops["actual"].to_numpy(dtype=float)
+    # A generator: the solve builds one family's feature matrix at a time.
+    fits = ElasticNet().fit_batches(
+        (feature_matrix(ops, context=spec.context)[rows], actual[rows],
+         np.concatenate([[0], np.cumsum(n_train)]))
+        for spec, (_, n_train, rows) in zip(specs, groups)
     )
+    return ModelBank.concat([
+        ModelBank(
+            family=np.full(len(n_train), FAMILY_INDEX[spec.name]), key=keys,
+            raw_coef=_padded(fit.raw_coef), raw_intercept=fit.raw_intercept,
+            z_lo=fit.z_lo, z_hi=fit.z_hi, std_coef=_padded(fit.coef), n_train=n_train,
+            n_iter=fit.n_iter,
+        )
+        for spec, (keys, n_train, _), fit in zip(specs, groups, fits)
+    ])
+
+
+def train_family_pandas(ops: pd.DataFrame, spec: FamilySpec) -> ModelBank:
+    """Fit one elastic net per signature group with at least
+    ``spec.min_occurrences`` rows, all in one batched solve (the Spark
+    trainer's per-bucket fitter)."""
+    return _train_families(ops, [spec])
 
 
 def train_bank(ops: pd.DataFrame, spark: SparkSession | None = None) -> ModelBank:
     """Train all four families over a training log.
 
-    With a SparkSession, each family trains as one distributed
-    `applyInPandas` job over hash buckets of signatures (§5.1: "we learn
-    each of the four individual models independently and in
-    parallel"); otherwise on the driver.
+    On the driver, every family's groups go through one batched solve
+    (§5.1: "we learn each of the four individual models independently
+    and in parallel"). With a SparkSession, each family trains as one
+    distributed `applyInPandas` job over hash buckets of signatures.
     """
     if spark is None:
-        return ModelBank.concat([train_family_pandas(ops, spec) for spec in FAMILIES])
+        return _train_families(ops, FAMILIES)
     spark_ops = spark.createDataFrame(
         ops[_TRAIN_COLS + ["sig_sub", "sig_approx", "sig_opinput", "op"]]
     ).persist()

@@ -25,9 +25,10 @@ from repro.tpch.schema import load_tables
 # Paper Figure 20 deltas (percent latency change, positive = faster)
 # for the six changed queries; unchanged queries ~0.
 PAPER_CHANGED = {"q8": 28, "q9": 22, "q11": 8, "q16": 12, "q17": -10, "q20": 12}
+SF = 0.05  # the TPC-H scale factor the figure runs at (about 50 MB)
 
 
-def run(spark, sf: float = 0.05) -> pd.DataFrame:
+def run(spark, sf: float) -> pd.DataFrame:
     load_tables(spark, sf=sf)
     results = plan_and_measure(spark)
     out = results_table(results)

@@ -223,7 +223,7 @@ def uniform_samples(n: int) -> list[int]:
     return sorted({int(round(x)) for x in np.linspace(1, MAX_P, max(2, n))})
 
 
-def random_samples(n: int, seed: int = 0) -> list[int]:
+def random_samples(n: int, seed: int) -> list[int]:
     g = np.random.default_rng(seed)
     return sorted({1, *map(int, g.integers(1, MAX_P + 1, max(1, n - 1)))})
 

@@ -16,7 +16,7 @@ _N_PART_PER_SF = 200_000
 _N_SUPPLIER_PER_SF = 10_000
 
 
-def lineitem(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
+def lineitem(*, sf: float, seed: int = 0) -> pd.DataFrame:
     n = max(1, int(_N_LINEITEM_PER_SF * sf))
     n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
     n_part = max(1, int(_N_PART_PER_SF * sf))
@@ -40,7 +40,7 @@ def lineitem(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
     )
 
 
-def orders(*, sf: float = 0.01) -> pd.DataFrame:
+def orders(*, sf: float) -> pd.DataFrame:
     n = max(1, int(_N_ORDERS_PER_SF * sf))
     n_cust = max(1, int(_N_CUSTOMER_PER_SF * sf))
     g = np.random.default_rng(1)
@@ -59,7 +59,7 @@ def orders(*, sf: float = 0.01) -> pd.DataFrame:
     )
 
 
-def part(*, sf: float = 0.01) -> pd.DataFrame:
+def part(*, sf: float) -> pd.DataFrame:
     n = max(1, int(_N_PART_PER_SF * sf))
     g = np.random.default_rng(5)
     return pd.DataFrame(
@@ -75,7 +75,7 @@ def part(*, sf: float = 0.01) -> pd.DataFrame:
     )
 
 
-def customer(*, sf: float = 0.01) -> pd.DataFrame:
+def customer(*, sf: float) -> pd.DataFrame:
     n = max(1, int(_N_CUSTOMER_PER_SF * sf))
     g = np.random.default_rng(2)
     return pd.DataFrame(
@@ -90,7 +90,7 @@ def customer(*, sf: float = 0.01) -> pd.DataFrame:
     )
 
 
-def supplier(*, sf: float = 0.01) -> pd.DataFrame:
+def supplier(*, sf: float) -> pd.DataFrame:
     """TPC-H-lite supplier (10K rows per SF) — added for the Q5/Q8/Q9/
     Q11/Q16/Q20-style join paths of the Figure 20 experiment."""
     n = max(1, int(_N_SUPPLIER_PER_SF * sf))

@@ -26,7 +26,7 @@ def _brand(g) -> str:
     return f"Brand#{g.integers(1, 6)}{g.integers(1, 6)}"
 
 
-def _date(g, lo="1993-01-01", days=1200) -> str:
+def _date(g, lo: str, days: int) -> str:
     base = np.datetime64(lo)
     return str(base + np.timedelta64(int(g.integers(0, days)), "D"))
 

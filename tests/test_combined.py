@@ -2,7 +2,7 @@
 import numpy as np
 
 from repro.core.combined import CombinedModel, meta_features
-from repro.core.learners import ElasticNet
+from repro.core.learners import ElasticNet, FastTreeRegressor
 from repro.metrics import median_error_pct
 
 
@@ -75,3 +75,16 @@ def test_unseen_operator_falls_back(tiny, tiny_bank, tiny_combined):
         assert np.isfinite(pred[~np.isnan(pred)]).all()
     finally:
         tiny_combined.models = tiny_combined_models
+
+
+def test_meta_models_equal_per_operator_fits(tiny, tiny_bank, tiny_combined):
+    """The FastTrees fit together (one growth per boosting round) are the
+    ones each operator's own fit gives."""
+    _, ops, _ = tiny
+    scored = tiny_bank.predict_all(ops[ops.day == 2])
+    test = tiny_bank.predict_all(ops[ops.day == 3])
+    assert len(tiny_combined.models) > 1
+    for op, grp in scored.groupby("op"):
+        solo = FastTreeRegressor().fit(meta_features(grp), grp["actual"].to_numpy(dtype=float))
+        X = meta_features(test)
+        assert np.array_equal(tiny_combined.models[str(op)].predict_log(X), solo.predict_log(X))

@@ -153,6 +153,26 @@ def test_group_result_independent_of_batch(groups):
     assert np.array_equal(rev.n_iter[::-1], together.n_iter)
 
 
+@pytest.mark.parametrize("max_iter", [300, 4])
+def test_group_padded_among_wider_groups_matches_alone(groups, max_iter):
+    """Narrow groups solved with wider ones (their moments zero-padded)
+    give the bits they give alone, at their own width."""
+    g = np.random.default_rng(3)
+    wide = [_group(g, 80, d=15), _group(g, 25, d=15, constant_col=13)]
+    en = ElasticNet(max_iter=max_iter)
+    narrow_fits, wide_fits = en.fit_batches([_batch(groups), _batch(wide)])
+    fields = ("coef", "intercept", "mu", "sd", "raw_coef", "raw_intercept", "z_lo", "z_hi",
+              "n_iter")
+    for k, (Xk, yk) in enumerate(groups):
+        alone = en.fit_groups(Xk, yk, np.array([0, len(yk)]))
+        for field in fields:
+            assert np.array_equal(getattr(alone, field)[0], getattr(narrow_fits, field)[k])
+    assert narrow_fits.coef.shape == (len(groups), 12)
+    wide_alone = en.fit_groups(*_batch(wide))
+    for field in fields:
+        assert np.array_equal(getattr(wide_alone, field), getattr(wide_fits, field))
+
+
 def test_fit_is_the_one_group_case(groups):
     Xk, yk = groups[0]
     en = ElasticNet().fit(Xk, yk)

@@ -45,6 +45,28 @@ def test_fasttree_predict_log_consistent(loglinear_data):
     assert np.allclose(np.expm1(m.predict_log(X)), m.predict(X), rtol=1e-9)
 
 
+def test_fit_many_matches_solo_fits(loglinear_data):
+    X, y = loglinear_data
+    # Among them: a model whose features are all constant (one bin each),
+    # and one with fewer than 2 * min_samples_leaf rows.
+    Xs = [X[:300], np.full((40, X.shape[1]), 2.5), X[300:305], X[305:]]
+    ys = [y[:300], y[300:340], y[300:305], y[305:]]
+    assert len(ys[2]) < 2 * FastTreeRegressor.min_samples_leaf
+    proto = FastTreeRegressor(n_estimators=7, seed=4)
+    many = proto.fit_many(Xs, ys)
+    for Xk, yk, m in zip(Xs, ys, many):
+        solo = FastTreeRegressor(n_estimators=7, seed=4).fit(Xk, yk)
+        assert (m.n_estimators, m.seed, m.base_) == (7, 4, solo.base_)
+        assert all(np.array_equal(a, b) for a, b in zip(m.edges_, solo.edges_))
+        for name in ("feature", "threshold", "left", "right", "value", "roots"):
+            a, b = getattr(m.forest_, name), getattr(solo.forest_, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert m.forest_.depth == solo.forest_.depth
+        assert np.array_equal(m.predict_log(X), solo.predict_log(X))
+    assert many[1].forest_.depth == many[2].forest_.depth == 0 < many[0].forest_.depth
+    assert proto.fit_many([], []) == []
+
+
 def test_forest_fits(loglinear_data):
     X, y = loglinear_data
     m = RandomForestRegressor().fit(X[:800], y[:800])

@@ -1,6 +1,7 @@
 """Tests for the model families, the bank's look-ups + Spark-parallel
 training (§3-§5.1)."""
 import pickle
+from dataclasses import fields
 
 import numpy as np
 import pandas as pd
@@ -11,6 +12,7 @@ from repro.core.models import (
     FAMILY_BY_NAME,
     FAMILY_INDEX,
     MIN_OCCURRENCES,
+    ModelBank,
     train_bank,
     train_family_pandas,
     train_family_spark,
@@ -85,6 +87,15 @@ def test_pandas_predictions_deterministic(tiny, tiny_bank):
     p1 = tiny_bank.predict_family("Op-Input", test)
     p2 = tiny_bank.predict_family("Op-Input", test)
     assert np.array_equal(p1, p2, equal_nan=True)
+
+
+def test_train_bank_is_the_four_family_banks(tiny, tiny_bank):
+    """One solve for the whole bank gives each family's own solve's bits."""
+    _, ops, _ = tiny
+    ref = ModelBank.concat([train_family_pandas(ops[ops.day <= 2], spec) for spec in FAMILIES])
+    for f in fields(ModelBank):
+        a, b = getattr(tiny_bank, f.name), getattr(ref, f.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
 
 
 def test_spark_training_matches_pandas(spark, tiny):

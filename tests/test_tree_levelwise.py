@@ -301,6 +301,35 @@ def test_forest_pools_bin_counts_over_trees():
     assert (forest.feature >= 0).sum() > 4 * 3  # every tree splits
 
 
+def assert_forest_equal(a, b):
+    for name in ("feature", "threshold", "left", "right", "value", "roots"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert a.depth == b.depth
+
+
+def test_take_round_trips_a_multi_tree_grow():
+    # Four trees of different depths: one of 5 rows (too few to split at
+    # min_samples_leaf 3) and one on a constant target (no gain).
+    X, y = _data(500, d=5, seed=21)
+    y[400:] = 1.0
+    codes, _ = quantile_bin(X)
+    bounds = np.array([0, 200, 205, 400, 500])
+    forest = grow(codes, y, 6, 3, bounds=bounds)
+    trees = [forest.take([t]) for t in range(4)]
+    for tree, lo, hi in zip(trees, bounds[:-1], bounds[1:]):
+        assert_forest_equal(tree, grow(codes[lo:hi], y[lo:hi], 6, 3))
+    assert trees[1].depth == trees[3].depth == 0 < trees[0].depth
+    # Taking every tree regroups the nodes tree by tree: the same trees,
+    # the same predictions.
+    whole = forest.take(np.arange(4))
+    assert_forest_equal(whole, Forest.concat(trees))
+    assert np.array_equal(whole.predict_binned(codes), forest.predict_binned(codes))
+    # And back, in any order.
+    assert_forest_equal(whole.take([2]), trees[2])
+    assert_forest_equal(whole.take([3, 0]), Forest.concat([trees[3], trees[0]]))
+
+
 def _log1p_target(y):
     return np.log1p(np.maximum(y, 0.0))
 
