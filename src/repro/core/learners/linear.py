@@ -93,21 +93,28 @@ def _stacked(moments: list[tuple]):
     return G, q, [m[2:] for m in moments]
 
 
-def _coordinate_descent(G: np.ndarray, q: np.ndarray, l1: float, l2: float,
-                        max_iter: int, tol: float):
-    """Batched coordinate descent on moments ``G`` (K, d, d), ``q`` (K, d).
+def _coordinate_descent(moments: list, l1: float, l2: float, max_iter: int, tol: float):
+    """Batched coordinate descent on the moments ``[G, q]``, ``G``
+    (K, d, d) and ``q`` (K, d).
+
+    The solver empties ``moments``, so it holds the only reference to
+    ``G``: each time converged groups leave, the compacted copy replaces
+    the previous one, and at most two copies of ``G`` coexist.
 
     The working arrays put the group axis last: row j of ``c``, ``w``,
     ``diag`` and ``delta`` is a K-vector, and ``Gj[j]`` (column j of
     every G, which is symmetric) is a (d, K) block. The inner loop walks
     the rows as views, which write through to the arrays.
     """
+    G, q = moments
+    moments.clear()
     K, d = q.shape
     coef = np.zeros((K, d))
     n_iter = np.full(K, max_iter)
     live = np.arange(K)  # groups still iterating, in batch order
     Gj = np.ascontiguousarray(G.transpose(2, 1, 0))  # Gj[j, i, k] = G[k, i, j]
     diag = np.ascontiguousarray(np.diagonal(G, axis1=1, axis2=2).T)
+    del G
     # A (numerically) constant column keeps weight 0: dividing by an
     # infinite denominator gives exactly that.
     denom = np.where(diag < _EPS, np.inf, diag + l2)
@@ -193,14 +200,15 @@ class ElasticNet:
         All arithmetic on a group is elementwise, so its result is
         bit-identical whichever other groups share the solve.
         """
-        # Each batch's own moments live only until they are stacked.
-        G, q, stats = _stacked([
+        # Each batch's own moments live only until they are stacked, and
+        # the stacked ones are handed to the solver.
+        *moments, stats = _stacked([
             _moments(np.asarray(X, dtype=float), np.asarray(y, dtype=float), b)
             for X, y, b in batches
         ])
         l1 = self.alpha * self.l1_ratio
         l2 = self.alpha * (1.0 - self.l1_ratio)
-        coef, n_iter = _coordinate_descent(G, q, l1, l2, self.max_iter, self.tol)
+        coef, n_iter = _coordinate_descent(moments, l1, l2, self.max_iter, self.tol)
         fits, lo = [], 0
         for intercept, mu, sd, z_lo, z_hi in stats:
             hi = lo + len(mu)

@@ -25,25 +25,39 @@ hand-crafted cost model cannot capture:
 
 All randomness is derived deterministically from ``hash64`` of the
 entity keys, so the same workload is bit-identical across runs and
-processes. Statistics and partition counts make at most one draw per
-operator each: the first standard normal of the generator seeded by
-``(kind, *seed_parts, tpl_op_id)``. :class:`Draws` makes each such draw
-on first use and keeps it, so a planner costing many candidate plans of
-one job instance seeds each operator's generator once, and operators
-that draw nothing seed none. numpy computes ``normal(0.0, s)`` as
-``0.0 + s * standard_normal()``, so scaling the kept draw gives the
-same bits as drawing from a fresh generator. Latencies
-(:func:`simulate_latencies`) are simulated once per executed plan and
-keep their per-operator generators.
+processes: the generator of key ``(kind, *parts)`` is
+``np.random.default_rng(hash64(kind, *parts) & 0xFFFF_FFFF)``. Statistics
+and partition counts make at most one draw per operator each: the first
+standard normal of the generator of ``(kind, *seed_parts, tpl_op_id)``.
+numpy computes ``normal(0.0, s)`` as ``0.0 + s * standard_normal()``, so
+scaling the kept draw gives the same bits as drawing from a fresh
+generator.
+
+The keys are seeded in one of two ways, each where it is faster:
+
+- lazily, one key at a time (:func:`_rng`), for a single job instance:
+  :func:`instantiate` and the planners. :class:`Draws` makes each
+  statistics draw on first use and keeps it, so a planner costing many
+  candidate plans of one instance seeds each operator's generator once,
+  and operators that draw nothing seed none; latencies
+  (:func:`simulate_latencies`) seed one generator per executed operator;
+- in one batch per generated day (:func:`rng_batch`, read by
+  :func:`instantiate_batched`): the workload generator lists every key
+  of the day's runs in run order, the batch computes all their PCG64
+  states in one vectorized pass, and one reused generator is set to
+  each key's state just before that key's draws. The draws are the ones
+  :func:`_rng` makes, bit for bit; only numpy's per-generator set-up
+  cost is gone.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.scope.plan import PlanNode, hash64
+from repro.scope.plan import PARTITIONING_OPS, PlanNode, hash64
 
 MAX_PARTITIONS = 3000
 OVERHEAD_PER_PARTITION = 0.03  # seconds of latency per scheduled partition
@@ -91,6 +105,85 @@ def _rng(*parts) -> np.random.Generator:
     return np.random.default_rng(hash64(*parts) & 0xFFFF_FFFF)
 
 
+def rng_batch(keys: Iterable[tuple]) -> Iterator[np.random.Generator]:
+    """The generators of a batch of :func:`_rng` keys, in key order.
+
+    Every key is hashed and every PCG64 state computed now, in one pass.
+    The iterator then yields one reused generator, set to the next key's
+    state: it makes exactly the draws ``_rng(*key)`` would, until the
+    next key is taken. Only the states are kept, never drawn values."""
+    seeds = np.fromiter((hash64(*k) & 0xFFFF_FFFF for k in keys), dtype=np.uint32)
+    return _generators(*_pcg64_states(seeds))
+
+
+def _generators(states: list[int], incs: list[int]) -> Iterator[np.random.Generator]:
+    """One reused generator set to each PCG64 ``(state, inc)`` in turn."""
+    bit_gen = np.random.PCG64(0)
+    g = np.random.Generator(bit_gen)
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for state, inc in zip(states, incs):
+        pcg["state"], pcg["inc"] = state, inc
+        bit_gen.state = full
+        yield g
+
+
+# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 constants.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 0xFFFF_FFFF, (1 << 128) - 1
+
+
+def _pcg64_states(seeds: np.ndarray) -> tuple[list[int], list[int]]:
+    """The 128-bit PCG64 ``state`` and ``inc`` of
+    ``np.random.default_rng(s)`` for every 32-bit seed ``s``.
+
+    ``SeedSequence(s)`` mixes the one entropy word into its pool and
+    expands the pool to four 64-bit words; that is all uint32 arithmetic,
+    done here over the whole batch at once. PCG64 then seeds from the
+    words ``(state0, inc0)`` (``pcg_setseq_128_srandom_r``):
+    ``inc = inc0 << 1 | 1`` and two LCG steps from 0, adding ``state0``
+    after the first, modulo 2**128 (Python ints, as the ``state``
+    setter takes them)."""
+    u32 = np.uint32
+    hash_const = _INIT_A
+
+    def hashmix(v):
+        nonlocal hash_const
+        v = v ^ u32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        v = v * u32(hash_const)
+        return v ^ (v >> u32(16))
+
+    def mix(x, y):
+        r = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return r ^ (r >> u32(16))
+
+    seeds = np.asarray(seeds, dtype=np.uint32)
+    pool = [hashmix(seeds)] + [hashmix(np.zeros_like(seeds)) for _ in range(3)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):  # generate_state(4, np.uint64): cycle the pool
+        v = pool[i % 4] ^ u32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        v = v * u32(hash_const)
+        words.append(v ^ (v >> u32(16)))
+    # Word pairs join little-endian into (state_hi, state_lo, inc_hi, inc_lo).
+    s_hi, s_lo, i_hi, i_lo = np.stack(words, axis=1).astype("<u4").view("<u8").T.tolist()
+    states, incs = [], []
+    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        states.append(((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128)
+        incs.append(inc)
+    return states, incs
+
+
 class Draws(dict):
     """The per-operator standard-normal draws of one job instance,
     made on first use: ``draws[kind, tpl_op_id]`` is the first
@@ -116,6 +209,10 @@ NOISE_SIGMA = 0.14
 TAU_SIGMA = 0.5
 EST_SIGMA = 0.7
 STRAGGLER_PROB = 0.01
+
+# Logical operators whose estimated output is their estimated input: they
+# make no selectivity estimate, so draw no ``"est-jit"`` (§3.1).
+CARD_PRESERVING = ("Exchange", "Sort", "Project", "Output")
 
 
 @dataclass
@@ -182,7 +279,12 @@ class World:
         job instance see identical noise for shared operators and the
         planner experiments (§6.6) compare plans, not luck.
         """
-        g_inst = _rng("lat", *seed_parts, node.tpl_op_id)
+        return self._latency(node, pm, _rng("lat", *seed_parts, node.tpl_op_id))
+
+    def _latency(self, node: PlanNode, pm: float, g_inst: np.random.Generator) -> float:
+        """:meth:`exclusive_latency` with the operator's ``"lat"``
+        generator ``g_inst``: one ``normal``, one ``random`` and, for a
+        straggler, one ``uniform``."""
         alpha, beta, gscale = OP_COEF[node.op]
         in_len = (
             sum(c.row_len * c.true_out for c in node.children) / max(node.true_in, 1.0)
@@ -249,6 +351,46 @@ def instantiate(
     simulate_latencies(root, world, pm, seed_parts)
 
 
+def instance_keys(root: PlanNode, seed_parts: tuple) -> Iterator[tuple]:
+    """The :func:`_rng` keys :func:`instantiate_batched` reads for one
+    instance of ``root``, in the order it reads them: the statistics
+    draws (:func:`draw_keys`), then one ``"lat"`` key per operator."""
+    for kind, tpl_op_id in draw_keys(root):
+        yield (kind, *seed_parts, tpl_op_id)
+    for node in root.walk():
+        yield ("lat", *seed_parts, node.tpl_op_id)
+
+
+def draw_keys(root: PlanNode) -> list[tuple[str, str]]:
+    """The ``Draws`` keys :func:`derive_statistics` and then
+    :func:`assign_partitions` read for ``root``, in first-read order."""
+    est = [("est-jit", n.tpl_op_id) for n in root.walk()
+           if not n.children or n.logical not in CARD_PRESERVING]
+    part = [("part", n.tpl_op_id) for n in root.walk() if n.op in PARTITIONING_OPS]
+    return list(dict.fromkeys(est + part))
+
+
+def instantiate_batched(
+    root: PlanNode,
+    world: World,
+    base_cards: dict[str, float],
+    base_lens: dict[str, float],
+    pm: float,
+    seed_parts: tuple,
+    rngs: Iterator[np.random.Generator],
+) -> None:
+    """:func:`instantiate`, bit for bit, with the generators of
+    :func:`instance_keys` taken in turn from ``rngs`` (a
+    :func:`rng_batch`) instead of seeded one by one."""
+    draws = Draws(seed_parts)
+    for key in draw_keys(root):
+        draws[key] = next(rngs).standard_normal()
+    derive_statistics(root, world, base_cards, base_lens, pm, draws)
+    assign_partitions(root, draws)
+    for node in root.walk():
+        node.actual_latency = world._latency(node, pm, next(rngs))
+
+
 def derive_statistics(
     root: PlanNode,
     world: World,
@@ -289,7 +431,7 @@ def derive_statistics(
         # Estimated output: estimated input × estimated selectivity,
         # where the selectivity estimate is systematically off — errors
         # compound as we move up the plan (§3.1).
-        if node.logical in ("Exchange", "Sort", "Project", "Output"):
+        if node.logical in CARD_PRESERVING:
             # Cardinality-preserving operators: the optimizer's estimate
             # passes through unchanged (no new estimation error).
             node.est_out = node.est_in

@@ -37,6 +37,22 @@ from repro.scope.plan import (
     plan_identity,
 )
 
+# The operator log's columns, in order. Run-level columns come first, then
+# the plan-level ones (:meth:`Cluster._plan_columns`), ``pm``, the node
+# statistics below, and the default cost model's estimates.
+OP_COLUMNS = (
+    "cluster", "day", "job_id", "template_id", "adhoc",
+    "op_id", "op", "logical", "depth", "cl", "sig_sub", "sig_approx", "sig_opinput",
+    "in_hash", "pm", "I", "B", "C", "L", "P", "true_I", "true_B", "true_C", "actual",
+    "cost_default", "cost_default_truecard",
+)
+# Operator-log column -> the PlanNode attribute it records.
+NODE_STATS = {
+    "I": "est_in", "B": "est_base", "C": "est_out", "L": "row_len", "P": "partitions",
+    "true_I": "true_in", "true_B": "true_base", "true_C": "true_out",
+    "actual": "actual_latency",
+}
+
 FREQ_CHOICES = [1, 2, 4, 8, 24]
 FREQ_WEIGHTS = [0.50, 0.20, 0.15, 0.10, 0.05]
 
@@ -151,6 +167,7 @@ class Cluster:
             self.templates.append(self._make_template(g, born_day=1))
         self._churn_applied_through = 1
         self._churn_rng = np.random.default_rng(cfg.seed + 999)
+        self._drift: dict[tuple[str, int], float] = {}
 
     # ------------------------------------------------------------------
     def _make_chain(self, g: np.random.Generator, input_name: str, k: int) -> PrepChain:
@@ -251,11 +268,17 @@ class Cluster:
 
     # ------------------------------------------------------------------
     def _input_drift(self, name: str, day: int) -> float:
-        """Random-walk daily size factor per input (Fig 2)."""
-        f = 1.0
-        for d in range(2, day + 1):
-            g = sim._rng(self.cfg.name, "drift", name, d)
-            f *= math.exp(g.normal(0.0, 0.15))
+        """Random-walk daily size factor per input (Fig 2): the product,
+        in day order, of one lognormal step per day since day 1. Memoized
+        per ``(input, day)``, each day's factor extending the day
+        before's."""
+        if day < 2:
+            return 1.0
+        f = self._drift.get((name, day))
+        if f is None:
+            g = sim._rng(self.cfg.name, "drift", name, day)
+            f = self._drift[name, day] = (
+                self._input_drift(name, day - 1) * math.exp(g.normal(0.0, 0.15)))
         return f
 
     def instance_inputs(
@@ -264,7 +287,13 @@ class Cluster:
         """(pm, base_cards, base_lens) for one job instance — the same
         draws :meth:`generate_days` uses, so planner experiments replay
         exactly the logged instances."""
-        g_inst = sim._rng("sizes", tpl.tpl_id, day, k)
+        return self._instance_inputs(tpl, day, sim._rng("sizes", tpl.tpl_id, day, k))
+
+    def _instance_inputs(
+        self, tpl: JobTemplate, day: int, g_inst: np.random.Generator
+    ) -> tuple[float, dict[str, float], dict[str, float]]:
+        """:meth:`instance_inputs` from the instance's ``"sizes"``
+        generator ``g_inst``."""
         pm = float(g_inst.random())
         base_cards: dict[str, float] = {}
         base_lens: dict[str, float] = {}
@@ -278,74 +307,81 @@ class Cluster:
             base_lens[name] = it.row_len
         return pm, base_cards, base_lens
 
+    def runs(self, day: int) -> list[tuple[JobTemplate, int]]:
+        """The ``(template, k)`` job runs of ``day`` in log order: every
+        live recurring template ``freq`` times, then the day's ad-hoc
+        jobs, each a fresh template run once. The ad-hoc templates are
+        drawn from the day's own generator, so every call returns equal
+        ones."""
+        name = self.cfg.name
+        g_day = np.random.default_rng(hash64(name, "day", day) & 0xFFFFFFFF)
+        recurring = [(t, k) for t in self.live_templates(day) for k in range(t.freq)]
+        n_adhoc = int(round(len(recurring) * self.cfg.adhoc_frac / (1 - self.cfg.adhoc_frac)))
+        return recurring + [
+            (self._make_template(g_day, born_day=day, adhoc_tag=f"{name}_adhoc_d{day}_{i}"), 0)
+            for i in range(n_adhoc)
+        ]
+
     def generate_days(self, days: list[int]) -> tuple[pd.DataFrame, pd.DataFrame]:
-        """Instantiate all jobs for ``days``; returns (ops_df, jobs_df)."""
-        op_rows: list[dict] = []
+        """Instantiate all jobs for ``days``; returns (ops_df, jobs_df).
+
+        Each day's generators are seeded in one :func:`sim.rng_batch`
+        over every run's ``"sizes"`` key and :func:`sim.instance_keys`,
+        in run order; the operator log is built column by column."""
+        name = self.cfg.name
+        ops: dict[str, list] = {c: [] for c in OP_COLUMNS}
         job_rows: list[dict] = []
-        idents: dict[str, dict[str, list]] = {}  # plan_identity per template
+        shapes: dict[str, tuple[list[PlanNode], dict[str, list]]] = {}  # per template
         for day in days:
-            g_day = np.random.default_rng(hash64(self.cfg.name, "day", day) & 0xFFFFFFFF)
-            recurring_runs = [(t, k) for t in self.live_templates(day) for k in range(t.freq)]
-            n_adhoc = int(round(
-                len(recurring_runs) * self.cfg.adhoc_frac / (1 - self.cfg.adhoc_frac)
-            ))
-            adhoc = [
-                (self._make_template(g_day, born_day=day,
-                                     adhoc_tag=f"{self.cfg.name}_adhoc_d{day}_{i}"), 0)
-                for i in range(n_adhoc)
-            ]
-            seq = 0
-            for tpl, k in recurring_runs + adhoc:
-                seq += 1
-                is_adhoc = tpl.tpl_id.startswith(f"{self.cfg.name}_adhoc")
-                job_id = f"{self.cfg.name}_d{day}_{seq:05d}"
-                pm, base_cards, base_lens = self.instance_inputs(tpl, day, k)
-                sim.instantiate(tpl.root, self.world, base_cards, base_lens, pm,
-                                seed_parts=(self.cfg.name, tpl.tpl_id, day, k))
-                ident = idents.get(tpl.tpl_id)
-                if ident is None:
-                    ident = idents[tpl.tpl_id] = plan_identity(tpl.root)
-                for i, node in enumerate(tpl.root.walk()):
-                    op_rows.append(self._op_row(node, {c: v[i] for c, v in ident.items()},
-                                                job_id, tpl, day, is_adhoc, pm))
+            runs = self.runs(day)
+            rngs = sim.rng_batch(
+                key for tpl, k in runs
+                for key in (("sizes", tpl.tpl_id, day, k),
+                            *sim.instance_keys(tpl.root, (name, tpl.tpl_id, day, k)))
+            )
+            for seq, (tpl, k) in enumerate(runs, start=1):
+                is_adhoc = tpl.tpl_id.startswith(f"{name}_adhoc")
+                job_id = f"{name}_d{day}_{seq:05d}"
+                pm, base_cards, base_lens = self._instance_inputs(tpl, day, next(rngs))
+                sim.instantiate_batched(tpl.root, self.world, base_cards, base_lens, pm,
+                                        (name, tpl.tpl_id, day, k), rngs)
+                shape = shapes.get(tpl.tpl_id)
+                if shape is None:
+                    shape = shapes[tpl.tpl_id] = self._plan_columns(tpl.root)
+                nodes, fixed = shape
+                n = len(nodes)
+                for col, v in (("cluster", name), ("day", day), ("job_id", job_id),
+                               ("template_id", tpl.tpl_id), ("adhoc", is_adhoc)):
+                    ops[col].extend([v] * n)
+                for col, v in fixed.items():
+                    ops[col].extend(v)
+                ops["pm"].extend([pm] * n)
+                for col, attr in NODE_STATS.items():
+                    ops[col].extend([getattr(node, attr) for node in nodes])
+                ops["cost_default"].extend([dc.default_cost(name, node) for node in nodes])
+                ops["cost_default_truecard"].extend(
+                    [dc.default_cost(name, node, true_cards=True) for node in nodes])
                 job_rows.append({
-                    "cluster": self.cfg.name, "day": day, "job_id": job_id,
+                    "cluster": name, "day": day, "job_id": job_id,
                     "template_id": tpl.tpl_id, "adhoc": is_adhoc,
                     "latency": sim.job_latency(tpl.root),
                     "cpu_seconds": sim.job_cpu_seconds(tpl.root),
-                    "n_ops": ident["cl"][-1],
+                    "n_ops": fixed["cl"][-1],
                 })
-        return pd.DataFrame(op_rows), pd.DataFrame(job_rows)
+        return pd.DataFrame(ops), pd.DataFrame(job_rows)
 
-    def _op_row(self, node: PlanNode, ident: dict, job_id: str, tpl: JobTemplate,
-                day: int, is_adhoc: bool, pm: float) -> dict:
-        """One operator-log row; ``ident`` is the node's entry of
+    @staticmethod
+    def _plan_columns(root: PlanNode) -> tuple[list[PlanNode], dict[str, list]]:
+        """``root``'s nodes in walk order and its operator-log columns that
+        are the same on every run: operator ids and kinds, and
         :func:`plan_identity`."""
-        return {
-            "cluster": self.cfg.name,
-            "day": day,
-            "job_id": job_id,
-            "template_id": tpl.tpl_id,
-            "adhoc": is_adhoc,
-            "op_id": node.tpl_op_id,
-            "op": node.op,
-            "logical": node.logical,
-            "depth": ident["depth"],
-            "cl": ident["cl"],
-            "sig_sub": ident["sig_sub"],
-            "sig_approx": ident["sig_approx"],
-            "sig_opinput": ident["sig_opinput"],
-            "in_hash": ident["in_hash"],
-            "pm": pm,
-            "I": node.est_in,
-            "B": node.est_base,
-            "C": node.est_out,
-            "L": node.row_len,
-            "P": node.partitions,
-            "true_I": node.true_in,
-            "true_B": node.true_base,
-            "true_C": node.true_out,
-            "actual": node.actual_latency,
-            "cost_default": dc.default_cost(self.cfg.name, node),
-            "cost_default_truecard": dc.default_cost(self.cfg.name, node, true_cards=True),
+        nodes = list(root.walk())
+        ident = plan_identity(root)
+        fixed = {
+            "op_id": [n.tpl_op_id for n in nodes],
+            "op": [n.op for n in nodes],
+            "logical": [n.logical for n in nodes],
         }
+        fixed.update((c, ident[c]) for c in
+                     ("depth", "cl", "sig_sub", "sig_approx", "sig_opinput", "in_hash"))
+        return nodes, fixed

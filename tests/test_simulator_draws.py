@@ -1,11 +1,13 @@
-"""The memoized substrate draws (``simulator.Draws``) against the eager
+"""The memoized substrate draws (``simulator.Draws``) and the batched
+seeding of generated days (``simulator.rng_batch``) against the eager
 per-operator generators they replace.
 
 ``reference_derive_statistics`` and ``reference_assign_partitions`` seed
-one generator per operator per pass, keyed by ``(kind, *seed_parts,
-tpl_op_id)``, and draw from it with ``normal(0.0, s)``. The simulator
-now draws each operator's first standard normal once per job instance,
-on first use, and scales it; these tests require identical statistics,
+one fresh generator per operator per pass, keyed by ``(kind,
+*seed_parts, tpl_op_id)``, and draw from it with ``normal(0.0, s)``. The
+simulator draws each operator's first standard normal once per job
+instance and scales it, and ``generate_days`` seeds all of a day's
+generators in one batch; these tests require identical statistics,
 partition counts and generated logs.
 """
 import math
@@ -16,7 +18,7 @@ import pytest
 from repro.optimizer.cascades import _candidates
 from repro.scope import simulator as sim
 from repro.scope.plan import PlanNode, assign_input_templates, expand_physical
-from repro.scope.workload import Cluster, tiny_cluster
+from repro.scope.workload import NODE_STATS, Cluster, tiny_cluster
 
 
 def reference_derive_statistics(root: PlanNode, world: sim.World, base_cards, base_lens,
@@ -130,12 +132,54 @@ def test_every_candidate_matches_the_eager_draws(tiny):
     assert checked > 100
 
 
+def fresh_generators(keys):
+    """``rng_batch`` without the batch: a fresh ``_rng`` per key."""
+    return (sim._rng(*key) for key in list(keys))
+
+
+def reference_instantiate_batched(root, world, base_cards, base_lens, pm, seed_parts, rngs):
+    """The eager per-operator draws, passing over the instance's share of
+    ``rngs`` so the next run's ``"sizes"`` generator is the next one."""
+    for _ in sim.instance_keys(root, seed_parts):
+        next(rngs)
+    reference_instantiate(root, world, base_cards, base_lens, pm, seed_parts)
+
+
 def test_generated_logs_match_the_eager_draws(tiny, monkeypatch):
+    """The batched day equals the one seeded key by key: fresh
+    ``"sizes"`` generators, and fresh per-operator generators in every
+    pass."""
     _, ops, jobs = tiny
-    monkeypatch.setattr(sim, "instantiate", reference_instantiate)
+    monkeypatch.setattr(sim, "rng_batch", fresh_generators)
+    monkeypatch.setattr(sim, "instantiate_batched", reference_instantiate_batched)
     ref_ops, ref_jobs = Cluster(tiny_cluster()).generate_days([1, 2, 3])
     assert ops.equals(ref_ops)
     assert jobs.equals(ref_jobs)
+
+
+def test_logged_runs_replay_on_the_lazy_path(tiny):
+    """Every logged run of tiny days 1-3 is reproduced by
+    ``instance_inputs`` and ``instantiate`` (the per-key seeding the
+    planner experiments replay instances with)."""
+    _, ops, _ = tiny
+    cl = Cluster(tiny_cluster())
+    cl.generate_days([1, 2, 3])
+    logged = ops.groupby("job_id", sort=False)
+    replayed = 0
+    for day in (1, 2, 3):
+        for seq, (tpl, k) in enumerate(cl.runs(day), start=1):
+            rows = logged.get_group(f"{cl.cfg.name}_d{day}_{seq:05d}")
+            assert (rows.template_id == tpl.tpl_id).all()
+            pm, cards, lens = cl.instance_inputs(tpl, day, k)
+            sim.instantiate(tpl.root, cl.world, cards, lens, pm,
+                            (cl.cfg.name, tpl.tpl_id, day, k))
+            nodes = list(tpl.root.walk())
+            assert rows.op_id.tolist() == [n.tpl_op_id for n in nodes]
+            assert (rows.pm == pm).all()
+            for col, attr in NODE_STATS.items():
+                assert rows[col].tolist() == [getattr(n, attr) for n in nodes], (tpl.tpl_id, col)
+            replayed += 1
+    assert replayed == ops.job_id.nunique()
 
 
 def test_only_drawing_operators_seed_a_generator(tiny):
@@ -153,6 +197,7 @@ def test_only_drawing_operators_seed_a_generator(tiny):
             if not n.children or n.logical not in ("Exchange", "Sort", "Project", "Output")}
     want |= {("part", n.tpl_op_id) for n in nodes if n.op in ("Extract", "Exchange")}
     assert set(draws) == want
+    assert list(draws) == sim.draw_keys(root)
     assert len(draws) < 2 * len(nodes)
 
 
