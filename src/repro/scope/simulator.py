@@ -36,18 +36,21 @@ generator.
 The keys are seeded in one of two ways, each where it is faster:
 
 - lazily, one key at a time (:func:`_rng`), for a single job instance:
-  :func:`instantiate` and the planners. :class:`Draws` makes each
-  statistics draw on first use and keeps it, so a planner costing many
-  candidate plans of one instance seeds each operator's generator once,
-  and operators that draw nothing seed none; latencies
+  :func:`instantiate` seeds each of the instance's keys
+  (:func:`instance_keys`) as it is read. The planners cost many
+  candidate plans of one instance: :class:`Draws` makes each statistics
+  draw on first use and keeps it, so each operator's generator is
+  seeded once and operators that draw nothing seed none; latencies
   (:func:`simulate_latencies`) seed one generator per executed operator;
-- in one batch per generated day (:func:`rng_batch`, read by
-  :func:`instantiate_batched`): the workload generator lists every key
-  of the day's runs in run order, the batch computes all their PCG64
-  states in one vectorized pass, and one reused generator is set to
-  each key's state just before that key's draws. The draws are the ones
-  :func:`_rng` makes, bit for bit; only numpy's per-generator set-up
-  cost is gone.
+- in one batch per generated day (:func:`rng_batch`): the workload
+  generator lists every key of the day's runs in run order, the batch
+  computes all their PCG64 states in one vectorized pass, and one reused
+  generator is set to each key's state just before that key's draws.
+  The draws are the ones :func:`_rng` makes, bit for bit; only numpy's
+  per-generator set-up cost is gone.
+
+:func:`instantiate` and the workload generator share one body,
+:func:`instantiate_batched`, which takes the generators in key order.
 """
 from __future__ import annotations
 
@@ -335,20 +338,10 @@ def instantiate(
     pm: float,
     seed_parts: tuple,
 ) -> None:
-    """Fill instance statistics and actual latencies for a plan, in place:
-    :func:`derive_statistics`, :func:`assign_partitions`, then
-    :func:`simulate_latencies`.
-
-    ``base_cards``/``base_lens`` give the true cardinality and row
-    length of each input template for this run; ``seed_parts`` make the
-    instance deterministic. All per-operator randomness is keyed by
-    ``tpl_op_id`` (common random numbers), so re-planned variants of the
-    same instance are directly comparable.
-    """
-    draws = Draws(seed_parts)
-    derive_statistics(root, world, base_cards, base_lens, pm, draws)
-    assign_partitions(root, draws)
-    simulate_latencies(root, world, pm, seed_parts)
+    """:func:`instantiate_batched` with one fresh :func:`_rng` per key,
+    seeded as it is read: the seeding of a single job instance."""
+    instantiate_batched(root, world, base_cards, base_lens, pm, seed_parts,
+                        (_rng(*key) for key in instance_keys(root, seed_parts)))
 
 
 def instance_keys(root: PlanNode, seed_parts: tuple) -> Iterator[tuple]:
@@ -364,10 +357,15 @@ def instance_keys(root: PlanNode, seed_parts: tuple) -> Iterator[tuple]:
 def draw_keys(root: PlanNode) -> list[tuple[str, str]]:
     """The ``Draws`` keys :func:`derive_statistics` and then
     :func:`assign_partitions` read for ``root``, in first-read order."""
-    est = [("est-jit", n.tpl_op_id) for n in root.walk()
-           if not n.children or n.logical not in CARD_PRESERVING]
+    est = [("est-jit", n.tpl_op_id) for n in root.walk() if draws_estimate(n)]
     part = [("part", n.tpl_op_id) for n in root.walk() if n.op in PARTITIONING_OPS]
     return list(dict.fromkeys(est + part))
+
+
+def draws_estimate(node: PlanNode) -> bool:
+    """Whether ``node`` reads its ``"est-jit"`` draw: every leaf, and
+    every operator that makes a selectivity estimate."""
+    return not node.children or node.logical not in CARD_PRESERVING
 
 
 def instantiate_batched(
@@ -379,9 +377,18 @@ def instantiate_batched(
     seed_parts: tuple,
     rngs: Iterator[np.random.Generator],
 ) -> None:
-    """:func:`instantiate`, bit for bit, with the generators of
-    :func:`instance_keys` taken in turn from ``rngs`` (a
-    :func:`rng_batch`) instead of seeded one by one."""
+    """Fill instance statistics and actual latencies for a plan, in place:
+    :func:`derive_statistics`, :func:`assign_partitions`, then every
+    operator's exclusive latency.
+
+    ``base_cards``/``base_lens`` give the true cardinality and row
+    length of each input template for this run; ``seed_parts`` make the
+    instance deterministic. All per-operator randomness is keyed by
+    ``tpl_op_id`` (common random numbers), so re-planned variants of the
+    same instance are directly comparable. ``rngs`` yields the
+    generators of :func:`instance_keys` in turn: fresh ones
+    (:func:`instantiate`) or a share of a day's :func:`rng_batch`.
+    """
     draws = Draws(seed_parts)
     for key in draw_keys(root):
         draws[key] = next(rngs).standard_normal()
@@ -431,7 +438,7 @@ def derive_statistics(
         # Estimated output: estimated input × estimated selectivity,
         # where the selectivity estimate is systematically off — errors
         # compound as we move up the plan (§3.1).
-        if node.logical in CARD_PRESERVING:
+        if not draws_estimate(node):
             # Cardinality-preserving operators: the optimizer's estimate
             # passes through unchanged (no new estimation error).
             node.est_out = node.est_in
@@ -449,10 +456,9 @@ def assign_partitions(root: PlanNode, draws: Draws) -> None:
     counts (co-partitioning); everything else then derives its count
     (:func:`rederive_partitions`)."""
     for node in root.walk():
-        if node.op == "Extract":
-            node.partitions = default_partitions(node.est_base, draws["part", node.tpl_op_id])
-        elif node.op == "Exchange":
-            node.partitions = default_partitions(node.est_in, draws["part", node.tpl_op_id])
+        if node.op in PARTITIONING_OPS:
+            est_rows = node.est_base if node.op == "Extract" else node.est_in
+            node.partitions = default_partitions(est_rows, draws["part", node.tpl_op_id])
         elif node.op in ("HashJoin", "MergeJoin"):
             sides = [c.stage_partition_root() for c in node.children]
             p = max(sp.partitions for sp in sides)
@@ -467,7 +473,7 @@ def rederive_partitions(node: PlanNode) -> None:
     operators under ``node`` after partitioning operators' counts
     changed; every Extract and Exchange keeps its count."""
     for n in node.walk():
-        if n.children and n.op not in ("Extract", "Exchange"):
+        if n.children and n.op not in PARTITIONING_OPS:
             if n.op in ("HashJoin", "MergeJoin"):
                 n.partitions = max(c.partitions for c in n.children)
             else:
