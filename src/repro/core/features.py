@@ -28,8 +28,19 @@ import numpy as np
 import pandas as pd
 
 # Each entry: (name, lambda over the input columns, whether the feature
-# has the form g(I,C,L)/P).
+# has the form g(I,C,L)/P). A lambda reads the columns through
+# :class:`_Columns`, which computes each column's log1p and sqrt once.
 _LOG = np.log1p
+
+
+class _Columns(dict):
+    """The input columns, with each one's ``log1p`` and ``sqrt`` made on
+    first use and kept."""
+
+    def __missing__(self, key: tuple[str, str]) -> np.ndarray:
+        fn, col = key
+        out = self[key] = (_LOG if fn == "log" else np.sqrt)(self[col])
+        return out
 
 
 def _defs():
@@ -43,28 +54,28 @@ def _defs():
         ("f_IN", lambda d: d["in_hash"], False),
         ("f_PM", lambda d: d["pm"], False),
         # --- input or output data (Table 3) ---------------------------
-        ("f_sqrtI", lambda d: np.sqrt(d["I"]), False),
-        ("f_sqrtB", lambda d: np.sqrt(d["B"]), False),
+        ("f_sqrtI", lambda d: d["sqrt", "I"], False),
+        ("f_sqrtB", lambda d: d["sqrt", "B"], False),
         ("f_LI", lambda d: d["L"] * d["I"], False),
         ("f_LB", lambda d: d["L"] * d["B"], False),
-        ("f_LlogB", lambda d: d["L"] * _LOG(d["B"]), False),
-        ("f_LlogI", lambda d: d["L"] * _LOG(d["I"]), False),
-        ("f_LlogC", lambda d: d["L"] * _LOG(d["C"]), False),
+        ("f_LlogB", lambda d: d["L"] * d["log", "B"], False),
+        ("f_LlogI", lambda d: d["L"] * d["log", "I"], False),
+        ("f_LlogC", lambda d: d["L"] * d["log", "C"], False),
         # --- input x output (Table 3) ---------------------------------
         ("f_BC", lambda d: d["B"] * d["C"], False),
         ("f_IC", lambda d: d["I"] * d["C"], False),
-        ("f_BlogC", lambda d: d["B"] * _LOG(d["C"]), False),
-        ("f_IlogC", lambda d: d["I"] * _LOG(d["C"]), False),
-        ("f_logIlogC", lambda d: _LOG(d["I"]) * _LOG(d["C"]), False),
-        ("f_logBlogC", lambda d: _LOG(d["B"]) * _LOG(d["C"]), False),
+        ("f_BlogC", lambda d: d["B"] * d["log", "C"], False),
+        ("f_IlogC", lambda d: d["I"] * d["log", "C"], False),
+        ("f_logIlogC", lambda d: d["log", "I"] * d["log", "C"], False),
+        ("f_logBlogC", lambda d: d["log", "B"] * d["log", "C"], False),
         # --- per-partition (Table 3) ----------------------------------
         ("f_I_P", lambda d: d["I"] / d["P"], True),
         ("f_C_P", lambda d: d["C"] / d["P"], True),
         ("f_IL_P", lambda d: d["I"] * d["L"] / d["P"], True),
         ("f_CL_P", lambda d: d["C"] * d["L"] / d["P"], True),
-        ("f_sqrtI_P", lambda d: np.sqrt(d["I"]) / d["P"], True),
-        ("f_sqrtC_P", lambda d: np.sqrt(d["C"]) / d["P"], True),
-        ("f_logI_P", lambda d: _LOG(d["I"]) / d["P"], True),
+        ("f_sqrtI_P", lambda d: d["sqrt", "I"] / d["P"], True),
+        ("f_sqrtC_P", lambda d: d["sqrt", "C"] / d["P"], True),
+        ("f_logI_P", lambda d: d["log", "I"] / d["P"], True),
     ]
 
 
@@ -72,6 +83,9 @@ _DEFS = _defs()
 FEATURE_NAMES: list[str] = [n for n, _, _ in _DEFS]
 CONTEXT_NAMES: list[str] = ["f_CL", "f_D"]  # operator-input extras (§4.2)
 ALL_FEATURE_NAMES: list[str] = FEATURE_NAMES + CONTEXT_NAMES
+
+_INPUTS = ("I", "B", "C", "L", "P", "in_hash", "pm")
+_CONTEXT = ("cl", "depth")
 
 # Index maps for the partition-cost curves (§5.2-§5.3).
 P_FEATURE_INDEX = FEATURE_NAMES.index("f_P")
@@ -82,9 +96,16 @@ def feature_matrix(pdf: pd.DataFrame | Mapping[str, np.ndarray],
                    context: bool = False) -> np.ndarray:
     """Numpy feature matrix from a log DataFrame, or a mapping of
     equal-length arrays, with columns I, B, C, L, P, in_hash, pm (+ cl,
-    depth when ``context``)."""
-    cols = [np.asarray(fn(pdf), dtype=float) for _, fn, _ in _DEFS]
-    if context:
-        cols.append(np.asarray(pdf["cl"], dtype=float))
-        cols.append(np.asarray(pdf["depth"], dtype=float))
-    return np.column_stack(cols)
+    depth when ``context``).
+
+    Every input column is first made a C-contiguous float64 array
+    (copied if it is not one): numpy's vectorized ``log1p`` can round
+    the last bit differently on strided views, so the features of a
+    value would otherwise depend on where it sits in memory."""
+    d = _Columns((c, np.ascontiguousarray(pdf[c], dtype=float))
+                 for c in (*_INPUTS, *(_CONTEXT if context else ())))
+    fns = [fn for _, fn, _ in _DEFS] + [lambda d, c=c: d[c] for c in _CONTEXT if context]
+    out = np.empty((len(d["I"]), len(fns)))
+    for j, fn in enumerate(fns):
+        out[:, j] = fn(d)
+    return out

@@ -9,19 +9,32 @@ candidate its cost model prices cheapest. The two planners differ only
 in that cost model (``_costs``), which prices every candidate of a job
 instance in one call.
 
+A template's candidates are compiled once (:class:`TemplatePlans`, kept
+on the template): one table of distinct subtrees, each candidate a run
+of walk-order positions into it. Recurring candidates share every
+subtree below their first choice point (Fig 9's common subexpressions,
+a memo of identical subexpressions as in Cascades), so each job
+instance derives the statistics of a shared subtree once
+(``simulator.derive_rows``), and every candidate's partition counts in
+one gather (``simulator.heuristic_partitions``). Only the chosen
+candidate becomes a :class:`PlanNode` tree, and only its execution is
+simulated, after the planning clock stops.
+
 ``CleoPlanner`` costs the candidates with the learned model hierarchy
-instead of the default cost model. Each operator's model is resolved
-once per physical plan of a template (the planner keeps the look-up,
-and which stages explore, per ``(tpl_id, choices)``). Once per job
-instance, the operators of all candidates are folded into
-partition-cost curves together, and a stage's operators' curves form
-its resource-context (partition exploration); at the stage boundary the
+instead of the default cost model. Each distinct subtree's identity
+(§5.1 signatures) is computed once per template and its model resolved
+once per template and planner. Once per job instance, the subtrees'
+statistics are folded into partition-cost curves, gathered to every
+candidate's operators, and a stage's operators' curves form its
+resource-context (partition exploration); at the stage boundary the
 partitioning operator picks the count minimizing total predicted stage
 cost (partition optimization) — one array pass over every explored
-stage of every candidate. The plans' final costs read the same curves.
-A required co-partitioning property from a join fixes the other side's
-exchange without exploration (Fig 8a step 2). :class:`PlanResult`
-records each explored stage of the chosen plan (:class:`ExploredStage`).
+stage of every candidate, over a stage layout (and its ``stage_sums``
+gathers) built once per template. The plans' final costs read the same
+curves. A required co-partitioning property from a join fixes the other
+side's exchange without exploration (Fig 8a step 2). :class:`PlanResult`
+records each explored stage of the chosen plan (:class:`ExploredStage`),
+the planning time and the cost model's share of it.
 
 ``DefaultPlanner`` is the baseline: the default cost model at a fixed
 assumed degree of parallelism, partition counts from the local
@@ -47,11 +60,13 @@ from repro.optimizer import resource as res
 from repro.scope import default_cost as dc
 from repro.scope import simulator as sim
 from repro.scope.plan import (
+    JOIN_OPS,
+    CompiledPlans,
     PlanNode,
+    PlanTable,
     assign_input_templates,
     choice_points,
     expand_physical,
-    plan_stages,
 )
 from repro.scope.workload import JobTemplate
 
@@ -83,23 +98,16 @@ class PlanResult:
     choices: dict  # physical choices made
     predicted_cost: float
     lookups: int  # learned-model invocations
+    # Wall-clock of planning: from the call up to the chosen plan, which
+    # excludes simulating its execution; and the share of it spent in
+    # the cost model (``_costs``).
     planning_seconds: float
+    cost_model_seconds: float
     actual_latency: float  # simulated end-to-end latency of the choice
     cpu_seconds: float
     # predicted cost of every candidate, keyed by tuple(choices.items())
     candidate_costs: dict[tuple, float]
     # the chosen plan's explored stages, bottom-up (CLEO with exploration)
-    explored: list[ExploredStage] = field(default_factory=list)
-
-
-@dataclass
-class Candidate:
-    """One physical alternative of a job instance, with statistics and
-    heuristic partition counts; its cost model may re-assign the counts
-    and record the stages it explored."""
-
-    choices: dict
-    root: PlanNode
     explored: list[ExploredStage] = field(default_factory=list)
 
 
@@ -113,47 +121,198 @@ def _candidates(tpl: JobTemplate) -> list[dict]:
     return [dict(zip(ids, combo)) for combo in combos]
 
 
+@dataclass
+class StageLayout:
+    """The Exchange stages of plans laid end to end that explore
+    partitions, bottom-up, as positions: ``rows`` lists every explored
+    stage's operators, stage after stage, ``stages`` their number per
+    stage (with the ``stage_sums`` gather), ``heads`` each stage's
+    Exchange, ``of_plan`` each plan's stages, and ``pin_pos`` the
+    Exchanges whose count each stage fixes, stage ``pin_stage`` — a
+    join's inputs must co-partition, so the other side is set without
+    exploration (Fig 8a step 2) and is not explored itself. It depends
+    only on the plans."""
+
+    rows: np.ndarray
+    stages: res.Stages
+    heads: np.ndarray
+    of_plan: list[list[int]]
+    pin_pos: np.ndarray
+    pin_stage: np.ndarray
+
+    @staticmethod
+    def of(plans: CompiledPlans) -> "StageLayout":
+        table = plans.table
+        rows, lengths, heads, of_plan, pin_pos, pin_stage = [], [], [], [], [], []
+        for lo, hi in zip(plans.starts, plans.starts[1:]):
+            of_plan.append([])
+            pinned: set[int] = set()
+            for stage in _plan_stages(plans, lo, hi):
+                head = stage[0]
+                if table.op[plans.rows[head]] != "Exchange" or head in pinned:
+                    continue  # leaf Extract partitioning stays heuristic
+                join = next((i for i in stage if table.op[plans.rows[i]] in JOIN_OPS), None)
+                sides = [] if join is None else [plans.stage[k] for k in plans.kids[join]]
+                sides = [i for i in sides if table.op[plans.rows[i]] == "Exchange"]
+                pinned.update(sides)
+                pin_pos += sides
+                pin_stage += [len(heads)] * len(sides)
+                of_plan[-1].append(len(heads))
+                rows += stage
+                lengths.append(len(stage))
+                heads.append(head)
+        ints = (lambda v: np.array(v, dtype=np.intp))
+        return StageLayout(ints(rows), res.Stages.of(ints(lengths)), ints(heads), of_plan,
+                           ints(pin_pos), ints(pin_stage))
+
+
+def _plan_stages(plans: CompiledPlans, lo: int, hi: int) -> list[list[int]]:
+    """:func:`repro.scope.plan.plan_stages` of the plan at positions
+    ``lo`` to ``hi``: each partitioning operator (or leaf) starts a stage
+    of every operator above it up to the next stage boundary."""
+    stages: dict[int, list[int]] = {}
+    for i in range(lo, hi):
+        head = plans.stage[i]
+        stages.setdefault(head, []).append(i)
+    return [stages[h] for h in sorted(stages)]
+
+
+class TemplatePlans:
+    """A template's candidate physical plans, compiled once and kept on
+    the template (``JobTemplate.memo``): their choices and
+    ``candidate_costs`` keys, and the plans laid end to end over one
+    table of distinct subtrees (:class:`CompiledPlans`). The explored-
+    stage layout and the models' context features are built on first
+    use; everything here depends only on the template."""
+
+    def __init__(self, tpl: JobTemplate):
+        self.tpl_id = tpl.tpl_id
+        self.logical_root = tpl.logical_root
+        self.choices = _candidates(tpl)
+        self.keys = [tuple(c.items()) for c in self.choices]
+        table = PlanTable()
+        roots = []
+        for choices in self.choices:
+            root = expand_physical(tpl.logical_root, choices)
+            assign_input_templates(root)
+            roots.append(table.add(root))
+        self.plans = CompiledPlans(table, roots)
+        self.rows = np.array(self.plans.rows, dtype=np.intp)
+        self._layout: StageLayout | None = None
+        self._context: dict[str, np.ndarray] | None = None
+
+    @staticmethod
+    def of(tpl: JobTemplate) -> "TemplatePlans":
+        hit = tpl.memo.get("candidates")
+        if hit is None or hit.logical_root is not tpl.logical_root:
+            hit = tpl.memo["candidates"] = TemplatePlans(tpl)
+        return hit
+
+    def layout(self) -> StageLayout:
+        if self._layout is None:
+            self._layout = StageLayout.of(self.plans)
+        return self._layout
+
+    def context(self) -> dict[str, np.ndarray]:
+        """The identity columns and operator names of every table row
+        (for :meth:`ModelBank.resolve`), and the context features
+        ``in_hash``, ``cl`` and ``depth`` as float arrays."""
+        if self._context is None:
+            table = self.plans.table
+            ident = table.identity()
+            self._context = {**ident, "op": table.op,
+                             **{c: np.array(ident[c], dtype=float)
+                                for c in ("in_hash", "cl", "depth")}}
+        return self._context
+
+    def tree(self, j: int, stats: sim.RowStats, partitions: list[int]) -> list[PlanNode]:
+        """The nodes, in walk order, of candidate ``j`` as a
+        :class:`PlanNode` tree with ``stats`` and ``partitions``."""
+        plans, table = self.plans, self.plans.table
+        lo = plans.starts[j]
+        nodes: list[PlanNode] = []
+        for i, p in zip(range(lo, plans.starts[j + 1]), partitions):
+            r = plans.rows[i]
+            nodes.append(PlanNode(
+                op=table.op[r], children=[nodes[k - lo] for k in plans.kids[i]],
+                input_templates=table.input_templates[r], tpl_op_id=table.tpl_op_id[r],
+                props=table.props[r], sel_param=table.sel_param[r],
+                true_in=stats.true_in[r], true_base=stats.true_base[r],
+                true_out=stats.true_out[r], est_in=stats.est_in[r],
+                est_base=stats.est_base[r], est_out=stats.est_out[r],
+                row_len=stats.row_len[r], partitions=p))
+        return nodes
+
+
+@dataclass
+class Instance:
+    """The candidates of one job instance: their template's plans, the
+    statistics of every table row, every position's partition count,
+    and the explored stages (CLEO with exploration)."""
+
+    cands: TemplatePlans
+    stats: sim.RowStats
+    partitions: np.ndarray
+    explored: tuple | None = None  # (StageLayout, p_def, p, cost_p, cost_def, accepted)
+
+    def explored_of(self, j: int) -> list[ExploredStage]:
+        """Candidate ``j``'s explored stages, bottom-up."""
+        if self.explored is None:
+            return []
+        lay, *cols = self.explored
+        table, rows = self.cands.plans.table, self.cands.plans.rows
+        return [ExploredStage(table.tpl_op_id[rows[lay.heads[i]]], *(c[i] for c in cols))
+                for i in lay.of_plan[j]]
+
+
 class Planner:
     """The Cascades candidate loop that both cost models plug into: it
-    enumerates the physical alternatives, derives each one's statistics
-    and heuristic partition counts from the job instance's shared
-    draws, prices them all with :meth:`_costs`, keeps the first
-    cheapest and simulates the latencies of that one only."""
+    takes the template's compiled candidate plans, derives the
+    statistics of each distinct subtree and every candidate's heuristic
+    partition counts from the job instance's shared draws, prices them
+    all with :meth:`_costs`, keeps the first cheapest, builds its tree
+    and simulates the latencies of that one only."""
 
-    def _costs(self, tpl: JobTemplate, cands: list[Candidate], pm: float,
-               counter: res.LookupCounter) -> list[float]:
+    def _costs(self, inst: Instance, pm: float, counter: res.LookupCounter) -> list[float]:
         """Predicted cost of every candidate of one job instance; may
-        re-assign their partition counts and record the stages it
-        explored (``Candidate.explored``)."""
+        re-assign their partition counts (``inst.partitions``) and
+        record the stages it explored (``inst.explored``)."""
         raise NotImplementedError
 
     def plan(self, tpl: JobTemplate, world: sim.World, base_cards, base_lens,
              pm: float, seed_parts: tuple) -> PlanResult:
         t0 = time.perf_counter()
-        counter = res.LookupCounter()
+        cands = TemplatePlans.of(tpl)
+        plans = cands.plans
         draws = sim.Draws(seed_parts)
-        cands = []
-        for choices in _candidates(tpl):
-            root = expand_physical(tpl.logical_root, choices)
-            assign_input_templates(root)
-            sim.derive_statistics(root, world, base_cards, base_lens, pm, draws)
-            sim.assign_partitions(root, draws)
-            cands.append(Candidate(choices, root))
-        costs = self._costs(tpl, cands, pm, counter)
+        stats = sim.derive_rows(plans.table, world, base_cards, base_lens, pm, draws)
+        inst = Instance(cands, stats, sim.heuristic_partitions(plans, stats, draws))
+        counter = res.LookupCounter()
+        t1 = time.perf_counter()
+        costs = self._costs(inst, pm, counter)
+        cost_model_seconds = time.perf_counter() - t1
         best = 0
         for i, cost in enumerate(costs):
             if cost < costs[best]:
                 best = i
-        chosen = cands[best]
-        sim.simulate_latencies(chosen.root, world, pm, seed_parts)
+        lo, hi = plans.starts[best], plans.starts[best + 1]
+        partitions = inst.partitions[lo:hi].tolist()
+        nodes = cands.tree(best, stats, partitions)
+        planning_seconds = time.perf_counter() - t0
+        ids = plans.table.tpl_op_id
+        lat = sim.latencies(plans, lo, hi, stats, partitions, world, pm,
+                            (sim._rng("lat", *seed_parts, ids[plans.rows[i]])
+                             for i in range(lo, hi)))
+        for node, own in zip(nodes, lat):
+            node.actual_latency = own
         return PlanResult(
-            root=chosen.root, choices=chosen.choices, predicted_cost=costs[best],
+            root=nodes[-1], choices=dict(cands.choices[best]), predicted_cost=costs[best],
             lookups=counter.lookups,
-            planning_seconds=time.perf_counter() - t0,
-            actual_latency=sim.job_latency(chosen.root),
-            cpu_seconds=sim.job_cpu_seconds(chosen.root),
-            candidate_costs={tuple(c.choices.items()): cost for c, cost in zip(cands, costs)},
-            explored=chosen.explored,
+            planning_seconds=planning_seconds, cost_model_seconds=cost_model_seconds,
+            actual_latency=sim.plan_latency(plans, lo, lat),
+            cpu_seconds=sim.plan_cpu_seconds([n.op for n in nodes], partitions, lat),
+            candidate_costs=dict(zip(cands.keys, costs)),
+            explored=inst.explored_of(best),
         )
 
 
@@ -163,43 +322,12 @@ class DefaultPlanner(Planner):
     def __init__(self, cluster: str):
         self.cluster = cluster
 
-    def _costs(self, tpl, cands, pm, counter) -> list[float]:
-        return [sum(dc.default_cost(self.cluster, n) for n in c.root.walk()) for c in cands]
-
-
-@dataclass
-class StageLayout:
-    """The Exchange stages of a physical plan that explore partitions,
-    bottom-up, as rows of ``root.walk()``: ``rows`` lists every explored
-    stage's operators, stage after stage, ``lengths`` their number per
-    stage, ``heads`` each stage's Exchange, and ``pins`` the Exchanges
-    whose count each stage fixes — a join's inputs must co-partition, so
-    the other side is set without exploration (Fig 8a step 2) and is
-    not explored itself. It depends only on the template and choices."""
-
-    rows: list[int]
-    lengths: list[int]
-    heads: list[int]
-    pins: list[tuple[int, ...]]
-
-    @staticmethod
-    def of(root: PlanNode) -> "StageLayout":
-        row_of = {id(n): i for i, n in enumerate(root.walk())}
-        rows, lengths, heads, pins = [], [], [], []
-        pinned: set[int] = set()
-        for stage in plan_stages(root):
-            head = stage[0]
-            if head.op != "Exchange" or id(head) in pinned:
-                continue  # leaf Extract partitioning stays heuristic
-            rows += [row_of[id(n)] for n in stage]
-            lengths.append(len(stage))
-            heads.append(row_of[id(head)])
-            join = next((n for n in stage if n.op in ("HashJoin", "MergeJoin")), None)
-            sides = [] if join is None else [c.stage_partition_root() for c in join.children]
-            sides = [sp for sp in sides if sp.op == "Exchange"]
-            pinned.update(id(sp) for sp in sides)
-            pins.append(tuple(row_of[id(sp)] for sp in sides))
-        return StageLayout(rows, lengths, heads, pins)
+    def _costs(self, inst, pm, counter) -> list[float]:
+        table, stats, plans = inst.cands.plans.table, inst.stats, inst.cands.plans
+        cost = [dc.op_cost(self.cluster, op, i, c, n) for op, i, c, n in
+                zip(table.op, stats.est_in, stats.est_out, stats.row_len)]
+        return [sum(cost[r] for r in plans.rows[lo:hi])
+                for lo, hi in zip(plans.starts, plans.starts[1:])]
 
 
 class CleoPlanner(Planner):
@@ -208,70 +336,65 @@ class CleoPlanner(Planner):
     def __init__(self, bank: ModelBank, explore_partitions: bool = True):
         self.bank = bank
         self.explore_partitions = explore_partitions
-        # (tpl_id, choices) -> (logical tree, signatures and resolved
-        # models, explored-stage layout)
-        self._plans: dict[tuple, tuple[PlanNode, res.PlanModels, StageLayout]] = {}
+        # tpl_id -> (the template's plans, resolved models of every row)
+        self._models: dict[str, tuple[TemplatePlans, tuple[np.ndarray, ...]]] = {}
 
-    def _resolved(self, tpl: JobTemplate, choices: dict,
-                  root: PlanNode) -> tuple[res.PlanModels, StageLayout]:
-        """The signatures, resolved models and explored-stage layout of
-        ``root``, the physical plan of ``tpl`` under ``choices``. They
-        depend only on the template and its choices, and the bank is
-        fixed, so they are kept per ``(tpl_id, choices)``; an entry is
-        reused only for the very logical tree it was resolved from."""
-        key = (tpl.tpl_id, tuple(choices.items()))
-        hit = self._plans.get(key)
-        if hit is None or hit[0] is not tpl.logical_root:
-            hit = self._plans[key] = (tpl.logical_root, res.resolve_plan(self.bank, root),
-                                      StageLayout.of(root))
-        return hit[1], hit[2]
+    def _resolved(self, cands: TemplatePlans) -> tuple[np.ndarray, ...]:
+        """The resolved models of every distinct subtree of a template's
+        candidates (:meth:`ModelBank.resolve`). They depend only on the
+        template, and the bank is fixed, so they are kept per template;
+        an entry is reused only for the very plans it was resolved
+        from."""
+        hit = self._models.get(cands.tpl_id)
+        if hit is None or hit[0] is not cands:
+            models = self.bank.resolve(cands.context())
+            for a in models:
+                a.flags.writeable = False
+            hit = self._models[cands.tpl_id] = (cands, models)
+        return hit[1]
 
-    def _costs(self, tpl, cands, pm, counter) -> list[float]:
-        # The candidates' operators, one candidate after another, priced
-        # together. Each operator's model is resolved once per physical
-        # plan of a template; the statistics the curves read do not
-        # depend on partition counts.
-        entries = [self._resolved(tpl, c.choices, c.root) for c in cands]
-        nodes = [n for c in cands for n in c.root.walk()]
-        starts = [0, *itertools.accumulate(len(m.ident["op"]) for m, _ in entries)]
-        curves = res.instance_curves(res.PlanModels.concat([m for m, _ in entries]), nodes, pm)
+    def _costs(self, inst, pm, counter) -> list[float]:
+        # The curves of every distinct subtree, from the statistics the
+        # optimizer sees, gathered to every candidate's operators; the
+        # statistics the curves read do not depend on partition counts.
+        cands, stats = inst.cands, inst.stats
+        ctx = cands.context()
+        curves = res.fold_curves(self._resolved(cands), {
+            "I": np.array(stats.est_in), "B": np.array(stats.est_base),
+            "C": np.array(stats.est_out), "L": np.array(stats.row_len),
+            "pm": np.full(len(stats.est_in), pm),
+            "in_hash": ctx["in_hash"], "cl": ctx["cl"], "depth": ctx["depth"],
+        })[cands.rows]
         if self.explore_partitions:
-            self._explore(cands, [lay for _, lay in entries], starts, nodes, curves, counter)
-        p = np.array([[n.partitions] for n in nodes], dtype=float)
+            self._explore(inst, curves, counter)
+        p = inst.partitions.astype(float)[:, None]
         cost = res.predict_costs_at(curves, p, counter)
+        starts = cands.plans.starts
         return [float(cost[a:b].sum()) for a, b in zip(starts, starts[1:])]
 
-    def _explore(self, cands: list[Candidate], layouts: list[StageLayout], starts: list[int],
-                 nodes: list[PlanNode], curves: res.CostCurves,
+    def _explore(self, inst: Instance, curves: res.CostCurves,
                  counter: res.LookupCounter) -> None:
         """Partition exploration and optimization (§5.3, Fig 8a step 9)
         of every explored stage of every candidate in one array pass:
         the analytical optimum of each stage's resource-context, clamped
         to the exploration window around the heuristic count, is taken
-        only if the models predict a material stage-cost win. Then the
-        operators above each chosen count are re-derived."""
-        heads = [s + h for lay, s in zip(layouts, starts) for h in lay.heads]
-        if not heads:
+        only if the models predict a material stage-cost win. A join's
+        pinned inputs take their stage's final count, and the operators
+        above each count are re-derived."""
+        lay = inst.cands.layout()
+        if not len(lay.heads):
             return  # no Exchange stage to explore: the heuristic counts stand
-        rows = np.array([s + r for lay, s in zip(layouts, starts) for r in lay.rows])
-        lengths = np.array([n for lay in layouts for n in lay.lengths])
-        ctx = curves[rows]  # every explored stage's resource-context
-        p_def = np.array([nodes[h].partitions for h in heads])
+        ctx = curves[lay.rows]  # every explored stage's resource-context
+        p = inst.partitions
+        p_def = p[lay.heads]
         p_lo, p_hi = res.exploration_window(p_def)
-        p = np.minimum(np.maximum(res.analytical_optima(ctx, lengths, counter), p_lo), p_hi)
-        cost_p, cost_def = res.stage_costs(ctx, lengths, np.column_stack([p, p_def]), counter).T
+        p_opt = np.minimum(np.maximum(res.analytical_optima(ctx, lay.stages, counter), p_lo),
+                           p_hi)
+        cost_p, cost_def = res.stage_costs(ctx, lay.stages, np.column_stack([p_opt, p_def]),
+                                           counter).T
         accepted = cost_p < ACCEPT_MARGIN * cost_def
-        p_def, p, cost_p, cost_def, accepted = (
-            a.tolist() for a in (p_def, p, cost_p, cost_def, accepted))
-        i = 0
-        for cand, lay, start in zip(cands, layouts, starts):
-            for pin in lay.pins:  # in plan_stages order: a pin reads its stage's final count
-                head = nodes[heads[i]]
-                if accepted[i]:
-                    head.partitions = p[i]
-                for r in pin:
-                    nodes[start + r].partitions = head.partitions
-                cand.explored.append(ExploredStage(head.tpl_op_id, p_def[i], p[i], cost_p[i],
-                                                   cost_def[i], accepted[i]))
-                i += 1
-            sim.rederive_partitions(cand.root)
+        final = np.where(accepted, p_opt, p_def)
+        p[lay.heads] = final
+        p[lay.pin_pos] = final[lay.pin_stage]
+        sim.rederive(inst.cands.plans, p)
+        inst.explored = (lay, *(a.tolist() for a in (p_def, p_opt, cost_p, cost_def, accepted)))

@@ -14,16 +14,20 @@ The partition-cost information is a curve. Every Table 2/3 feature is
 free of the partition count P, of the form ``g(I,C,L)/P``, or ``P``
 itself, so with an operator's other statistics fixed, the log-cost its
 linear model predicts is exactly ``a + θ_P / P + θ_C · P``, clipped to
-the model's training envelope ``[z_lo, z_hi]``. :func:`resolve_plan`
-resolves each operator's model of a physical plan through the bank's
-§5.1 look-up (:meth:`ModelBank.resolve`); the look-up and the
-signatures it reads depend only on the template and its physical
-choices (:class:`PlanModels`). :func:`instance_curves` folds them
-(:func:`fold_curves`) with one instance's statistics, which change
-each curve's ``a`` and ``θ_P``, into arrays (:class:`CostCurves`); a
-stage's resource-context is the slice of them for its operators.
-Every planning decision reads the curves: sampling, the analytical
-optimum, the planner's acceptance check and the plan's final cost.
+the model's training envelope ``[z_lo, z_hi]``. Each operator's model
+comes from the bank's §5.1 look-up (:meth:`ModelBank.resolve`); the
+look-up and the signatures it reads depend only on the operator's
+subtree, so the planner resolves each distinct subtree of a template's
+candidates once (``cascades.CleoPlanner``), and :func:`resolve_plan`
+resolves one plan's tree (:class:`PlanModels`). :func:`fold_curves`
+folds resolved models with one instance's statistics, which change each
+curve's ``a`` and ``θ_P``, into arrays (:class:`CostCurves`): the
+planner folds each distinct subtree once and gathers the curves to
+every candidate's operators, and :func:`instance_curves` folds one
+plan's nodes. A stage's resource-context is the slice of them for its
+operators. Every planning decision reads the curves: sampling, the
+analytical optimum, the planner's acceptance check and the plan's final
+cost.
 
 The analytical model sums the θs across the stage's operators and
 differentiates: ``P* = sqrt(Σθ_P / Σθ_C)`` when both sums are positive,
@@ -31,9 +35,10 @@ the maximum when increasing P is free, and the minimum when it only
 hurts (the three cases of §5.3). :func:`analytical_optima` and
 :func:`stage_costs` take many stages at once, as consecutive runs of
 curve rows with per-stage lengths, so the planner prices every explored
-stage of every candidate plan of a job instance in one array pass;
-:func:`optimize_stage_analytical` and :func:`stage_costs_at` are their
-one-stage case. Model look-ups are counted — one per covered operator
+stage of every candidate plan of a job instance in one array pass; the
+gathers those lengths imply (:class:`Stages`) are built once per stage
+layout. :func:`optimize_stage_analytical` and :func:`stage_costs_at`
+are their one-stage case. Model look-ups are counted — one per covered operator
 per distinct partition count priced, one per covered operator for the
 analytical model — so the Fig 8c / Fig 17 efficiency comparison can be
 reproduced.
@@ -59,10 +64,10 @@ from repro.scope.plan import PlanNode, plan_identity
 MAX_P = 3000  # maximum machines on a virtual cluster (§6.5)
 
 # Features free of P: they fold into the curve's constant ``a``.
-_FREE_INDEX = [
+_FREE_INDEX = np.array([
     j for j in range(len(ALL_FEATURE_NAMES))
     if j != P_FEATURE_INDEX and j not in P_INVERSE_INDEX
-]
+])
 
 
 @dataclass
@@ -173,7 +178,7 @@ def predict_costs_at(
     (columns). ``partitions`` is a 1-D array of counts shared by every
     operator, or a column holding one count per operator."""
     p = np.asarray(partitions, dtype=float)
-    counter.lookups += int(curves.covered.sum()) * p.shape[-1]
+    counter.lookups += np.count_nonzero(curves.covered) * p.shape[-1]
     return _costs_at(curves, p)
 
 
@@ -232,9 +237,36 @@ def random_samples(n: int, seed: int) -> list[int]:
 # Stage-level exploration + optimization, over stages' resource-contexts
 # ---------------------------------------------------------------------------
 # Many stages are passed as one CostCurves whose rows are the stages'
-# operators, stage after stage, with ``lengths`` operators per stage.
+# operators, stage after stage, with ``lengths`` operators per stage, or
+# with those lengths' ``Stages``, which a planner computes once per
+# layout.
 
-def stage_sums(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+@dataclass
+class Stages:
+    """Consecutive runs of curve rows, ``lengths[s]`` rows for stage
+    ``s``, with the gathers :func:`stage_sums` and :func:`stage_costs`
+    read: each row's stage, and ``index[k, s]``, the ``k``-th row of
+    stage ``s``, for ``k`` up to the longest stage (``dead`` marks the
+    padding of shorter stages)."""
+
+    lengths: np.ndarray
+    row_stage: np.ndarray
+    index: np.ndarray
+    dead: np.ndarray | None  # None when every stage is as long as the longest
+
+    @staticmethod
+    def of(lengths: "np.ndarray | Stages") -> "Stages":
+        if isinstance(lengths, Stages):
+            return lengths
+        lengths = np.asarray(lengths)
+        width = np.arange(int(lengths.max(initial=0)))
+        live = width < lengths[:, None]
+        index = np.where(live, (np.cumsum(lengths) - lengths)[:, None] + width, 0)
+        return Stages(lengths, np.repeat(np.arange(len(lengths)), lengths), index.T,
+                      None if live.all() else ~live.T)
+
+
+def stage_sums(x: np.ndarray, lengths: "np.ndarray | Stages") -> np.ndarray:
     """Sum of each stage's rows of ``x``, added in row order from 0.
 
     That order is what ``ndarray.sum()`` uses for fewer than 8 terms and
@@ -243,22 +275,22 @@ def stage_sums(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     have 1-4 operators). ``np.add.reduceat`` pairs the terms of a segment
     differently and does not reproduce those bits. Shorter stages add
     0.0 past their end, which changes no sum."""
-    width = np.arange(int(lengths.max(initial=0)))
-    live = width < lengths[:, None]
-    rows = x[np.where(live, (np.cumsum(lengths) - lengths)[:, None] + width, 0)]
-    rows[~live] = 0.0
-    out = np.zeros((len(lengths),) + x.shape[1:])
-    for k in width.tolist():
-        out += rows[:, k]
+    st = Stages.of(lengths)
+    rows = x[st.index]
+    if st.dead is not None:
+        rows[st.dead] = 0.0
+    out = np.zeros((len(st.lengths),) + x.shape[1:])
+    for row in rows:
+        out += row
     return out
 
 
 def analytical_optima(
-    curves: CostCurves, lengths: np.ndarray, counter: LookupCounter
+    curves: CostCurves, lengths: "np.ndarray | Stages", counter: LookupCounter
 ) -> np.ndarray:
     """The closed-form optimum of §5.3 of every stage, from its summed
     curve weights."""
-    counter.lookups += int(curves.covered.sum())
+    counter.lookups += np.count_nonzero(curves.covered)
     sum_tp, sum_tc = stage_sums(np.column_stack([curves.theta_p, curves.theta_c]), lengths).T
     interior = (sum_tp > 0) & (sum_tc > 0)
     p_star = np.rint(np.sqrt(np.divide(sum_tp, sum_tc, out=np.ones_like(sum_tp), where=interior)))
@@ -270,16 +302,18 @@ def analytical_optima(
 
 
 def stage_costs(
-    curves: CostCurves, lengths: np.ndarray, partitions: np.ndarray,
+    curves: CostCurves, lengths: "np.ndarray | Stages", partitions: np.ndarray,
     counter: LookupCounter,
 ) -> np.ndarray:
     """Total predicted cost of each stage (rows of ``partitions``) at
     each of its partition counts (columns). A count a stage lists twice
     is one look-up per covered operator."""
+    st = Stages.of(lengths)
     p = np.asarray(partitions, dtype=float)
-    distinct = 1 + (np.diff(np.sort(p, axis=1), axis=1) != 0).sum(axis=1)
-    counter.lookups += int(np.repeat(distinct, lengths)[curves.covered].sum())
-    return stage_sums(_costs_at(curves, np.repeat(p, lengths, axis=0)), lengths)
+    ordered = np.sort(p, axis=1)
+    distinct = 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1)
+    counter.lookups += int(distinct[st.row_stage[curves.covered]].sum())
+    return stage_sums(_costs_at(curves, p[st.row_stage]), st)
 
 
 def _one_stage(ctx: CostCurves) -> np.ndarray:

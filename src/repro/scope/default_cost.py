@@ -39,10 +39,16 @@ def _hand_coeffs(cluster: str, op: str) -> tuple[float, float]:
 
 def default_cost(cluster: str, node: PlanNode, true_cards: bool = False) -> float:
     """SCOPE-like default cost of one operator (exclusive, seconds)."""
-    a, b = _hand_coeffs(cluster, node.op)
-    i = node.true_in if true_cards else node.est_in
-    c = node.true_out if true_cards else node.est_out
-    work = (a * i + b * c) * node.row_len / WORK_UNIT
+    if true_cards:
+        return op_cost(cluster, node.op, node.true_in, node.true_out, node.row_len)
+    return op_cost(cluster, node.op, node.est_in, node.est_out, node.row_len)
+
+
+def op_cost(cluster: str, op: str, i: float, c: float, row_len: float) -> float:
+    """:func:`default_cost` of an ``op`` with input and output
+    cardinalities ``i`` and ``c`` and row length ``row_len``."""
+    a, b = _hand_coeffs(cluster, op)
+    work = (a * i + b * c) * row_len / WORK_UNIT
     # No scheduling-overhead term: the hand-crafted model predates the
     # container-provisioning costs of the current runtime.
     return work / FIXED_PARTITIONS

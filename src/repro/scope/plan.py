@@ -17,6 +17,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+import numpy as np
+
 # Physical operator catalogue. ``blocking`` drives the pipeline-context
 # effect in the simulator (a hash op over a sort is slower than over a
 # filter, §3.1); ``logical`` is the logical operator the physical one
@@ -40,6 +42,10 @@ PHYSICAL_OPS: dict[str, dict] = {
 # everything above it (until the next Exchange) runs on its partition
 # count (§2.1).
 PARTITIONING_OPS = frozenset({"Extract", "Exchange"})
+JOIN_OPS = ("HashJoin", "MergeJoin")
+# Logical operators whose estimated output is their estimated input: they
+# make no selectivity estimate, so draw no ``"est-jit"`` (§3.1).
+CARD_PRESERVING = ("Exchange", "Sort", "Project", "Output")
 
 
 def hash64(*parts) -> int:
@@ -48,7 +54,7 @@ def hash64(*parts) -> int:
     63 bits keeps the value inside a signed int64 so it survives a round
     trip through Spark / Arrow / pandas without overflow.
     """
-    h = hashlib.blake2b("\x1f".join(str(p) for p in parts).encode(), digest_size=8)
+    h = hashlib.blake2b("\x1f".join(map(str, parts)).encode(), digest_size=8)
     return int.from_bytes(h.digest(), "big") & 0x7FFF_FFFF_FFFF_FFFF
 
 
@@ -101,12 +107,194 @@ class PlanNode:
         return node
 
 
-# --- signatures (§5.1, §4.2) ----------------------------------------------
+# --- compiled plans and signatures (§5.1, §4.2) ----------------------------
+# The identity columns of an operator, in the order :func:`plan_identity`
+# returns them.
+IDENTITY_COLUMNS = ("depth", "cl", "in_hash", "sig_sub", "sig_approx", "sig_opinput")
+
+
+class PlanTable:
+    """Physical plans compiled into flat rows: one row per distinct
+    subtree, every row after its children's rows.
+
+    :meth:`add` compiles a plan's tree, reusing the row of any subtree
+    the table already holds, so the candidate plans of one template
+    share the rows of the subtrees they have in common. A row holds the
+    operator's template-level fields, its children's rows, its stage
+    root and its draw flags; :meth:`identity` adds the §5.1 signatures.
+    The statistics of a subtree depend only on the subtree, so the
+    simulator derives them once per row (``repro.scope.simulator``)."""
+
+    def __init__(self):
+        self.op: list[str] = []
+        self.logical: list[str] = []
+        self.tpl_op_id: list[str] = []
+        self.props: list[str] = []
+        self.sel_param: list[float] = []
+        self.input_templates: list[tuple[str, ...]] = []
+        self.input_set: list[tuple[str, ...]] = []  # the normalized inputs, sorted
+        self.kids: list[tuple[int, ...]] = []
+        self.size: list[int] = []  # operators in the subtree (the CL feature)
+        self.walk: list[tuple[int, ...]] = []  # the subtree's rows in walk order
+        # Walk offset, within the subtree, of the partitioning operator
+        # whose count the row derives (:meth:`PlanNode.stage_partition_root`).
+        self.stage_off: list[int] = []
+        self.partitioning: list[bool] = []  # draws ``"part"`` (PARTITIONING_OPS)
+        self.est_draw: list[bool] = []  # draws ``"est-jit"``: leaves and estimators
+        self.blocking: list[bool] = []
+        self.above_blocking: list[bool] = []  # some child is blocking
+        self._index: dict[tuple, int] = {}
+        self._ident: dict[str, list] = {c: [] for c in IDENTITY_COLUMNS}
+        self._below: list[dict[str, int]] = []  # logical-op counts strictly below
+
+    def __len__(self) -> int:
+        return len(self.op)
+
+    def add(self, node: PlanNode) -> int:
+        """The row of ``node``'s subtree, compiled on first sight."""
+        kids = tuple(map(self.add, node.children))
+        key = (node.op, node.tpl_op_id, node.props, node.sel_param, node.input_templates, kids)
+        row = self._index.get(key)
+        if row is not None:
+            return row
+        row = self._index[key] = len(self.op)
+        op = node.op
+        self.op.append(op)
+        self.logical.append(node.logical)
+        self.tpl_op_id.append(node.tpl_op_id)
+        self.props.append(node.props)
+        self.sel_param.append(node.sel_param)
+        self.input_templates.append(node.input_templates)
+        self.input_set.append(tuple(sorted(set(node.input_templates))))
+        self.kids.append(kids)
+        self.size.append(1 + sum(map(self.size.__getitem__, kids)))
+        self.walk.append(sum(map(self.walk.__getitem__, kids), ()) + (row,))
+        partitioning = op in PARTITIONING_OPS
+        self.stage_off.append(self.stage_off[kids[0]] if kids and not partitioning
+                              else self.size[row] - 1)
+        self.partitioning.append(partitioning)
+        self.est_draw.append(not kids or node.logical not in CARD_PRESERVING)
+        self.blocking.append(op in PHYSICAL_OPS and PHYSICAL_OPS[op]["blocking"])
+        self.above_blocking.append(any(map(self.blocking.__getitem__, kids)))
+        return row
+
+    def identity(self) -> dict[str, list]:
+        """The identity columns of every row (see :func:`plan_identity`),
+        computed once per row, each row from its children's values."""
+        cols, below = self._ident, self._below
+        for row in range(len(cols["depth"]), len(self.op)):
+            kids = self.kids[row]
+            counts: dict[str, int] = {}
+            for k in kids:
+                for logical, n in below[k].items():
+                    counts[logical] = counts.get(logical, 0) + n
+                counts[self.logical[k]] = counts.get(self.logical[k], 0) + 1
+            below.append(counts)
+            op, inputs = self.op[row], self.input_templates[row]
+            cols["depth"].append(1 + max((cols["depth"][k] for k in kids), default=0))
+            cols["cl"].append(self.size[row])
+            cols["in_hash"].append(hash64(self.input_set[row]) / float(2**63))
+            cols["sig_sub"].append(hash64(op, self.props[row],
+                                          *(cols["sig_sub"][k] for k in kids),
+                                          *(() if kids else inputs)))
+            ordered = tuple(sorted(inputs))
+            cols["sig_approx"].append(hash64(op, ordered, tuple(sorted(counts.items()))))
+            cols["sig_opinput"].append(hash64(op, ordered))
+        return cols
+
+
+class CompiledPlans:
+    """Plans laid end to end as walk-order positions over one
+    :class:`PlanTable`: plan ``j`` is positions ``starts[j]`` to
+    ``starts[j + 1]``, position ``i`` is an operator of table row
+    ``rows[i]``, and ``kids[i]`` are its children's positions.
+
+    The partition counts of a plan are positional (a join's inputs
+    co-partition with each other, not with their subtree), so the
+    compiled plans also hold, as gathers over positions, where every
+    count comes from (see ``repro.scope.simulator``):
+
+    - ``part_pos``: the partitioning operators, which take a heuristic
+      count per table row (``part_rows[part_ix]``);
+    - ``copart_pos``: the Exchanges feeding a join, which take the
+      largest heuristic count of the positions in ``copart_src``: their
+      join's input stages, joins taken bottom-up;
+    - ``derived_pos``: every other operator with children, which takes
+      the largest count of the partitioning positions in
+      ``derived_src`` (its first child's, or for a join all children's,
+      transitively).
+
+    Index rows are padded by repeating their first entry."""
+
+    def __init__(self, table: PlanTable, roots: list[int]):
+        self.table = table
+        rows = [r for root in roots for r in table.walk[root]]
+        self.rows = rows
+        self.starts = [0]
+        for root in roots:
+            self.starts.append(self.starts[-1] + table.size[root])
+        size, tkids, stage_off, ops = table.size, table.kids, table.stage_off, table.op
+        partitioning = table.partitioning
+        kids: list[tuple[int, ...]] = []
+        stage: list[int] = []  # position of each position's stage root
+        # Sources, as sets of positions whose heuristic count a count is
+        # the largest of: ``base`` for the partitioning operators (and
+        # leaves, which keep count 1), ``derived`` for every position.
+        base: dict[int, tuple[int, ...]] = {}
+        derived: list[tuple[int, ...]] = []
+        derived_pos = []
+        for i, r in enumerate(rows):
+            first = i - size[r] + 1
+            pos, at = [], first
+            for k in tkids[r]:
+                at += size[k]
+                pos.append(at - 1)
+            kids.append(tuple(pos))
+            stage.append(first + stage_off[r])
+            if partitioning[r] or not pos:
+                base[i] = (i,)
+                derived.append((i,))
+                continue
+            if ops[r] in JOIN_OPS:
+                sides = [stage[k] for k in pos]
+                src = tuple(sorted({s for side in sides for s in base[side]}))
+                for side in sides:
+                    if ops[rows[side]] == "Exchange":
+                        base[side] = src
+                derived.append(tuple(sorted({s for k in pos for s in derived[k]})))
+            else:
+                derived.append(derived[pos[0]])
+            derived_pos.append(i)
+        self.kids = kids
+        self.stage = stage
+        part_pos = [i for i, r in enumerate(rows) if partitioning[r]]
+        self.part_rows = sorted({rows[i] for i in part_pos})
+        ix = {r: j for j, r in enumerate(self.part_rows)}
+        self.part_pos = np.array(part_pos, dtype=np.intp)
+        self.part_ix = np.array([ix[rows[i]] for i in part_pos], dtype=np.intp)
+        copart_pos = sorted(i for i, src in base.items() if src != (i,))
+        self.copart_pos, self.copart_src = _gather(copart_pos, [base[i] for i in copart_pos])
+        self.derived_pos, self.derived_src = _gather(derived_pos,
+                                                     [derived[i] for i in derived_pos])
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def _gather(pos: list[int], sources: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and their sources as a position array and an index
+    array, each row padded by repeating its first entry."""
+    width = max(map(len, sources), default=1)
+    src = np.array([s + s[:1] * (width - len(s)) for s in sources], dtype=np.intp)
+    return np.array(pos, dtype=np.intp), src.reshape(len(pos), width)
+
+
 def plan_identity(root: PlanNode) -> dict[str, list]:
     """Template-level identity of every operator of a plan: one list per
     column below, aligned with ``root.walk()``.
 
-    One bottom-up pass; each node reuses its children's values:
+    One bottom-up pass over the compiled plan (:meth:`PlanTable.identity`);
+    each operator reuses its children's values:
 
     - ``depth``: height above the leaves (leaf = 1);
     - ``cl``: operators in the subgraph rooted here (the CL feature);
@@ -118,34 +306,10 @@ def plan_identity(root: PlanNode) -> dict[str, list]:
       order ignored;
     - ``sig_opinput``: operator-input — root physical op and inputs.
     """
-    cols: dict[str, list] = {
-        c: [] for c in ("depth", "cl", "in_hash", "sig_sub", "sig_approx", "sig_opinput")
-    }
-    # id(node) -> (depth, cl, sig_sub, logical-op counts strictly below)
-    done: dict[int, tuple[int, int, int, dict[str, int]]] = {}
-    for node in root.walk():
-        kids = [done[id(c)] for c in node.children]
-        below: dict[str, int] = {}
-        for c, (_, _, _, c_below) in zip(node.children, kids):
-            for logical, k in c_below.items():
-                below[logical] = below.get(logical, 0) + k
-            below[c.logical] = below.get(c.logical, 0) + 1
-        depth = 1 + max((k[0] for k in kids), default=0)
-        cl = 1 + sum(k[1] for k in kids)
-        sig_sub = hash64(
-            node.op, node.props, *(k[2] for k in kids),
-            *(() if node.children else node.input_templates),
-        )
-        inputs = tuple(sorted(node.input_templates))
-        done[id(node)] = (depth, cl, sig_sub, below)
-        cols["depth"].append(depth)
-        cols["cl"].append(cl)
-        cols["in_hash"].append(
-            hash64(tuple(sorted(set(node.input_templates)))) / float(2**63))
-        cols["sig_sub"].append(sig_sub)
-        cols["sig_approx"].append(hash64(node.op, inputs, tuple(sorted(below.items()))))
-        cols["sig_opinput"].append(hash64(node.op, inputs))
-    return cols
+    table = PlanTable()
+    walk = table.walk[table.add(root)]
+    ident = table.identity()
+    return {c: [ident[c][r] for r in walk] for c in IDENTITY_COLUMNS}
 
 
 # Logical operator kinds used in template (logical) trees. ``Join`` and

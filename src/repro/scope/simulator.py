@@ -23,6 +23,29 @@ hand-crafted cost model cannot capture:
 - a job-parameter factor (recurring jobs run with different parameters,
   §2.2), multiplicative lognormal cloud noise and rare stragglers [42].
 
+Every formula runs over compiled plans (:class:`repro.scope.plan.PlanTable`
+rows and :class:`repro.scope.plan.CompiledPlans` positions), and this is
+their only implementation:
+
+- :func:`derive_rows`: true and estimated statistics, once per table
+  row. A subtree's statistics depend only on the subtree, so the
+  candidate plans of a template, which share the rows of their common
+  subtrees, derive each shared subtree once per job instance;
+- :func:`heuristic_partitions`: the heuristic count of each
+  partitioning row, then, per position, each join's co-partitioning and
+  every derived count, as gathers over the positions of all plans at
+  once; :func:`rederive` re-derives after a planner changes counts;
+- :func:`latencies`, :func:`plan_latency` and :func:`plan_cpu_seconds`:
+  execution, per position of one plan.
+
+:func:`instantiate_plan` runs them for one plan. The workload generator
+(on each template's compiled executed plan), both planners (on each
+template's compiled candidates) and the tree functions
+(:func:`instantiate`, :func:`derive_statistics`,
+:func:`assign_partitions`, :func:`rederive_partitions`,
+:func:`job_latency`, ...) all call them; a tree function compiles its
+tree alone, runs the rows and writes the results into the nodes.
+
 All randomness is derived deterministically from ``hash64`` of the
 entity keys, so the same workload is bit-identical across runs and
 processes: the generator of key ``(kind, *parts)`` is
@@ -31,7 +54,8 @@ and partition counts make at most one draw per operator each: the first
 standard normal of the generator of ``(kind, *seed_parts, tpl_op_id)``.
 numpy computes ``normal(0.0, s)`` as ``0.0 + s * standard_normal()``, so
 scaling the kept draw gives the same bits as drawing from a fresh
-generator.
+generator. Keying by ``tpl_op_id`` is what lets a subtree shared by
+several candidates read one set of draws.
 
 The keys are seeded in one of two ways, each where it is faster:
 
@@ -40,8 +64,10 @@ The keys are seeded in one of two ways, each where it is faster:
   (:func:`instance_keys`) as it is read. The planners cost many
   candidate plans of one instance: :class:`Draws` makes each statistics
   draw on first use and keeps it, so each operator's generator is
-  seeded once and operators that draw nothing seed none; latencies
-  (:func:`simulate_latencies`) seed one generator per executed operator;
+  seeded once and operators that draw nothing seed none; the chosen
+  plan's latencies seed one generator per executed operator. This
+  per-key seeding is the floor of a planner call: at a dozen keys,
+  numpy's ``default_rng`` is faster than a batch;
 - in one batch per generated day (:func:`rng_batch`): the workload
   generator lists every key of the day's runs in run order, the batch
   computes all their PCG64 states in one vectorized pass, and one reused
@@ -49,18 +75,26 @@ The keys are seeded in one of two ways, each where it is faster:
   The draws are the ones :func:`_rng` makes, bit for bit; only numpy's
   per-generator set-up cost is gone.
 
-:func:`instantiate` and the workload generator share one body,
-:func:`instantiate_batched`, which takes the generators in key order.
+Both take the generators in :func:`instance_keys` order through one
+body, :func:`instantiate_plan`.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
+from operator import mul
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.scope.plan import PARTITIONING_OPS, PlanNode, hash64
+from repro.scope.plan import (
+    CARD_PRESERVING,
+    JOIN_OPS,
+    CompiledPlans,
+    PlanNode,
+    PlanTable,
+    hash64,
+)
 
 MAX_PARTITIONS = 3000
 OVERHEAD_PER_PARTITION = 0.03  # seconds of latency per scheduled partition
@@ -213,10 +247,6 @@ TAU_SIGMA = 0.5
 EST_SIGMA = 0.7
 STRAGGLER_PROB = 0.01
 
-# Logical operators whose estimated output is their estimated input: they
-# make no selectivity estimate, so draw no ``"est-jit"`` (§3.1).
-CARD_PRESERVING = ("Exchange", "Sort", "Project", "Output")
-
 
 @dataclass
 class World:
@@ -250,27 +280,8 @@ class World:
     # ------------------------------------------------------------------
     def true_output(self, node: PlanNode, pm: float) -> float:
         """True output cardinality given true input and template params."""
-        op = node.op
-        i = node.true_in
-        s = node.sel_param
-        if op == "Extract":
-            return i
-        if op == "Filter":
-            # Instance parameters modulate predicate selectivity (§2.2).
-            return i * min(1.0, s * (0.6 + 0.8 * pm))
-        if op in ("Project", "Sort", "Exchange", "Output"):
-            return i
-        if op == "ProcessUDF":
-            return i * s
-        if op in ("HashJoin", "MergeJoin"):
-            left, right = node.children[0], node.children[1]
-            return max(1.0, s * max(left.true_out, right.true_out))
-        if op in ("HashAggregate", "StreamAggregate"):
-            return max(1.0, i * s)
-        if op == "LocalAggregate":
-            # Partial aggregation reduces less than the global one.
-            return max(1.0, i * min(1.0, s * 20))
-        raise ValueError(f"unknown op {op}")
+        return true_output(node.op, node.true_in, node.sel_param, pm,
+                           [c.true_out for c in node.children])
 
     def exclusive_latency(
         self, node: PlanNode, pm: float, seed_parts: tuple
@@ -282,42 +293,73 @@ class World:
         job instance see identical noise for shared operators and the
         planner experiments (§6.6) compare plans, not luck.
         """
-        return self._latency(node, pm, _rng("lat", *seed_parts, node.tpl_op_id))
+        kids = node.children
+        in_len = (sum(c.row_len * c.true_out for c in kids) / max(node.true_in, 1.0)
+                  if kids else node.row_len)
+        return self.latency(node.op, node.logical, tuple(sorted(set(node.input_templates))),
+                            node.true_in,
+                            node.true_out, node.row_len, in_len, node.partitions,
+                            _context(not kids, any(c.blocking for c in kids)), pm,
+                            _rng("lat", *seed_parts, node.tpl_op_id))
 
-    def _latency(self, node: PlanNode, pm: float, g_inst: np.random.Generator) -> float:
-        """:meth:`exclusive_latency` with the operator's ``"lat"``
-        generator ``g_inst``: one ``normal``, one ``random`` and, for a
-        straggler, one ``uniform``."""
-        alpha, beta, gscale = OP_COEF[node.op]
-        in_len = (
-            sum(c.row_len * c.true_out for c in node.children) / max(node.true_in, 1.0)
-            if node.children
-            else node.row_len
-        )
-        work = (
-            alpha * node.true_in * in_len + beta * node.true_out * node.row_len
-        ) / WORK_UNIT
-        if node.op == "Sort":
-            work *= 1.0 + 0.07 * math.log2(1.0 + node.true_in)
-        if node.op == "Exchange":
-            work *= 1.0 + 0.10 * math.log2(1.0 + node.partitions)
-        if not node.children:
-            ctx = 1.0
-        elif any(c.blocking for c in node.children):
-            ctx = 1.25
-        else:
-            ctx = 0.8
-        tau = self.tau(node.input_templates, node.logical)
+    def latency(self, op: str, logical: str, input_set: tuple[str, ...], true_in: float,
+                true_out: float, row_len: float, in_len: float, partitions: int,
+                ctx: float, pm: float, g_inst: np.random.Generator) -> float:
+        """:meth:`exclusive_latency` of one operator from its sorted
+        distinct inputs ``input_set``, its statistics, the children's
+        average row length ``in_len``, its pipeline context ``ctx`` and
+        its ``"lat"`` generator ``g_inst``: one ``normal``, one
+        ``random`` and, for a straggler, one ``uniform``."""
+        alpha, beta, gscale = OP_COEF[op]
+        work = (alpha * true_in * in_len + beta * true_out * row_len) / WORK_UNIT
+        if op == "Sort":
+            work *= 1.0 + 0.07 * math.log2(1.0 + true_in)
+        if op == "Exchange":
+            work *= 1.0 + 0.10 * math.log2(1.0 + partitions)
+        tau = self._tau_cache.get((input_set, logical))
+        if tau is None:
+            tau = self.tau(input_set, logical)
         pm_factor = math.exp(0.35 * (pm - 0.5))
         noise = math.exp(g_inst.normal(0.0, NOISE_SIGMA))
         if g_inst.random() < STRAGGLER_PROB:
             noise *= g_inst.uniform(2.0, 5.0)
-        parallel = work / max(node.partitions, 1)
-        overhead = gscale * OVERHEAD_PER_PARTITION * node.partitions
+        parallel = work / max(partitions, 1)
+        overhead = gscale * OVERHEAD_PER_PARTITION * partitions
         # Cloud noise hits the whole operator (stragglers delay both the
         # compute and the scheduling waves); the data-dependent hidden
         # multiplier τ and the parameter factor scale only the work.
         return (parallel * ctx * tau * pm_factor + overhead) * noise
+
+
+def true_output(op: str, i: float, s: float, pm: float, kid_outs: list[float]) -> float:
+    """True output cardinality of ``op`` from its true input ``i``, its
+    template parameter ``s``, the job parameter ``pm`` and its children's
+    true outputs."""
+    if op == "Extract":
+        return i
+    if op == "Filter":
+        # Instance parameters modulate predicate selectivity (§2.2).
+        return i * min(1.0, s * (0.6 + 0.8 * pm))
+    if op in ("Project", "Sort", "Exchange", "Output"):
+        return i
+    if op == "ProcessUDF":
+        return i * s
+    if op in JOIN_OPS:
+        return max(1.0, s * max(kid_outs[0], kid_outs[1]))
+    if op in ("HashAggregate", "StreamAggregate"):
+        return max(1.0, i * s)
+    if op == "LocalAggregate":
+        # Partial aggregation reduces less than the global one.
+        return max(1.0, i * min(1.0, s * 20))
+    raise ValueError(f"unknown op {op}")
+
+
+def _context(leaf: bool, above_blocking: bool) -> float:
+    """Pipeline context of an operator: 1 for a leaf, a penalty above a
+    blocking child, a discount above streaming ones."""
+    if leaf:
+        return 1.0
+    return 1.25 if above_blocking else 0.8
 
 
 def default_partitions(est_rows: float, z_inst: float) -> int:
@@ -330,6 +372,203 @@ def default_partitions(est_rows: float, z_inst: float) -> int:
     return min(max(math.ceil(est_rows / target), 1), MAX_PARTITIONS)
 
 
+# ---------------------------------------------------------------------------
+# Compiled plans: the one implementation of statistics, partitions and
+# latencies
+# ---------------------------------------------------------------------------
+
+@dataclass
+class RowStats:
+    """Instance statistics of every row of a :class:`PlanTable`, one
+    list per column; ``in_len`` is the children's average row length,
+    weighted by their true outputs (a leaf's own row length)."""
+
+    true_in: list[float]
+    true_base: list[float]
+    true_out: list[float]
+    est_in: list[float]
+    est_base: list[float]
+    est_out: list[float]
+    row_len: list[float]
+    in_len: list[float]
+
+
+def derive_rows(table: PlanTable, world: World, base_cards: dict[str, float],
+                base_lens: dict[str, float], pm: float, draws: Draws) -> RowStats:
+    """True and estimated cardinalities and row lengths of every row,
+    children first. Leaves and selectivity-estimating operators read
+    their ``"est-jit"`` draw."""
+    n = len(table)
+    t_in, t_base, t_out = [0.0] * n, [0.0] * n, [0.0] * n
+    e_in, e_base, e_out = [0.0] * n, [0.0] * n, [0.0] * n
+    r_len, in_len = [0.0] * n, [0.0] * n
+    ops, tids, kids_of, sels = table.op, table.tpl_op_id, table.kids, table.sel_param
+    est_draw, logical, inputs = table.est_draw, table.logical, table.input_templates
+    for row in range(n):
+        op, kids = ops[row], kids_of[row]
+        if not kids:
+            name = inputs[row][0]
+            card = base_cards[name]
+            r_len[row] = in_len[row] = base_lens[name]
+            t_in[row] = t_base[row] = card
+            t_out[row] = true_output(op, card, sels[row], pm, [])
+            err = math.exp(0.06 * draws["est-jit", tids[row]])
+            e_in[row] = e_base[row] = e_out[row] = card * err
+            continue
+        kid_outs = [t_out[k] for k in kids]
+        ti = t_in[row] = sum(kid_outs)
+        t_base[row] = sum(map(t_base.__getitem__, kids))
+        ei = e_in[row] = sum(map(e_out.__getitem__, kids))
+        e_base[row] = sum(map(e_base.__getitem__, kids))
+        # Row length transformation by operator.
+        child_len = in_len[row] = sum(map(mul, map(r_len.__getitem__, kids), kid_outs)) / max(
+            ti, 1.0)
+        if op == "Project":
+            r_len[row] = child_len * (0.4 + 0.5 * sels[row])
+        elif op in JOIN_OPS:
+            r_len[row] = sum(map(r_len.__getitem__, kids))
+        elif op in ("HashAggregate", "StreamAggregate", "LocalAggregate"):
+            r_len[row] = child_len * 0.8
+        else:
+            r_len[row] = child_len
+        to = t_out[row] = true_output(op, ti, sels[row], pm, kid_outs)
+        # Estimated output: estimated input × estimated selectivity,
+        # where the selectivity estimate is systematically off — errors
+        # compound as we move up the plan (§3.1).
+        if not est_draw[row]:
+            # Cardinality-preserving operators: the optimizer's estimate
+            # passes through unchanged (no new estimation error).
+            e_out[row] = ei
+        else:
+            true_sel = to / max(ti, 1.0)
+            err = world.est_error_factor(tids[row], logical[row], draws["est-jit", tids[row]])
+            e_out[row] = max(1.0, ei * true_sel * err)
+    return RowStats(t_in, t_base, t_out, e_in, e_base, e_out, r_len, in_len)
+
+
+def heuristic_partitions(plans: CompiledPlans, stats: RowStats, draws: Draws) -> np.ndarray:
+    """Partition counts of every position of ``plans`` (§5.2): each
+    partitioning operator's count from its local estimated stats and its
+    ``"part"`` draw, once per table row; each Exchange feeding a join
+    the larger of the join's input stage counts (co-partitioning, joins
+    bottom-up); then every other operator's derived count
+    (:func:`rederive`)."""
+    table = plans.table
+    heur = [default_partitions(stats.est_base[r] if table.op[r] == "Extract"
+                               else stats.est_in[r], draws["part", table.tpl_op_id[r]])
+            for r in plans.part_rows]
+    p = np.ones(len(plans), dtype=np.int64)
+    p[plans.part_pos] = np.array(heur, dtype=np.int64)[plans.part_ix]
+    if len(plans.copart_pos):
+        p[plans.copart_pos] = p[plans.copart_src].max(axis=1)
+    rederive(plans, p)
+    return p
+
+
+def rederive(plans: CompiledPlans, p: np.ndarray) -> None:
+    """Re-propagate partition counts, in place, to every operator that
+    derives its count from the partitioning operators below it; every
+    Extract and Exchange keeps its count."""
+    p[plans.derived_pos] = p[plans.derived_src].max(axis=1)
+
+
+def latencies(plans: CompiledPlans, lo: int, hi: int, stats: RowStats, partitions: list[int],
+              world: World, pm: float, rngs: Iterator[np.random.Generator]) -> list[float]:
+    """Actual exclusive latency of positions ``lo`` to ``hi`` of
+    ``plans`` at ``partitions`` (one count per position), each from the
+    next of ``rngs``: the operators' ``"lat"`` generators in walk order."""
+    t = plans.table
+    return [world.latency(t.op[r], t.logical[r], t.input_set[r], stats.true_in[r],
+                          stats.true_out[r], stats.row_len[r], stats.in_len[r], p,
+                          _context(not t.kids[r], t.above_blocking[r]), pm, next(rngs))
+            for r, p in zip(plans.rows[lo:hi], partitions)]
+
+
+def plan_latency(plans: CompiledPlans, lo: int, lat: list[float]) -> float:
+    """End-to-end latency of the plan starting at position ``lo``, from
+    its operators' latencies ``lat``: the critical path of operator
+    completion times."""
+    done: list[float] = []
+    for i, own in enumerate(lat, start=lo):
+        done.append(max((done[k - lo] for k in plans.kids[i]), default=0.0) + own)
+    return done[-1]
+
+
+def plan_cpu_seconds(ops: list[str], partitions: list[int], lat: list[float]) -> float:
+    """Total processing time (CPU-seconds) of a plan's operators: each
+    operator's work across its partitions plus per-container startup
+    cost — the resource bill that over-partitioning inflates (§6.6.1,
+    Fig 19b)."""
+    total = 0.0
+    for op, p, own in zip(ops, partitions, lat):
+        gscale = OP_COEF[op][2]
+        overhead = gscale * OVERHEAD_PER_PARTITION * p
+        work = max(own - overhead, 0.0) * p
+        total += work + overhead + CPU_STARTUP_PER_PARTITION * p
+    return total
+
+
+def plan_draw_keys(plans: CompiledPlans) -> list[tuple[str, str]]:
+    """The ``Draws`` keys the statistics and heuristic partitions of
+    ``plans`` read, in first-read order."""
+    table, rows = plans.table, plans.rows
+    est = [("est-jit", table.tpl_op_id[r]) for r in rows if table.est_draw[r]]
+    part = [("part", table.tpl_op_id[r]) for r in rows if table.partitioning[r]]
+    return list(dict.fromkeys(est + part))
+
+
+@dataclass
+class Instance:
+    """One simulated job instance of a one-plan :class:`CompiledPlans`:
+    statistics per position, partition counts and latencies."""
+
+    stats: RowStats
+    partitions: list[int]
+    latencies: list[float]
+
+
+def instantiate_plan(plans: CompiledPlans, draw_keys: list[tuple[str, str]], world: World,
+                     base_cards: dict[str, float], base_lens: dict[str, float], pm: float,
+                     seed_parts: tuple, rngs: Iterator[np.random.Generator]) -> Instance:
+    """Statistics, heuristic partitions and actual latencies of the one
+    plan of ``plans`` (whose :func:`plan_draw_keys` are ``draw_keys``),
+    with per-operator randomness keyed by
+    ``tpl_op_id`` (common random numbers), so re-planned variants of the
+    same instance are directly comparable.
+
+    ``base_cards``/``base_lens`` give the true cardinality and row
+    length of each input template for this run; ``seed_parts`` make the
+    instance deterministic. ``rngs`` yields the generators of
+    :func:`instance_keys` in turn: fresh ones (:func:`instantiate`) or a
+    share of a day's :func:`rng_batch` (``Cluster.generate_days``)."""
+    draws = Draws(seed_parts)
+    for key in draw_keys:
+        draws[key] = next(rngs).standard_normal()
+    stats = derive_rows(plans.table, world, base_cards, base_lens, pm, draws)
+    parts = heuristic_partitions(plans, stats, draws).tolist()
+    return Instance(stats, parts, latencies(plans, 0, len(plans), stats, parts, world, pm, rngs))
+
+
+# ---------------------------------------------------------------------------
+# Tree adapters: compile a PlanNode tree, run the row functions, write back
+# ---------------------------------------------------------------------------
+
+def compile_plan(root: PlanNode) -> CompiledPlans:
+    """``root`` compiled alone."""
+    table = PlanTable()
+    return CompiledPlans(table, [table.add(root)])
+
+
+STAT_FIELDS = ("true_in", "true_base", "true_out", "est_in", "est_base", "est_out", "row_len")
+
+
+def _write_stats(root: PlanNode, plans: CompiledPlans, stats: RowStats) -> None:
+    cols = [getattr(stats, f) for f in STAT_FIELDS]
+    for node, r in zip(root.walk(), plans.rows):
+        for f, col in zip(STAT_FIELDS, cols):
+            setattr(node, f, col[r])
+
+
 def instantiate(
     root: PlanNode,
     world: World,
@@ -338,64 +577,45 @@ def instantiate(
     pm: float,
     seed_parts: tuple,
 ) -> None:
-    """:func:`instantiate_batched` with one fresh :func:`_rng` per key,
-    seeded as it is read: the seeding of a single job instance."""
-    instantiate_batched(root, world, base_cards, base_lens, pm, seed_parts,
-                        (_rng(*key) for key in instance_keys(root, seed_parts)))
+    """Fill instance statistics, partition counts and actual latencies of
+    a plan, in place: :func:`instantiate_plan` with one fresh
+    :func:`_rng` per key, seeded as it is read."""
+    plans = compile_plan(root)
+    draw_keys = plan_draw_keys(plans)
+    inst = instantiate_plan(plans, draw_keys, world, base_cards, base_lens, pm, seed_parts,
+                            (_rng(*key) for key in _instance_keys(plans, draw_keys, seed_parts)))
+    _write_stats(root, plans, inst.stats)
+    for node, p, lat in zip(root.walk(), inst.partitions, inst.latencies):
+        node.partitions = p
+        node.actual_latency = lat
+
+
+def _instance_keys(plans: CompiledPlans, draw_keys: list[tuple[str, str]],
+                   seed_parts: tuple) -> Iterator[tuple]:
+    for kind, tpl_op_id in draw_keys:
+        yield (kind, *seed_parts, tpl_op_id)
+    for r in plans.rows:
+        yield ("lat", *seed_parts, plans.table.tpl_op_id[r])
 
 
 def instance_keys(root: PlanNode, seed_parts: tuple) -> Iterator[tuple]:
-    """The :func:`_rng` keys :func:`instantiate_batched` reads for one
+    """The :func:`_rng` keys :func:`instantiate_plan` reads for one
     instance of ``root``, in the order it reads them: the statistics
     draws (:func:`draw_keys`), then one ``"lat"`` key per operator."""
-    for kind, tpl_op_id in draw_keys(root):
-        yield (kind, *seed_parts, tpl_op_id)
-    for node in root.walk():
-        yield ("lat", *seed_parts, node.tpl_op_id)
+    plans = compile_plan(root)
+    return _instance_keys(plans, plan_draw_keys(plans), seed_parts)
 
 
 def draw_keys(root: PlanNode) -> list[tuple[str, str]]:
     """The ``Draws`` keys :func:`derive_statistics` and then
     :func:`assign_partitions` read for ``root``, in first-read order."""
-    est = [("est-jit", n.tpl_op_id) for n in root.walk() if draws_estimate(n)]
-    part = [("part", n.tpl_op_id) for n in root.walk() if n.op in PARTITIONING_OPS]
-    return list(dict.fromkeys(est + part))
+    return plan_draw_keys(compile_plan(root))
 
 
 def draws_estimate(node: PlanNode) -> bool:
     """Whether ``node`` reads its ``"est-jit"`` draw: every leaf, and
     every operator that makes a selectivity estimate."""
     return not node.children or node.logical not in CARD_PRESERVING
-
-
-def instantiate_batched(
-    root: PlanNode,
-    world: World,
-    base_cards: dict[str, float],
-    base_lens: dict[str, float],
-    pm: float,
-    seed_parts: tuple,
-    rngs: Iterator[np.random.Generator],
-) -> None:
-    """Fill instance statistics and actual latencies for a plan, in place:
-    :func:`derive_statistics`, :func:`assign_partitions`, then every
-    operator's exclusive latency.
-
-    ``base_cards``/``base_lens`` give the true cardinality and row
-    length of each input template for this run; ``seed_parts`` make the
-    instance deterministic. All per-operator randomness is keyed by
-    ``tpl_op_id`` (common random numbers), so re-planned variants of the
-    same instance are directly comparable. ``rngs`` yields the
-    generators of :func:`instance_keys` in turn: fresh ones
-    (:func:`instantiate`) or a share of a day's :func:`rng_batch`.
-    """
-    draws = Draws(seed_parts)
-    for key in draw_keys(root):
-        draws[key] = next(rngs).standard_normal()
-    derive_statistics(root, world, base_cards, base_lens, pm, draws)
-    assign_partitions(root, draws)
-    for node in root.walk():
-        node.actual_latency = world._latency(node, pm, next(rngs))
 
 
 def derive_statistics(
@@ -406,78 +626,34 @@ def derive_statistics(
     pm: float,
     draws: Draws,
 ) -> None:
-    """True and estimated cardinalities and row lengths, bottom-up.
-    Leaves and selectivity-estimating operators read their ``"est-jit"``
-    draw."""
-    for node in root.walk():
-        if not node.children:
-            card = base_cards[node.input_templates[0]]
-            node.row_len = base_lens[node.input_templates[0]]
-            node.true_in = node.true_base = card
-            node.true_out = world.true_output(node, pm)
-            err = math.exp(0.06 * draws["est-jit", node.tpl_op_id])
-            node.est_in = node.est_base = node.est_out = card * err
-            continue
-        node.true_in = sum(c.true_out for c in node.children)
-        node.true_base = sum(c.true_base for c in node.children)
-        node.est_in = sum(c.est_out for c in node.children)
-        node.est_base = sum(c.est_base for c in node.children)
-        # Row length transformation by operator.
-        child_len = sum(c.row_len * c.true_out for c in node.children) / max(
-            node.true_in, 1.0
-        )
-        if node.op == "Project":
-            node.row_len = child_len * (0.4 + 0.5 * node.sel_param)
-        elif node.op in ("HashJoin", "MergeJoin"):
-            node.row_len = sum(c.row_len for c in node.children)
-        elif node.op in ("HashAggregate", "StreamAggregate", "LocalAggregate"):
-            node.row_len = child_len * 0.8
-        else:
-            node.row_len = child_len
-        node.true_out = world.true_output(node, pm)
-        # Estimated output: estimated input × estimated selectivity,
-        # where the selectivity estimate is systematically off — errors
-        # compound as we move up the plan (§3.1).
-        if not draws_estimate(node):
-            # Cardinality-preserving operators: the optimizer's estimate
-            # passes through unchanged (no new estimation error).
-            node.est_out = node.est_in
-        else:
-            true_sel = node.true_out / max(node.true_in, 1.0)
-            err = world.est_error_factor(node.tpl_op_id, node.logical,
-                                         draws["est-jit", node.tpl_op_id])
-            node.est_out = max(1.0, node.est_in * true_sel * err)
+    """:func:`derive_rows` of ``root``, written into its nodes."""
+    plans = compile_plan(root)
+    _write_stats(root, plans, derive_rows(plans.table, world, base_cards, base_lens, pm, draws))
 
 
 def assign_partitions(root: PlanNode, draws: Draws) -> None:
-    """Partition counts: partitioning operators set the count from their
-    local estimated stats and their ``"part"`` draw (§5.2); each join,
-    bottom-up, forces both inputs' exchanges to the larger of their
-    counts (co-partitioning); everything else then derives its count
-    (:func:`rederive_partitions`)."""
-    for node in root.walk():
-        if node.op in PARTITIONING_OPS:
-            est_rows = node.est_base if node.op == "Extract" else node.est_in
-            node.partitions = default_partitions(est_rows, draws["part", node.tpl_op_id])
-        elif node.op in ("HashJoin", "MergeJoin"):
-            sides = [c.stage_partition_root() for c in node.children]
-            p = max(sp.partitions for sp in sides)
-            for sp in sides:
-                if sp.op == "Exchange":
-                    sp.partitions = p
-    rederive_partitions(root)
+    """:func:`heuristic_partitions` of ``root`` from the estimated
+    statistics in its nodes, written into its nodes."""
+    plans = compile_plan(root)
+    nodes = list(root.walk())
+    first = {r: node for node, r in zip(reversed(nodes), reversed(plans.rows))}
+    stats = RowStats(*([0.0] * len(plans.table) for _ in range(8)))
+    for r, node in first.items():
+        stats.est_in[r], stats.est_base[r] = node.est_in, node.est_base
+    for node, p in zip(nodes, heuristic_partitions(plans, stats, draws).tolist()):
+        node.partitions = p
 
 
 def rederive_partitions(node: PlanNode) -> None:
-    """Re-propagate partition counts bottom-up through the derived
-    operators under ``node`` after partitioning operators' counts
-    changed; every Extract and Exchange keeps its count."""
-    for n in node.walk():
-        if n.children and n.op not in PARTITIONING_OPS:
-            if n.op in ("HashJoin", "MergeJoin"):
-                n.partitions = max(c.partitions for c in n.children)
-            else:
-                n.partitions = n.children[0].partitions
+    """:func:`rederive` under ``node`` from the counts in its nodes:
+    after partitioning operators' counts changed, every Extract and
+    Exchange keeps its count."""
+    plans = compile_plan(node)
+    nodes = list(node.walk())
+    p = np.array([n.partitions for n in nodes], dtype=np.int64)
+    rederive(plans, p)
+    for n, count in zip(nodes, p.tolist()):
+        n.partitions = count
 
 
 def simulate_latencies(root: PlanNode, world: World, pm: float, seed_parts: tuple) -> None:
@@ -488,23 +664,12 @@ def simulate_latencies(root: PlanNode, world: World, pm: float, seed_parts: tupl
 
 
 def job_latency(root: PlanNode) -> float:
-    """End-to-end latency: critical path of operator completion times."""
-
-    def completion(node: PlanNode) -> float:
-        child = max((completion(c) for c in node.children), default=0.0)
-        return child + node.actual_latency
-
-    return completion(root)
+    """End-to-end latency of an executed plan (:func:`plan_latency`)."""
+    return plan_latency(compile_plan(root), 0, [n.actual_latency for n in root.walk()])
 
 
 def job_cpu_seconds(root: PlanNode) -> float:
-    """Total processing time (CPU-seconds): each operator's work across
-    its partitions plus per-container startup cost — the resource bill
-    that over-partitioning inflates (§6.6.1, Fig 19b)."""
-    total = 0.0
-    for node in root.walk():
-        gscale = OP_COEF[node.op][2]
-        overhead = gscale * OVERHEAD_PER_PARTITION * node.partitions
-        work = max(node.actual_latency - overhead, 0.0) * node.partitions
-        total += work + overhead + CPU_STARTUP_PER_PARTITION * node.partitions
-    return total
+    """Total processing time of an executed plan (:func:`plan_cpu_seconds`)."""
+    nodes = list(root.walk())
+    return plan_cpu_seconds([n.op for n in nodes], [n.partitions for n in nodes],
+                            [n.actual_latency for n in nodes])

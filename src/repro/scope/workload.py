@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 import pandas as pd
@@ -30,15 +31,15 @@ import pandas as pd
 from repro.scope import default_cost as dc
 from repro.scope import simulator as sim
 from repro.scope.plan import (
+    CompiledPlans,
     PlanNode,
     assign_input_templates,
     expand_physical,
     hash64,
-    plan_identity,
 )
 
 # The operator log's columns, in order. Run-level columns come first, then
-# the plan-level ones (:meth:`Cluster._plan_columns`), ``pm``, the node
+# the plan-level ones (:class:`ExecutedPlan`), ``pm``, the node
 # statistics below, and the default cost model's estimates.
 OP_COLUMNS = (
     "cluster", "day", "job_id", "template_id", "adhoc",
@@ -128,9 +129,51 @@ class JobTemplate:
     freq: int
     born_day: int = 1
     dead_day: int | None = None  # exclusive; None = alive forever
+    # What the simulator and the planners compile from the template, each
+    # entry built on first use and kept with the tree it was built from.
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def alive(self, day: int) -> bool:
         return self.born_day <= day and (self.dead_day is None or day < self.dead_day)
+
+    def executed(self) -> "ExecutedPlan":
+        """The executed plan ``root``, compiled once."""
+        hit = self.memo.get("executed")
+        if hit is None or hit.root is not self.root:
+            hit = self.memo["executed"] = ExecutedPlan.of(self.root)
+        return hit
+
+
+@dataclass
+class ExecutedPlan:
+    """A template's executed plan compiled alone (``plans``), with its
+    operator-log columns that are the same on every run: operator ids
+    and kinds, and the identity columns (:meth:`PlanTable.identity`)."""
+
+    root: PlanNode
+    plans: CompiledPlans
+    columns: dict[str, list]
+    draw_keys: list[tuple[str, str]]
+    # A row column's values at the plan's positions (a plan has an Output
+    # above its inputs, so at least two).
+    gather: itemgetter
+
+    @staticmethod
+    def of(root: PlanNode) -> "ExecutedPlan":
+        plans = sim.compile_plan(root)
+        table, rows = plans.table, plans.rows
+        ident = table.identity()
+        columns = {c: [col[r] for r in rows] for c, col in (
+            ("op_id", table.tpl_op_id), ("op", table.op), ("logical", table.logical),
+            *((c, ident[c]) for c in ("depth", "cl", "sig_sub", "sig_approx",
+                                      "sig_opinput", "in_hash")))}
+        return ExecutedPlan(root, plans, columns, sim.plan_draw_keys(plans),
+                            itemgetter(*plans.rows))
+
+    def instance_keys(self, seed_parts: tuple) -> list[tuple]:
+        """The generator keys of one run (:func:`sim.instance_keys`)."""
+        return [*((kind, *seed_parts, op_id) for kind, op_id in self.draw_keys),
+                *(("lat", *seed_parts, op_id) for op_id in self.columns["op_id"])]
 
 
 class Cluster:
@@ -326,62 +369,53 @@ class Cluster:
         """Instantiate all jobs for ``days``; returns (ops_df, jobs_df).
 
         Each day's generators are seeded in one :func:`sim.rng_batch`
-        over every run's ``"sizes"`` key and :func:`sim.instance_keys`,
-        in run order; the operator log is built column by column."""
+        over every run's ``"sizes"`` key and instance keys, in run
+        order. Every run is simulated on its template's compiled plan
+        (:meth:`JobTemplate.executed`), and the operator log is built
+        column by column from the compiled rows."""
         name = self.cfg.name
         ops: dict[str, list] = {c: [] for c in OP_COLUMNS}
         job_rows: list[dict] = []
-        shapes: dict[str, tuple[list[PlanNode], dict[str, list]]] = {}  # per template
         for day in days:
             runs = self.runs(day)
+            plans = [tpl.executed() for tpl, _ in runs]
             rngs = sim.rng_batch(
-                key for tpl, k in runs
+                key for (tpl, k), plan in zip(runs, plans)
                 for key in (("sizes", tpl.tpl_id, day, k),
-                            *sim.instance_keys(tpl.root, (name, tpl.tpl_id, day, k)))
+                            *plan.instance_keys((name, tpl.tpl_id, day, k)))
             )
-            for seq, (tpl, k) in enumerate(runs, start=1):
+            for seq, ((tpl, k), plan) in enumerate(zip(runs, plans), start=1):
                 is_adhoc = tpl.tpl_id.startswith(f"{name}_adhoc")
                 job_id = f"{name}_d{day}_{seq:05d}"
                 pm, base_cards, base_lens = self._instance_inputs(tpl, day, next(rngs))
-                sim.instantiate_batched(tpl.root, self.world, base_cards, base_lens, pm,
-                                        (name, tpl.tpl_id, day, k), rngs)
-                shape = shapes.get(tpl.tpl_id)
-                if shape is None:
-                    shape = shapes[tpl.tpl_id] = self._plan_columns(tpl.root)
-                nodes, fixed = shape
-                n = len(nodes)
+                inst = sim.instantiate_plan(plan.plans, plan.draw_keys, self.world, base_cards,
+                                            base_lens, pm, (name, tpl.tpl_id, day, k), rngs)
+                rows, n = plan.plans.rows, len(plan.plans)
                 for col, v in (("cluster", name), ("day", day), ("job_id", job_id),
                                ("template_id", tpl.tpl_id), ("adhoc", is_adhoc)):
                     ops[col].extend([v] * n)
-                for col, v in fixed.items():
+                for col, v in plan.columns.items():
                     ops[col].extend(v)
                 ops["pm"].extend([pm] * n)
+                stats = inst.stats
                 for col, attr in NODE_STATS.items():
-                    ops[col].extend([getattr(node, attr) for node in nodes])
-                ops["cost_default"].extend([dc.default_cost(name, node) for node in nodes])
-                ops["cost_default_truecard"].extend(
-                    [dc.default_cost(name, node, true_cards=True) for node in nodes])
+                    if attr == "partitions":
+                        ops[col].extend(inst.partitions)
+                    elif attr == "actual_latency":
+                        ops[col].extend(inst.latencies)
+                    else:
+                        ops[col].extend(plan.gather(getattr(stats, attr)))
+                for col, true_cards in (("cost_default", False), ("cost_default_truecard", True)):
+                    i, c = ((stats.true_in, stats.true_out) if true_cards
+                            else (stats.est_in, stats.est_out))
+                    ops[col].extend([dc.op_cost(name, op, i[r], c[r], stats.row_len[r])
+                                     for op, r in zip(plan.columns["op"], rows)])
                 job_rows.append({
                     "cluster": name, "day": day, "job_id": job_id,
                     "template_id": tpl.tpl_id, "adhoc": is_adhoc,
-                    "latency": sim.job_latency(tpl.root),
-                    "cpu_seconds": sim.job_cpu_seconds(tpl.root),
-                    "n_ops": fixed["cl"][-1],
+                    "latency": sim.plan_latency(plan.plans, 0, inst.latencies),
+                    "cpu_seconds": sim.plan_cpu_seconds(plan.columns["op"], inst.partitions,
+                                                        inst.latencies),
+                    "n_ops": n,
                 })
         return pd.DataFrame(ops), pd.DataFrame(job_rows)
-
-    @staticmethod
-    def _plan_columns(root: PlanNode) -> tuple[list[PlanNode], dict[str, list]]:
-        """``root``'s nodes in walk order and its operator-log columns that
-        are the same on every run: operator ids and kinds, and
-        :func:`plan_identity`."""
-        nodes = list(root.walk())
-        ident = plan_identity(root)
-        fixed = {
-            "op_id": [n.tpl_op_id for n in nodes],
-            "op": [n.op for n in nodes],
-            "logical": [n.logical for n in nodes],
-        }
-        fixed.update((c, ident[c]) for c in
-                     ("depth", "cl", "sig_sub", "sig_approx", "sig_opinput", "in_hash"))
-        return nodes, fixed

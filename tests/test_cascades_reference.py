@@ -1,9 +1,12 @@
 """CleoPlanner prices all candidates of a job instance in one array pass
-(``CleoPlanner._costs``). It must plan exactly as pricing one candidate
-at a time, stage by stage, did: the reference below keeps that
-per-candidate costing (``_cost`` and ``_optimize_partitions``, with the
-one-stage §5.3 functions they called) as a subclass, and every field of
-every ``PlanResult`` must be ``==``."""
+over the template's compiled plans (``CleoPlanner._costs``). It must
+plan exactly as the planner did on ``PlanNode`` trees, pricing one
+candidate at a time, stage by stage: the reference below expands every
+candidate into a tree, derives its statistics and heuristic partitions
+with the eager per-operator generators of ``test_simulator_draws.py``,
+and keeps that per-candidate costing (``_cost`` and
+``_optimize_partitions``, with the one-stage §5.3 functions they
+called). Every field of every ``PlanResult`` must be ``==``."""
 import math
 
 import numpy as np
@@ -15,10 +18,18 @@ from repro.optimizer.cascades import (
     CleoPlanner,
     DefaultPlanner,
     ExploredStage,
+    PlanResult,
+    _candidates,
 )
 from repro.scope import simulator as sim
-from repro.scope.plan import plan_stages
+from repro.scope.plan import assign_input_templates, expand_physical, plan_stages
 from tests.test_planner_memo import COMPARED, day_jobs
+from tests.test_simulator_draws import (
+    reference_assign_partitions,
+    reference_derive_statistics,
+    reference_job_cpu_seconds,
+    reference_job_latency,
+)
 
 
 def ref_predict_costs_at(curves, partitions, counter):
@@ -42,16 +53,48 @@ def ref_optimize_stage_analytical(ctx, counter, p_max=res.MAX_P):
     return 1
 
 
-class ReferencePlanner(CleoPlanner):
-    """Prices one candidate at a time and explores one stage at a time."""
+def reference_rederive(node):
+    for n in node.walk():
+        if n.children and n.op not in ("Extract", "Exchange"):
+            if n.op in ("HashJoin", "MergeJoin"):
+                n.partitions = max(c.partitions for c in n.children)
+            else:
+                n.partitions = n.children[0].partitions
 
-    def _costs(self, tpl, cands, pm, counter):
-        return [self._cost(tpl, c, pm, counter) for c in cands]
 
-    def _optimize_partitions(self, cand, nodes, curves, counter):
+class ReferencePlanner:
+    """Plans on trees: prices one candidate at a time and explores one
+    stage at a time."""
+
+    def __init__(self, bank, explore_partitions=True):
+        self.bank = bank
+        self.explore_partitions = explore_partitions
+
+    def plan(self, tpl, world, base_cards, base_lens, pm, seed_parts) -> PlanResult:
+        counter = res.LookupCounter()
+        cands = []
+        for choices in _candidates(tpl):
+            root = expand_physical(tpl.logical_root, choices)
+            assign_input_templates(root)
+            reference_derive_statistics(root, world, base_cards, base_lens, pm, seed_parts)
+            reference_assign_partitions(root, seed_parts)
+            cands.append((choices, root, []))
+        costs = [self._cost(root, explored, pm, counter) for _, root, explored in cands]
+        best = costs.index(min(costs))
+        choices, root, explored = cands[best]
+        sim.simulate_latencies(root, world, pm, seed_parts)
+        return PlanResult(
+            root=root, choices=choices, predicted_cost=costs[best], lookups=counter.lookups,
+            planning_seconds=0.0, cost_model_seconds=0.0,
+            actual_latency=reference_job_latency(root),
+            cpu_seconds=reference_job_cpu_seconds(root),
+            candidate_costs={tuple(c.items()): cost for (c, _, _), cost in zip(cands, costs)},
+            explored=explored)
+
+    def _optimize_partitions(self, root, explored, nodes, curves, counter):
         row_of = {id(n): i for i, n in enumerate(nodes)}
         pinned = set()
-        for stage in plan_stages(cand.root):
+        for stage in plan_stages(root):
             stage_root = stage[0]
             if stage_root.op != "Exchange" or id(stage_root) in pinned:
                 continue
@@ -66,9 +109,8 @@ class ReferencePlanner(CleoPlanner):
             accepted = bool(cost_at[p] < ACCEPT_MARGIN * cost_at[p_def])
             if accepted:
                 stage_root.partitions = p
-            cand.explored.append(ExploredStage(stage_root.tpl_op_id, p_def, p,
-                                               float(cost_at[p]), float(cost_at[p_def]),
-                                               accepted))
+            explored.append(ExploredStage(stage_root.tpl_op_id, p_def, p, float(cost_at[p]),
+                                          float(cost_at[p_def]), accepted))
             if parent_join is not None:
                 for c in parent_join.children:
                     sp = c.stage_partition_root()
@@ -76,13 +118,12 @@ class ReferencePlanner(CleoPlanner):
                         sp.partitions = stage_root.partitions
                         pinned.add(id(sp))
 
-    def _cost(self, tpl, cand, pm, counter):
-        nodes = list(cand.root.walk())
-        models, _ = self._resolved(tpl, cand.choices, cand.root)
-        curves = res.instance_curves(models, nodes, pm)
+    def _cost(self, root, explored, pm, counter):
+        nodes = list(root.walk())
+        curves = res.instance_curves(res.resolve_plan(self.bank, root), nodes, pm)
         if self.explore_partitions:
-            self._optimize_partitions(cand, nodes, curves, counter)
-            sim.rederive_partitions(cand.root)
+            self._optimize_partitions(root, explored, nodes, curves, counter)
+            reference_rederive(root)
         p = np.array([[n.partitions] for n in nodes], dtype=float)
         return float(ref_predict_costs_at(curves, p, counter).sum())
 

@@ -49,6 +49,24 @@ def test_feature_matrix_accepts_array_mapping():
                                       features.feature_matrix(pdf, context=context))
 
 
+def test_feature_matrix_ignores_memory_layout():
+    """The same values give the same feature bits as contiguous arrays
+    and as strided views: the rows of a transposed, fancy-indexed
+    ``(m, 4)`` statistics array, over many random inputs."""
+    g = np.random.default_rng(1)
+    differ = 0
+    for _ in range(1000):
+        m = int(g.integers(1, 200))
+        stats = np.exp(g.normal(8, 4, (3 * m, 4)))[g.permutation(3 * m)[:m]].T
+        rest = {"P": g.integers(1, 500, m).astype(float), "in_hash": g.random(m),
+                "pm": g.random(m), "cl": np.full(m, 3.0), "depth": np.full(m, 2.0)}
+        views = {c: stats[i] for i, c in enumerate("IBCL")}
+        copies = {c: np.ascontiguousarray(v) for c, v in views.items()}
+        differ += not np.array_equal(features.feature_matrix({**views, **rest}, context=True),
+                                     features.feature_matrix({**copies, **rest}, context=True))
+    assert differ == 0
+
+
 def test_feature_matrix_finite():
     pdf = _log_frame()
     pdf.loc[0, "I"] = 0.0

@@ -4,8 +4,9 @@
 Tables are compared as printed (``metrics.fmt_table``), from the same
 calls ``benchmarks/`` makes when it writes them. Excluded by name:
 Fig 19's planning-time rows (``*_planning_ms_per_job``,
-``cleo_vs_default_planning_x``), which are wall-clock timings, and all
-of Fig 20, which times real Spark queries.
+``cleo_vs_default_planning_x``, ``cleo_cost_model_share_pct``), which
+are wall-clock timings, and all of Fig 20, which times real Spark
+queries.
 """
 import os
 import re
@@ -28,7 +29,8 @@ from repro.experiments import (
 from repro.metrics import fmt_table
 
 RESULTS = os.path.join(os.path.dirname(__file__), "..", "results")
-TIMING_ROW = re.compile(r"\| (\w+_planning_ms_per_job|cleo_vs_default_planning_x) \|")
+TIMING_ROW = re.compile(
+    r"\| (\w+_planning_ms_per_job|cleo_vs_default_planning_x|cleo_cost_model_share_pct) \|")
 
 SIMULATED = {
     "table1": table1.run,

@@ -1,24 +1,28 @@
-"""The memoized substrate draws (``simulator.Draws``) and the batched
-seeding of generated days (``simulator.rng_batch``) against the eager
-per-operator generators they replace.
+"""The compiled plans, the memoized substrate draws (``simulator.Draws``)
+and the batched seeding of generated days (``simulator.rng_batch``)
+against eager per-operator generators on ``PlanNode`` trees.
 
-``reference_derive_statistics`` and ``reference_assign_partitions`` seed
-one fresh generator per operator per pass, keyed by ``(kind,
-*seed_parts, tpl_op_id)``, and draw from it with ``normal(0.0, s)``. The
-simulator draws each operator's first standard normal once per job
-instance and scales it, and ``generate_days`` seeds all of a day's
-generators in one batch; these tests require identical statistics,
-partition counts and generated logs.
+``reference_derive_statistics`` and ``reference_assign_partitions`` walk
+a tree, seed one fresh generator per operator per pass, keyed by
+``(kind, *seed_parts, tpl_op_id)``, and draw from it with
+``normal(0.0, s)``. The simulator derives statistics once per distinct
+subtree of compiled plans, draws each operator's first standard normal
+once per job instance and scales it, and ``generate_days`` seeds all of
+a day's generators in one batch; these tests require identical
+statistics, partition counts and generated logs.
 """
 import math
 
 import numpy as np
+import pandas as pd
 import pytest
 
-from repro.optimizer.cascades import _candidates
+from repro.optimizer.cascades import TemplatePlans, _candidates
+from repro.scope import default_cost as dc
 from repro.scope import simulator as sim
 from repro.scope.plan import PlanNode, assign_input_templates, expand_physical
 from repro.scope.workload import NODE_STATS, Cluster, tiny_cluster
+from tests.test_plan import _reference_identity
 
 
 def reference_derive_statistics(root: PlanNode, world: sim.World, base_cards, base_lens,
@@ -93,6 +97,20 @@ def reference_assign_partitions(root: PlanNode, seed_parts: tuple) -> None:
                 )
 
 
+def reference_job_latency(node) -> float:
+    return max((reference_job_latency(c) for c in node.children), default=0.0) + \
+        node.actual_latency
+
+
+def reference_job_cpu_seconds(root) -> float:
+    total = 0.0
+    for node in root.walk():
+        overhead = sim.OP_COEF[node.op][2] * sim.OVERHEAD_PER_PARTITION * node.partitions
+        work = max(node.actual_latency - overhead, 0.0) * node.partitions
+        total += work + overhead + sim.CPU_STARTUP_PER_PARTITION * node.partitions
+    return total
+
+
 def reference_instantiate(root, world, base_cards, base_lens, pm, seed_parts) -> None:
     reference_derive_statistics(root, world, base_cards, base_lens, pm, seed_parts)
     reference_assign_partitions(root, seed_parts)
@@ -132,27 +150,73 @@ def test_every_candidate_matches_the_eager_draws(tiny):
     assert checked > 100
 
 
-def fresh_generators(keys):
-    """``rng_batch`` without the batch: a fresh ``_rng`` per key."""
-    return (sim._rng(*key) for key in list(keys))
+def test_compiled_candidates_match_the_eager_draws(tiny):
+    """Every candidate of every tiny day-3 job, read from its template's
+    compiled candidate plans, where the candidates share the rows of
+    their common subtrees, has the statistics and heuristic partition
+    counts of its own tree under fresh per-operator generators."""
+    cl, _, _ = tiny
+    checked = 0
+    for tpl in cl.live_templates(3):
+        cands = TemplatePlans.of(tpl)
+        plans, table = cands.plans, cands.plans.table
+        for k in range(tpl.freq):
+            pm, cards, lens = cl.instance_inputs(tpl, 3, k)
+            seed = (cl.cfg.name, tpl.tpl_id, 3, k)
+            draws = sim.Draws(seed)
+            stats = sim.derive_rows(table, cl.world, cards, lens, pm, draws)
+            parts = sim.heuristic_partitions(plans, stats, draws).tolist()
+            for j, choices in enumerate(cands.choices):
+                want = _physical(tpl, choices)
+                reference_derive_statistics(want, cl.world, cards, lens, pm, seed)
+                reference_assign_partitions(want, seed)
+                pos = range(plans.starts[j], plans.starts[j + 1])
+                assert [(table.op[plans.rows[i]], table.tpl_op_id[plans.rows[i]]) for i in pos] \
+                    == [(n.op, n.tpl_op_id) for n in want.walk()]
+                got = [[getattr(stats, a)[plans.rows[i]] for a in STATS[:-1]] + [parts[i]]
+                       for i in pos]
+                assert got == [[getattr(n, a) for a in STATS] for n in want.walk()]
+                checked += 1
+    assert checked > 100
+    assert sum(len(TemplatePlans.of(t).plans.table) for t in cl.live_templates(3)) < \
+        sum(len(TemplatePlans.of(t).plans) for t in cl.live_templates(3))
 
 
-def reference_instantiate_batched(root, world, base_cards, base_lens, pm, seed_parts, rngs):
-    """The eager per-operator draws, passing over the instance's share of
-    ``rngs`` so the next run's ``"sizes"`` generator is the next one."""
-    for _ in sim.instance_keys(root, seed_parts):
-        next(rngs)
-    reference_instantiate(root, world, base_cards, base_lens, pm, seed_parts)
+def reference_logs(cl: Cluster, days: list[int]) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """The operator and job logs of ``days`` built run by run on trees:
+    fresh ``"sizes"`` generators, the eager per-operator generators, the
+    per-node identity definitions and the tree's default costs."""
+    name = cl.cfg.name
+    ops, jobs = [], []
+    for day in days:
+        for seq, (tpl, k) in enumerate(cl.runs(day), start=1):
+            pm, cards, lens = cl.instance_inputs(tpl, day, k)
+            root = _physical(tpl, tpl.choices)
+            reference_instantiate(root, cl.world, cards, lens, pm, (name, tpl.tpl_id, day, k))
+            run = {"cluster": name, "day": day, "job_id": f"{name}_d{day}_{seq:05d}",
+                   "template_id": tpl.tpl_id, "adhoc": tpl.tpl_id.startswith(f"{name}_adhoc")}
+            for n in root.walk():
+                ident = _reference_identity(n)
+                ops.append({
+                    **run, "op_id": n.tpl_op_id, "op": n.op, "logical": n.logical,
+                    **{c: ident[c] for c in ("depth", "cl", "sig_sub", "sig_approx",
+                                             "sig_opinput", "in_hash")},
+                    "pm": pm, **{col: getattr(n, attr) for col, attr in NODE_STATS.items()},
+                    "cost_default": dc.default_cost(name, n),
+                    "cost_default_truecard": dc.default_cost(name, n, true_cards=True),
+                })
+            jobs.append({**run, "latency": reference_job_latency(root),
+                         "cpu_seconds": reference_job_cpu_seconds(root),
+                         "n_ops": sum(1 for _ in root.walk())})
+    return pd.DataFrame(ops), pd.DataFrame(jobs)
 
 
-def test_generated_logs_match_the_eager_draws(tiny, monkeypatch):
-    """The batched day equals the one seeded key by key: fresh
-    ``"sizes"`` generators, and fresh per-operator generators in every
-    pass."""
+def test_generated_logs_match_the_eager_draws(tiny):
+    """The batched day, simulated on compiled plans, equals the one built
+    run by run on trees with every key seeded alone: fresh ``"sizes"``
+    generators, and fresh per-operator generators in every pass."""
     _, ops, jobs = tiny
-    monkeypatch.setattr(sim, "rng_batch", fresh_generators)
-    monkeypatch.setattr(sim, "instantiate_batched", reference_instantiate_batched)
-    ref_ops, ref_jobs = Cluster(tiny_cluster()).generate_days([1, 2, 3])
+    ref_ops, ref_jobs = reference_logs(Cluster(tiny_cluster()), [1, 2, 3])
     assert ops.equals(ref_ops)
     assert jobs.equals(ref_jobs)
 
