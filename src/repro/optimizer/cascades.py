@@ -63,9 +63,9 @@ from repro.scope.plan import (
     JOIN_OPS,
     CompiledPlans,
     PlanNode,
-    PlanTable,
     assign_input_templates,
     choice_points,
+    compile_plans,
     expand_physical,
 )
 from repro.scope.workload import JobTemplate
@@ -144,10 +144,10 @@ class StageLayout:
     def of(plans: CompiledPlans) -> "StageLayout":
         table = plans.table
         rows, lengths, heads, of_plan, pin_pos, pin_stage = [], [], [], [], [], []
-        for lo, hi in zip(plans.starts, plans.starts[1:]):
+        for j in range(len(plans.starts) - 1):
             of_plan.append([])
             pinned: set[int] = set()
-            for stage in _plan_stages(plans, lo, hi):
+            for stage in plans.stages(j):
                 head = stage[0]
                 if table.op[plans.rows[head]] != "Exchange" or head in pinned:
                     continue  # leaf Extract partitioning stays heuristic
@@ -166,17 +166,6 @@ class StageLayout:
                            ints(pin_pos), ints(pin_stage))
 
 
-def _plan_stages(plans: CompiledPlans, lo: int, hi: int) -> list[list[int]]:
-    """:func:`repro.scope.plan.plan_stages` of the plan at positions
-    ``lo`` to ``hi``: each partitioning operator (or leaf) starts a stage
-    of every operator above it up to the next stage boundary."""
-    stages: dict[int, list[int]] = {}
-    for i in range(lo, hi):
-        head = plans.stage[i]
-        stages.setdefault(head, []).append(i)
-    return [stages[h] for h in sorted(stages)]
-
-
 class TemplatePlans:
     """A template's candidate physical plans, compiled once and kept on
     the template (``JobTemplate.memo``): their choices and
@@ -190,13 +179,12 @@ class TemplatePlans:
         self.logical_root = tpl.logical_root
         self.choices = _candidates(tpl)
         self.keys = [tuple(c.items()) for c in self.choices]
-        table = PlanTable()
         roots = []
         for choices in self.choices:
             root = expand_physical(tpl.logical_root, choices)
             assign_input_templates(root)
-            roots.append(table.add(root))
-        self.plans = CompiledPlans(table, roots)
+            roots.append(root)
+        self.plans = compile_plans(roots)
         self.rows = np.array(self.plans.rows, dtype=np.intp)
         self._layout: StageLayout | None = None
         self._context: dict[str, np.ndarray] | None = None

@@ -45,7 +45,6 @@ reproduced.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -108,15 +107,6 @@ class PlanModels:
 
     ident: dict[str, list]
     models: tuple[np.ndarray, ...]
-
-    @staticmethod
-    def concat(plans: Sequence["PlanModels"]) -> "PlanModels":
-        """The operators of ``plans``, one plan after another."""
-        return PlanModels(
-            {k: list(itertools.chain.from_iterable(p.ident[k] for p in plans))
-             for k in plans[0].ident},
-            tuple(np.concatenate(cols) for cols in zip(*(p.models for p in plans))),
-        )
 
 
 def resolve_plan(bank: ModelBank, root: PlanNode) -> PlanModels:

@@ -280,6 +280,22 @@ class CompiledPlans:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def stages(self, j: int) -> list[list[int]]:
+        """The stages of plan ``j``, bottom-up, as lists of positions:
+        each partitioning operator (Extract / Exchange), or leaf, starts
+        a stage containing every operator above it up to the next stage
+        boundary."""
+        stages: dict[int, list[int]] = {}
+        for i in range(self.starts[j], self.starts[j + 1]):
+            stages.setdefault(self.stage[i], []).append(i)
+        return [stages[head] for head in sorted(stages)]
+
+
+def compile_plans(roots: list[PlanNode]) -> CompiledPlans:
+    """The plans ``roots`` compiled into one new table, end to end."""
+    table = PlanTable()
+    return CompiledPlans(table, [table.add(root) for root in roots])
+
 
 def _gather(pos: list[int], sources: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
     """Positions and their sources as a position array and an index
@@ -306,10 +322,9 @@ def plan_identity(root: PlanNode) -> dict[str, list]:
       order ignored;
     - ``sig_opinput``: operator-input — root physical op and inputs.
     """
-    table = PlanTable()
-    walk = table.walk[table.add(root)]
-    ident = table.identity()
-    return {c: [ident[c][r] for r in walk] for c in IDENTITY_COLUMNS}
+    plans = compile_plans([root])
+    ident = plans.table.identity()
+    return {c: [ident[c][r] for r in plans.rows] for c in IDENTITY_COLUMNS}
 
 
 # Logical operator kinds used in template (logical) trees. ``Join`` and
@@ -413,20 +428,8 @@ def assign_input_templates(root: PlanNode) -> None:
 
 
 def plan_stages(root: PlanNode) -> list[list[PlanNode]]:
-    """Group operators into stages: each partitioning operator (Extract /
-    Exchange) starts a stage containing every operator above it up to
-    the next stage boundary. Returns bottom-up lists of nodes."""
-    stages: dict[int, list[PlanNode]] = {}
-    order: list[int] = []
-    stage_of: dict[int, int] = {}
-    for node in root.walk():  # bottom-up
-        if node.op in PARTITIONING_OPS or not node.children:
-            key = id(node)
-            stages[key] = [node]
-            order.append(key)
-            stage_of[id(node)] = key
-        else:
-            key = stage_of[id(node.children[0])]
-            stages[key].append(node)
-            stage_of[id(node)] = key
-    return [stages[k] for k in order]
+    """Group operators into stages (:meth:`CompiledPlans.stages`).
+    Returns bottom-up lists of nodes."""
+    plans = compile_plans([root])
+    nodes = list(root.walk())
+    return [[nodes[i] for i in stage] for stage in plans.stages(0)]

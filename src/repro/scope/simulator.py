@@ -88,11 +88,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.scope.plan import (
-    CARD_PRESERVING,
     JOIN_OPS,
     CompiledPlans,
     PlanNode,
     PlanTable,
+    compile_plans,
     hash64,
 )
 
@@ -553,12 +553,6 @@ def instantiate_plan(plans: CompiledPlans, draw_keys: list[tuple[str, str]], wor
 # Tree adapters: compile a PlanNode tree, run the row functions, write back
 # ---------------------------------------------------------------------------
 
-def compile_plan(root: PlanNode) -> CompiledPlans:
-    """``root`` compiled alone."""
-    table = PlanTable()
-    return CompiledPlans(table, [table.add(root)])
-
-
 STAT_FIELDS = ("true_in", "true_base", "true_out", "est_in", "est_base", "est_out", "row_len")
 
 
@@ -580,7 +574,7 @@ def instantiate(
     """Fill instance statistics, partition counts and actual latencies of
     a plan, in place: :func:`instantiate_plan` with one fresh
     :func:`_rng` per key, seeded as it is read."""
-    plans = compile_plan(root)
+    plans = compile_plans([root])
     draw_keys = plan_draw_keys(plans)
     inst = instantiate_plan(plans, draw_keys, world, base_cards, base_lens, pm, seed_parts,
                             (_rng(*key) for key in _instance_keys(plans, draw_keys, seed_parts)))
@@ -602,20 +596,14 @@ def instance_keys(root: PlanNode, seed_parts: tuple) -> Iterator[tuple]:
     """The :func:`_rng` keys :func:`instantiate_plan` reads for one
     instance of ``root``, in the order it reads them: the statistics
     draws (:func:`draw_keys`), then one ``"lat"`` key per operator."""
-    plans = compile_plan(root)
+    plans = compile_plans([root])
     return _instance_keys(plans, plan_draw_keys(plans), seed_parts)
 
 
 def draw_keys(root: PlanNode) -> list[tuple[str, str]]:
     """The ``Draws`` keys :func:`derive_statistics` and then
     :func:`assign_partitions` read for ``root``, in first-read order."""
-    return plan_draw_keys(compile_plan(root))
-
-
-def draws_estimate(node: PlanNode) -> bool:
-    """Whether ``node`` reads its ``"est-jit"`` draw: every leaf, and
-    every operator that makes a selectivity estimate."""
-    return not node.children or node.logical not in CARD_PRESERVING
+    return plan_draw_keys(compile_plans([root]))
 
 
 def derive_statistics(
@@ -627,14 +615,14 @@ def derive_statistics(
     draws: Draws,
 ) -> None:
     """:func:`derive_rows` of ``root``, written into its nodes."""
-    plans = compile_plan(root)
+    plans = compile_plans([root])
     _write_stats(root, plans, derive_rows(plans.table, world, base_cards, base_lens, pm, draws))
 
 
 def assign_partitions(root: PlanNode, draws: Draws) -> None:
     """:func:`heuristic_partitions` of ``root`` from the estimated
     statistics in its nodes, written into its nodes."""
-    plans = compile_plan(root)
+    plans = compile_plans([root])
     nodes = list(root.walk())
     first = {r: node for node, r in zip(reversed(nodes), reversed(plans.rows))}
     stats = RowStats(*([0.0] * len(plans.table) for _ in range(8)))
@@ -648,7 +636,7 @@ def rederive_partitions(node: PlanNode) -> None:
     """:func:`rederive` under ``node`` from the counts in its nodes:
     after partitioning operators' counts changed, every Extract and
     Exchange keeps its count."""
-    plans = compile_plan(node)
+    plans = compile_plans([node])
     nodes = list(node.walk())
     p = np.array([n.partitions for n in nodes], dtype=np.int64)
     rederive(plans, p)
@@ -665,7 +653,7 @@ def simulate_latencies(root: PlanNode, world: World, pm: float, seed_parts: tupl
 
 def job_latency(root: PlanNode) -> float:
     """End-to-end latency of an executed plan (:func:`plan_latency`)."""
-    return plan_latency(compile_plan(root), 0, [n.actual_latency for n in root.walk()])
+    return plan_latency(compile_plans([root]), 0, [n.actual_latency for n in root.walk()])
 
 
 def job_cpu_seconds(root: PlanNode) -> float:

@@ -33,6 +33,7 @@ from repro.scope import simulator as sim
 from repro.scope.plan import (
     CompiledPlans,
     PlanNode,
+    compile_plans,
     assign_input_templates,
     expand_physical,
     hash64,
@@ -160,7 +161,7 @@ class ExecutedPlan:
 
     @staticmethod
     def of(root: PlanNode) -> "ExecutedPlan":
-        plans = sim.compile_plan(root)
+        plans = compile_plans([root])
         table, rows = plans.table, plans.rows
         ident = table.identity()
         columns = {c: [col[r] for r in rows] for c, col in (
