@@ -87,6 +87,10 @@ ALL_FEATURE_NAMES: list[str] = FEATURE_NAMES + CONTEXT_NAMES
 _INPUTS = ("I", "B", "C", "L", "P", "in_hash", "pm")
 _CONTEXT = ("cl", "depth")
 
+# The column functions of a feature matrix without and with the context.
+_FNS = [fn for _, fn, _ in _DEFS]
+_CONTEXT_FNS = _FNS + [lambda d, c=c: d[c] for c in _CONTEXT]
+
 # Index maps for the partition-cost curves (§5.2-§5.3).
 P_FEATURE_INDEX = FEATURE_NAMES.index("f_P")
 P_INVERSE_INDEX: list[int] = [i for i, (_, _, over_p) in enumerate(_DEFS) if over_p]
@@ -104,7 +108,7 @@ def feature_matrix(pdf: pd.DataFrame | Mapping[str, np.ndarray],
     value would otherwise depend on where it sits in memory."""
     d = _Columns((c, np.ascontiguousarray(pdf[c], dtype=float))
                  for c in (*_INPUTS, *(_CONTEXT if context else ())))
-    fns = [fn for _, fn, _ in _DEFS] + [lambda d, c=c: d[c] for c in _CONTEXT if context]
+    fns = _CONTEXT_FNS if context else _FNS
     out = np.empty((len(d["I"]), len(fns)))
     for j, fn in enumerate(fns):
         out[:, j] = fn(d)

@@ -220,7 +220,7 @@ class ElasticNet:
     def predict_log(self, X: np.ndarray) -> np.ndarray:
         """Prediction in log1p space (the model's native space)."""
         X = np.asarray(X, dtype=float)
-        z = X @ self.raw_coef_ + self.raw_intercept_
+        z = (X * self.raw_coef_).sum(axis=1) + self.raw_intercept_
         return np.clip(z, self.z_lo_, self.z_hi_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -268,7 +268,7 @@ class GDLinear:
         # workloads with very different cost magnitudes.
         y_scale = max(float(np.mean(y)), 1.0)
         for it in range(1, self.epochs + 1):
-            z = np.clip(Xs @ w + b, -30.0, 30.0)
+            z = np.clip((Xs * w).sum(axis=1) + b, -30.0, 30.0)
             if self.loss == "msle":
                 # d/dz mean (z - t)^2
                 gz = 2.0 * (z - t) / n
@@ -306,5 +306,5 @@ class GDLinear:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         Xs = (X - self.mu_) / self.sd_
-        z = np.clip(Xs @ self.coef_ + self.intercept_, self.z_lo_, self.z_hi_)
+        z = np.clip((Xs * self.coef_).sum(axis=1) + self.intercept_, self.z_lo_, self.z_hi_)
         return np.expm1(np.clip(z, -30.0, 30.0))

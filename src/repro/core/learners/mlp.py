@@ -53,7 +53,7 @@ class MLPRegressor:
                 a1 = np.maximum(z1, 0)
                 z2 = a1 @ W2 + b2_
                 a2 = np.maximum(z2, 0)
-                out = (a2 @ W3 + b3_).ravel()
+                out = (a2 * W3[:, 0]).sum(axis=1) + b3_
                 g_out = 2.0 * (out - tb) / len(idx)
                 gW3 = a2.T @ g_out[:, None] + self.l2 * W3
                 gb3 = np.array([g_out.sum()])
@@ -83,5 +83,5 @@ class MLPRegressor:
         W1, b1_, W2, b2_, W3, b3_ = self.params_
         a1 = np.maximum(Xs @ W1 + b1_, 0)
         a2 = np.maximum(a1 @ W2 + b2_, 0)
-        z = np.clip((a2 @ W3 + b3_).ravel(), self.z_lo_, self.z_hi_)
+        z = np.clip((a2 * W3[:, 0]).sum(axis=1) + b3_, self.z_lo_, self.z_hi_)
         return np.expm1(np.clip(z, -30, 30))

@@ -44,8 +44,14 @@ Planning returns the chosen *executed* plan: the substrate simulator
 fills actual latencies for whatever plan is chosen, using common random
 numbers so two planners' choices for the same job instance are
 comparable (§6.6.1). Every candidate of one job instance reads the same
-memoized substrate draws (:class:`repro.scope.simulator.Draws`), and
-:class:`PlanResult` reports each candidate's predicted cost.
+substrate draws (:class:`repro.scope.simulator.Draws`), and
+:class:`PlanResult` reports each candidate's predicted cost. A call
+seeds every generator its job instance reads in one
+:class:`repro.scope.simulator.RngBatch`: the statistics draws of every
+candidate, which fill the ``Draws`` up front, and one ``"lat"`` key per
+distinct operator of the candidates, of which the chosen plan's
+latencies read their operators' states. Nothing drawn or seeded is
+kept from one call to the next.
 """
 from __future__ import annotations
 
@@ -169,10 +175,11 @@ class StageLayout:
 class TemplatePlans:
     """A template's candidate physical plans, compiled once and kept on
     the template (``JobTemplate.memo``): their choices and
-    ``candidate_costs`` keys, and the plans laid end to end over one
-    table of distinct subtrees (:class:`CompiledPlans`). The explored-
-    stage layout and the models' context features are built on first
-    use; everything here depends only on the template."""
+    ``candidate_costs`` keys, the plans laid end to end over one table
+    of distinct subtrees (:class:`CompiledPlans`), and the keys of the
+    generators a job instance reads. The explored-stage layout and the
+    models' context features are built on first use; everything here
+    depends only on the template."""
 
     def __init__(self, tpl: JobTemplate):
         self.tpl_id = tpl.tpl_id
@@ -186,6 +193,15 @@ class TemplatePlans:
             roots.append(root)
         self.plans = compile_plans(roots)
         self.rows = np.array(self.plans.rows, dtype=np.intp)
+        # The (kind, tpl_op_id) of every generator a job instance reads:
+        # the statistics draws of every candidate, then one "lat" per
+        # distinct operator; and each position's "lat" slot among them.
+        ids = self.plans.table.tpl_op_id
+        lat_ids = list(dict.fromkeys(ids))
+        self.draw_keys = sim.plan_draw_keys(self.plans)
+        self.seed_keys = self.draw_keys + [("lat", t) for t in lat_ids]
+        slot = {t: i for i, t in enumerate(lat_ids, start=len(self.draw_keys))}
+        self.lat_slot = [slot[ids[r]] for r in self.plans.rows]
         self._layout: StageLayout | None = None
         self._context: dict[str, np.ndarray] | None = None
 
@@ -255,11 +271,12 @@ class Instance:
 
 class Planner:
     """The Cascades candidate loop that both cost models plug into: it
-    takes the template's compiled candidate plans, derives the
-    statistics of each distinct subtree and every candidate's heuristic
-    partition counts from the job instance's shared draws, prices them
-    all with :meth:`_costs`, keeps the first cheapest, builds its tree
-    and simulates the latencies of that one only."""
+    takes the template's compiled candidate plans, seeds the job
+    instance's generators in one batch, derives the statistics of each
+    distinct subtree and every candidate's heuristic partition counts
+    from the instance's shared draws, prices them all with
+    :meth:`_costs`, keeps the first cheapest, builds its tree and
+    simulates the latencies of that one only."""
 
     def _costs(self, inst: Instance, pm: float, counter: res.LookupCounter) -> list[float]:
         """Predicted cost of every candidate of one job instance; may
@@ -272,7 +289,9 @@ class Planner:
         t0 = time.perf_counter()
         cands = TemplatePlans.of(tpl)
         plans = cands.plans
-        draws = sim.Draws(seed_parts)
+        # Every generator the instance reads, seeded in one batch.
+        rngs = sim.RngBatch(sim.instance_seeds(cands.seed_keys, seed_parts))
+        draws = sim.seeded_draws(cands.draw_keys, seed_parts, iter(rngs))
         stats = sim.derive_rows(plans.table, world, base_cards, base_lens, pm, draws)
         inst = Instance(cands, stats, sim.heuristic_partitions(plans, stats, draws))
         counter = res.LookupCounter()
@@ -287,10 +306,8 @@ class Planner:
         partitions = inst.partitions[lo:hi].tolist()
         nodes = cands.tree(best, stats, partitions)
         planning_seconds = time.perf_counter() - t0
-        ids = plans.table.tpl_op_id
         lat = sim.latencies(plans, lo, hi, stats, partitions, world, pm,
-                            (sim._rng("lat", *seed_parts, ids[plans.rows[i]])
-                             for i in range(lo, hi)))
+                            rngs.take(cands.lat_slot[lo:hi]))
         for node, own in zip(nodes, lat):
             node.actual_latency = own
         return PlanResult(
@@ -347,10 +364,11 @@ class CleoPlanner(Planner):
         # statistics the curves read do not depend on partition counts.
         cands, stats = inst.cands, inst.stats
         ctx = cands.context()
+        est_in, est_base, est_out, row_len = np.array(
+            [stats.est_in, stats.est_base, stats.est_out, stats.row_len])
         curves = res.fold_curves(self._resolved(cands), {
-            "I": np.array(stats.est_in), "B": np.array(stats.est_base),
-            "C": np.array(stats.est_out), "L": np.array(stats.row_len),
-            "pm": np.full(len(stats.est_in), pm),
+            "I": est_in, "B": est_base, "C": est_out, "L": row_len,
+            "pm": np.full(len(est_in), pm),
             "in_hash": ctx["in_hash"], "cl": ctx["cl"], "depth": ctx["depth"],
         })[cands.rows]
         if self.explore_partitions:
@@ -378,7 +396,7 @@ class CleoPlanner(Planner):
         p_lo, p_hi = res.exploration_window(p_def)
         p_opt = np.minimum(np.maximum(res.analytical_optima(ctx, lay.stages, counter), p_lo),
                            p_hi)
-        cost_p, cost_def = res.stage_costs(ctx, lay.stages, np.column_stack([p_opt, p_def]),
+        cost_p, cost_def = res.stage_costs(ctx, lay.stages, np.array([p_opt, p_def]).T,
                                            counter).T
         accepted = cost_p < ACCEPT_MARGIN * cost_def
         final = np.where(accepted, p_opt, p_def)

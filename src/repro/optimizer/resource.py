@@ -129,8 +129,8 @@ def fold_curves(models: tuple[np.ndarray, ...], cols: Mapping[str, Sequence]) ->
     # At P = 1 a per-partition feature equals its numerator g(I,C,L).
     terms = coef * feature_matrix({**cols, "P": np.ones(len(covered))}, context=True)
     theta_p = np.zeros(len(covered))
-    for j in P_INVERSE_INDEX:
-        theta_p += terms[:, j]
+    for col in terms.T[P_INVERSE_INDEX]:
+        theta_p += col
     return CostCurves(
         a=intercept + terms[:, _FREE_INDEX].sum(axis=1),
         theta_p=theta_p,
@@ -281,13 +281,15 @@ def analytical_optima(
     """The closed-form optimum of §5.3 of every stage, from its summed
     curve weights."""
     counter.lookups += np.count_nonzero(curves.covered)
-    sum_tp, sum_tc = stage_sums(np.column_stack([curves.theta_p, curves.theta_c]), lengths).T
-    interior = (sum_tp > 0) & (sum_tc > 0)
-    p_star = np.rint(np.sqrt(np.divide(sum_tp, sum_tc, out=np.ones_like(sum_tp), where=interior)))
-    # With Σθ_P > 0 and Σθ_C <= 0 more partitions never hurt: the
-    # maximum. Without Σθ_P > 0 they only hurt, or the learned weights
-    # carry no partition signal: 1.
-    p = np.where(sum_tp > 0, np.where(sum_tc > 0, p_star, MAX_P), 1)
+    sums = stage_sums(np.array([curves.theta_p, curves.theta_c]).T, lengths)
+    sum_tp, sum_tc = sums.T
+    pos_tp, pos_tc = (sums > 0).T
+    # Off the interior p_star is 1: without Σθ_P > 0 more partitions
+    # only hurt, or the learned weights carry no partition signal. With
+    # Σθ_P > 0 and Σθ_C <= 0 they never hurt: the maximum.
+    p_star = np.rint(np.sqrt(np.divide(sum_tp, sum_tc, out=np.ones_like(sum_tp),
+                                       where=pos_tp & pos_tc)))
+    p = np.where(pos_tp > pos_tc, MAX_P, p_star)
     return np.minimum(np.maximum(p, 1), MAX_P).astype(int)
 
 

@@ -54,7 +54,13 @@ def hash64(*parts) -> int:
     63 bits keeps the value inside a signed int64 so it survives a round
     trip through Spark / Arrow / pandas without overflow.
     """
-    h = hashlib.blake2b("\x1f".join(map(str, parts)).encode(), digest_size=8)
+    return hash_text("\x1f".join(map(str, parts)))
+
+
+def hash_text(text: str) -> int:
+    """:func:`hash64` of the parts whose string forms, joined by
+    ``"\x1f"``, are ``text``."""
+    h = hashlib.blake2b(text.encode(), digest_size=8)
     return int.from_bytes(h.digest(), "big") & 0x7FFF_FFFF_FFFF_FFFF
 
 

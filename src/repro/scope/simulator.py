@@ -57,26 +57,28 @@ scaling the kept draw gives the same bits as drawing from a fresh
 generator. Keying by ``tpl_op_id`` is what lets a subtree shared by
 several candidates read one set of draws.
 
-The keys are seeded in one of two ways, each where it is faster:
+Generators are seeded a batch of keys at a time (:class:`RngBatch`): the
+keys are hashed, all their PCG64 states are computed in one vectorized pass
+(numpy's ``SeedSequence`` mixing on a ``(4, n)`` uint32 pool, then
+PCG64's 128-bit seeding step), and one reused generator is set to each
+key's state just before that key's draws. The draws are the ones
+:func:`_rng` makes, bit for bit; only numpy's per-generator set-up cost
+is gone. The same kernel serves every batch size:
 
-- lazily, one key at a time (:func:`_rng`), for a single job instance:
-  :func:`instantiate` seeds each of the instance's keys
-  (:func:`instance_keys`) as it is read. The planners cost many
-  candidate plans of one instance: :class:`Draws` makes each statistics
-  draw on first use and keeps it, so each operator's generator is
-  seeded once and operators that draw nothing seed none; the chosen
-  plan's latencies seed one generator per executed operator. This
-  per-key seeding is the floor of a planner call: at a dozen keys,
-  numpy's ``default_rng`` is faster than a batch;
-- in one batch per generated day (:func:`rng_batch`): the workload
-  generator lists every key of the day's runs in run order, the batch
-  computes all their PCG64 states in one vectorized pass, and one reused
-  generator is set to each key's state just before that key's draws.
-  The draws are the ones :func:`_rng` makes, bit for bit; only numpy's
-  per-generator set-up cost is gone.
+- a generated day (``Cluster.generate_days``): every key of the day's
+  runs, in run order: each run's ``"sizes"`` key, then its
+  :func:`run_keys`;
+- a single replayed instance (:func:`instantiate`): its
+  :func:`run_keys`;
+- a planner call (``cascades.Planner.plan``): the statistics draws of
+  every candidate plan, which pre-fill the instance's :class:`Draws`,
+  and one ``"lat"`` key per distinct operator of the candidates, of
+  which the chosen plan's latencies read their operators' states.
 
-Both take the generators in :func:`instance_keys` order through one
-body, :func:`instantiate_plan`.
+A day and a replayed instance take their generators in
+:func:`run_keys` order through one body, :func:`instantiate_plan`.
+:class:`Draws` still makes a draw on first use for a key it was not
+given, so the tree functions can be called on their own.
 """
 from __future__ import annotations
 
@@ -86,6 +88,7 @@ from operator import mul
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.scope.plan import (
     JOIN_OPS,
@@ -94,6 +97,7 @@ from repro.scope.plan import (
     PlanTable,
     compile_plans,
     hash64,
+    hash_text,
 )
 
 MAX_PARTITIONS = 3000
@@ -142,27 +146,51 @@ def _rng(*parts) -> np.random.Generator:
     return np.random.default_rng(hash64(*parts) & 0xFFFF_FFFF)
 
 
-def rng_batch(keys: Iterable[tuple]) -> Iterator[np.random.Generator]:
-    """The generators of a batch of :func:`_rng` keys, in key order.
-
-    Every key is hashed and every PCG64 state computed now, in one pass.
-    The iterator then yields one reused generator, set to the next key's
-    state: it makes exactly the draws ``_rng(*key)`` would, until the
-    next key is taken. Only the states are kept, never drawn values."""
-    seeds = np.fromiter((hash64(*k) & 0xFFFF_FFFF for k in keys), dtype=np.uint32)
-    return _generators(*_pcg64_states(seeds))
+def instance_seeds(keys: Iterable[tuple[str, str]], seed_parts: tuple) -> list[int]:
+    """The 32-bit seed :func:`_rng` gives the key ``(kind, *seed_parts,
+    tpl_op_id)`` of each ``(kind, tpl_op_id)`` of ``keys``, in order. The
+    seed parts' string forms are joined once for all the keys."""
+    mid = "".join("\x1f" + str(part) for part in seed_parts)
+    return [hash_text(f"{kind}{mid}\x1f{op_id}") & 0xFFFF_FFFF for kind, op_id in keys]
 
 
-def _generators(states: list[int], incs: list[int]) -> Iterator[np.random.Generator]:
-    """One reused generator set to each PCG64 ``(state, inc)`` in turn."""
-    bit_gen = np.random.PCG64(0)
-    g = np.random.Generator(bit_gen)
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for state, inc in zip(states, incs):
-        pcg["state"], pcg["inc"] = state, inc
-        bit_gen.state = full
-        yield g
+class _Unseeded(ISeedSequence):
+    """The seed of a bit generator whose state is set before every draw:
+    all-zero words, without ``SeedSequence``'s hashing."""
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return np.zeros(n_words, dtype=dtype)
+
+
+_UNSEEDED = _Unseeded()
+
+
+class RngBatch:
+    """The generators of a batch of 32-bit seeds, as
+    ``np.random.default_rng`` makes them.
+
+    Every seed's PCG64 state is computed on construction, in one pass
+    (:func:`_pcg64_states`). :meth:`take` then yields one reused
+    generator, set to the state of each slot it is given in turn: it
+    makes exactly the draws a fresh ``default_rng`` of that seed would,
+    until the next slot is taken. Only the states are kept, never drawn
+    values."""
+
+    def __init__(self, seeds: np.ndarray | list[int]):
+        self.states, self.incs = _pcg64_states(seeds)
+        self.generator = np.random.Generator(np.random.PCG64(_UNSEEDED))
+
+    def __iter__(self) -> Iterator[np.random.Generator]:
+        return self.take(range(len(self.states)))
+
+    def take(self, slots: Iterable[int]) -> Iterator[np.random.Generator]:
+        bit_gen = self.generator.bit_generator
+        pcg = {"state": 0, "inc": 0}
+        full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        for k in slots:
+            pcg["state"], pcg["inc"] = self.states[k], self.incs[k]
+            bit_gen.state = full
+            yield self.generator
 
 
 # numpy's SeedSequence (a pool of four 32-bit words) and PCG64 constants.
@@ -171,6 +199,37 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 0xFFFF_FFFF, (1 << 128) - 1
+_SHIFT = np.uint32(16)  # hashmix's and mix's xorshift
+
+
+def _hash_consts(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of ``n`` successive ``hashmix`` calls, as columns:
+    each XORs in the running constant, steps it (``*= mult``) and then
+    multiplies by it."""
+    xors, mults, c = [], [], init
+    for _ in range(n):
+        xors.append(c)
+        c = c * mult & _MASK32
+        mults.append(c)
+    return np.array(xors, dtype=np.uint32)[:, None], np.array(mults, dtype=np.uint32)[:, None]
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mult
+    return v ^ (v >> _SHIFT)
+
+
+# mix_entropy makes 16 hashmix calls: one per pool word (the seed, then
+# three zero words, whose results are constants), then three per source
+# word as it is mixed into the other three.
+_XOR_A, _MULT_CONST_A = _hash_consts(_INIT_A, _MULT_A, 16)
+_POOL_INIT = _hashmix(np.zeros((4, 1), dtype=np.uint32), _XOR_A[:4], _MULT_CONST_A[:4])
+_ROUNDS = [(src, np.array([dst for dst in range(4) if dst != src]),
+            _XOR_A[4 + 3 * src:7 + 3 * src], _MULT_CONST_A[4 + 3 * src:7 + 3 * src])
+           for src in range(4)]
+# generate_state(4, np.uint64) cycles the pool twice, one hashmix per word.
+_XOR_B, _MULT_CONST_B = _hash_consts(_INIT_B, _MULT_B, 8)
+_MIX_L, _MIX_R = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R)
 
 
 def _pcg64_states(seeds: np.ndarray) -> tuple[list[int], list[int]]:
@@ -179,45 +238,28 @@ def _pcg64_states(seeds: np.ndarray) -> tuple[list[int], list[int]]:
 
     ``SeedSequence(s)`` mixes the one entropy word into its pool and
     expands the pool to four 64-bit words; that is all uint32 arithmetic,
-    done here over the whole batch at once. PCG64 then seeds from the
-    words ``(state0, inc0)`` (``pcg_setseq_128_srandom_r``):
-    ``inc = inc0 << 1 | 1`` and two LCG steps from 0, adding ``state0``
-    after the first, modulo 2**128 (Python ints, as the ``state``
-    setter takes them)."""
-    u32 = np.uint32
-    hash_const = _INIT_A
-
-    def hashmix(v):
-        nonlocal hash_const
-        v = v ^ u32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        v = v * u32(hash_const)
-        return v ^ (v >> u32(16))
-
-    def mix(x, y):
-        r = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
-        return r ^ (r >> u32(16))
-
+    done here on a ``(4, n)`` pool in four rounds, one per source word,
+    each mixing it into the other three words of every seed at once.
+    PCG64 then seeds from the words ``(state0, inc0)``
+    (``pcg_setseq_128_srandom_r``): ``inc = inc0 << 1 | 1`` (in 64-bit
+    halves here) and two LCG steps from 0, adding ``state0`` after the
+    first, modulo 2**128 (Python ints, as the ``state`` setter takes
+    them)."""
     seeds = np.asarray(seeds, dtype=np.uint32)
-    pool = [hashmix(seeds)] + [hashmix(np.zeros_like(seeds)) for _ in range(3)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    hash_const = _INIT_B
-    words = []
-    for i in range(8):  # generate_state(4, np.uint64): cycle the pool
-        v = pool[i % 4] ^ u32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        v = v * u32(hash_const)
-        words.append(v ^ (v >> u32(16)))
+    pool = np.repeat(_POOL_INIT, len(seeds), axis=1)
+    pool[0] = _hashmix(seeds, _XOR_A[0], _MULT_CONST_A[0])
+    for src, dst, xor, mult in _ROUNDS:
+        r = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], xor, mult)
+        pool[dst] = r ^ (r >> _SHIFT)
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _XOR_B, _MULT_CONST_B)
     # Word pairs join little-endian into (state_hi, state_lo, inc_hi, inc_lo).
-    s_hi, s_lo, i_hi, i_lo = np.stack(words, axis=1).astype("<u4").view("<u8").T.tolist()
-    states, incs = [], []
-    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
-        inc = ((c << 64 | d) << 1 | 1) & _MASK128
-        states.append(((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128)
-        incs.append(inc)
+    s_hi, s_lo, i_hi, i_lo = np.ascontiguousarray(words.T, dtype="<u4").view("<u8").T
+    one = np.uint64(1)
+    inc_hi = (i_hi << one) | (i_lo >> np.uint64(63))
+    inc_lo = (i_lo << one) | one
+    incs = [h << 64 | lo for h, lo in zip(inc_hi.tolist(), inc_lo.tolist())]
+    states = [((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
+              for inc, a, b in zip(incs, s_hi.tolist(), s_lo.tolist())]
     return states, incs
 
 
@@ -517,6 +559,16 @@ def plan_draw_keys(plans: CompiledPlans) -> list[tuple[str, str]]:
     return list(dict.fromkeys(est + part))
 
 
+def seeded_draws(draw_keys: list[tuple[str, str]], seed_parts: tuple,
+                 rngs: Iterator[np.random.Generator]) -> Draws:
+    """The :class:`Draws` of ``draw_keys``, each the first standard normal
+    of the next of ``rngs``: the generators of those keys, in order."""
+    draws = Draws(seed_parts)
+    for key in draw_keys:
+        draws[key] = next(rngs).standard_normal()
+    return draws
+
+
 @dataclass
 class Instance:
     """One simulated job instance of a one-plan :class:`CompiledPlans`:
@@ -539,11 +591,9 @@ def instantiate_plan(plans: CompiledPlans, draw_keys: list[tuple[str, str]], wor
     ``base_cards``/``base_lens`` give the true cardinality and row
     length of each input template for this run; ``seed_parts`` make the
     instance deterministic. ``rngs`` yields the generators of
-    :func:`instance_keys` in turn: fresh ones (:func:`instantiate`) or a
-    share of a day's :func:`rng_batch` (``Cluster.generate_days``)."""
-    draws = Draws(seed_parts)
-    for key in draw_keys:
-        draws[key] = next(rngs).standard_normal()
+    :func:`run_keys` in turn: a replayed instance's :class:`RngBatch`
+    (:func:`instantiate`) or a share of a day's (``Cluster.generate_days``)."""
+    draws = seeded_draws(draw_keys, seed_parts, rngs)
     stats = derive_rows(plans.table, world, base_cards, base_lens, pm, draws)
     parts = heuristic_partitions(plans, stats, draws).tolist()
     return Instance(stats, parts, latencies(plans, 0, len(plans), stats, parts, world, pm, rngs))
@@ -572,32 +622,34 @@ def instantiate(
     seed_parts: tuple,
 ) -> None:
     """Fill instance statistics, partition counts and actual latencies of
-    a plan, in place: :func:`instantiate_plan` with one fresh
-    :func:`_rng` per key, seeded as it is read."""
+    a plan, in place: :func:`instantiate_plan` with the instance's keys
+    seeded in one :class:`RngBatch`."""
     plans = compile_plans([root])
     draw_keys = plan_draw_keys(plans)
+    seeds = instance_seeds(run_keys(plans, draw_keys), seed_parts)
     inst = instantiate_plan(plans, draw_keys, world, base_cards, base_lens, pm, seed_parts,
-                            (_rng(*key) for key in _instance_keys(plans, draw_keys, seed_parts)))
+                            iter(RngBatch(seeds)))
     _write_stats(root, plans, inst.stats)
     for node, p, lat in zip(root.walk(), inst.partitions, inst.latencies):
         node.partitions = p
         node.actual_latency = lat
 
 
-def _instance_keys(plans: CompiledPlans, draw_keys: list[tuple[str, str]],
-                   seed_parts: tuple) -> Iterator[tuple]:
-    for kind, tpl_op_id in draw_keys:
-        yield (kind, *seed_parts, tpl_op_id)
-    for r in plans.rows:
-        yield ("lat", *seed_parts, plans.table.tpl_op_id[r])
+def run_keys(plans: CompiledPlans, draw_keys: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """The ``(kind, tpl_op_id)`` of every generator :func:`instantiate_plan`
+    reads for one instance of the one plan of ``plans`` (whose
+    :func:`plan_draw_keys` are ``draw_keys``), in the order it reads
+    them: the statistics draws, then one ``"lat"`` per operator."""
+    ids = plans.table.tpl_op_id
+    return [*draw_keys, *(("lat", ids[r]) for r in plans.rows)]
 
 
-def instance_keys(root: PlanNode, seed_parts: tuple) -> Iterator[tuple]:
+def instance_keys(root: PlanNode, seed_parts: tuple) -> list[tuple]:
     """The :func:`_rng` keys :func:`instantiate_plan` reads for one
-    instance of ``root``, in the order it reads them: the statistics
-    draws (:func:`draw_keys`), then one ``"lat"`` key per operator."""
+    instance of ``root``, in the order it reads them (:func:`run_keys`)."""
     plans = compile_plans([root])
-    return _instance_keys(plans, plan_draw_keys(plans), seed_parts)
+    return [(kind, *seed_parts, op_id)
+            for kind, op_id in run_keys(plans, plan_draw_keys(plans))]
 
 
 def draw_keys(root: PlanNode) -> list[tuple[str, str]]:

@@ -21,6 +21,7 @@ Scales are ~100× below the paper's production trace (DESIGN.md).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -155,6 +156,7 @@ class ExecutedPlan:
     plans: CompiledPlans
     columns: dict[str, list]
     draw_keys: list[tuple[str, str]]
+    run_keys: list[tuple[str, str]]  # every generator of one run (:func:`sim.run_keys`)
     # A row column's values at the plan's positions (a plan has an Output
     # above its inputs, so at least two).
     gather: itemgetter
@@ -168,13 +170,9 @@ class ExecutedPlan:
             ("op_id", table.tpl_op_id), ("op", table.op), ("logical", table.logical),
             *((c, ident[c]) for c in ("depth", "cl", "sig_sub", "sig_approx",
                                       "sig_opinput", "in_hash")))}
-        return ExecutedPlan(root, plans, columns, sim.plan_draw_keys(plans),
+        draw_keys = sim.plan_draw_keys(plans)
+        return ExecutedPlan(root, plans, columns, draw_keys, sim.run_keys(plans, draw_keys),
                             itemgetter(*plans.rows))
-
-    def instance_keys(self, seed_parts: tuple) -> list[tuple]:
-        """The generator keys of one run (:func:`sim.instance_keys`)."""
-        return [*((kind, *seed_parts, op_id) for kind, op_id in self.draw_keys),
-                *(("lat", *seed_parts, op_id) for op_id in self.columns["op_id"])]
 
 
 class Cluster:
@@ -369,9 +367,9 @@ class Cluster:
     def generate_days(self, days: list[int]) -> tuple[pd.DataFrame, pd.DataFrame]:
         """Instantiate all jobs for ``days``; returns (ops_df, jobs_df).
 
-        Each day's generators are seeded in one :func:`sim.rng_batch`
-        over every run's ``"sizes"`` key and instance keys, in run
-        order. Every run is simulated on its template's compiled plan
+        Each day's generators are seeded in one :class:`sim.RngBatch`
+        over every run's ``"sizes"`` key and :func:`sim.run_keys`, in
+        run order. Every run is simulated on its template's compiled plan
         (:meth:`JobTemplate.executed`), and the operator log is built
         column by column from the compiled rows."""
         name = self.cfg.name
@@ -380,11 +378,11 @@ class Cluster:
         for day in days:
             runs = self.runs(day)
             plans = [tpl.executed() for tpl, _ in runs]
-            rngs = sim.rng_batch(
-                key for (tpl, k), plan in zip(runs, plans)
-                for key in (("sizes", tpl.tpl_id, day, k),
-                            *plan.instance_keys((name, tpl.tpl_id, day, k)))
-            )
+            seeds = np.fromiter(itertools.chain.from_iterable(
+                (hash64("sizes", tpl.tpl_id, day, k) & 0xFFFF_FFFF,
+                 *sim.instance_seeds(plan.run_keys, (name, tpl.tpl_id, day, k)))
+                for (tpl, k), plan in zip(runs, plans)), dtype=np.uint32)
+            rngs = iter(sim.RngBatch(seeds))
             for seq, ((tpl, k), plan) in enumerate(zip(runs, plans), start=1):
                 is_adhoc = tpl.tpl_id.startswith(f"{name}_adhoc")
                 job_id = f"{name}_d{day}_{seq:05d}"

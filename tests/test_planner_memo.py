@@ -3,9 +3,10 @@ planner per job: CleoPlanner keeps each template's resolved models, and
 the template keeps its compiled candidate plans."""
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from repro.optimizer.cascades import CleoPlanner, PlanResult
+from repro.optimizer.cascades import CleoPlanner, DefaultPlanner, PlanResult
 from repro.scope.workload import Cluster, tiny_cluster
 
 # Every field but the two timings.
@@ -49,3 +50,26 @@ def test_planner_reused_on_two_clusters_equals_fresh_planners(tiny, tiny_bank, n
     planner = CleoPlanner(tiny_bank)
     for job in jobs:
         assert_same(planner.plan(*job), CleoPlanner(tiny_bank).plan(*job))
+
+
+def test_warm_planners_seed_no_generator_one_by_one(tiny, tiny_bank, monkeypatch):
+    """A warm call of either planner seeds every generator of its job
+    instance in one batch: it makes no ``np.random.default_rng`` call."""
+    cl, _, _ = tiny
+    jobs = day_jobs(cl)
+    planners = [CleoPlanner(tiny_bank), DefaultPlanner(cl.cfg.name)]
+    for planner in planners:
+        for job in jobs:
+            planner.plan(*job)
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    for planner in planners:
+        for job in jobs:
+            planner.plan(*job)
+    assert calls == []

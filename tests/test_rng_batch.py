@@ -1,5 +1,6 @@
-"""The batched seeder (``simulator.rng_batch``) against
-``np.random.default_rng``, one fresh generator per seed."""
+"""The batched seeder (``simulator.RngBatch``) and the instance seeds
+(``simulator.instance_seeds``) against ``np.random.default_rng``, one
+fresh generator per seed."""
 import math
 
 import numpy as np
@@ -17,10 +18,19 @@ SEEDS = np.concatenate([
 
 def test_states_are_default_rng_states():
     n = 0
-    for s, g in zip(SEEDS.tolist(), sim._generators(*sim._pcg64_states(SEEDS))):
+    for s, g in zip(SEEDS.tolist(), sim.RngBatch(SEEDS)):
         assert g.bit_generator.state == np.random.default_rng(s).bit_generator.state, s
         n += 1
     assert n == len(SEEDS)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_states_at_every_small_batch_length(n):
+    """A planner call seeds a dozen or two keys: every length up to 64
+    gives each seed ``default_rng``'s state."""
+    seeds = SEEDS[n:2 * n]
+    states = [g.bit_generator.state for g in sim.RngBatch(seeds)]
+    assert states == [np.random.default_rng(s).bit_generator.state for s in seeds.tolist()]
 
 
 # The draw sequences the simulator makes from one generator: a statistics
@@ -35,20 +45,35 @@ SEQUENCES = {
 
 @pytest.mark.parametrize("draw", SEQUENCES.values(), ids=SEQUENCES.keys())
 def test_draw_sequences_are_default_rng_draws(draw):
-    for s, g in zip(SEEDS.tolist(), sim._generators(*sim._pcg64_states(SEEDS))):
+    for s, g in zip(SEEDS.tolist(), sim.RngBatch(SEEDS)):
         assert draw(g) == draw(np.random.default_rng(s)), s
 
 
 def test_keyed_batch_is_rng_per_key():
-    """Hashing the keys: every key of a tiny day's runs gets ``_rng``'s
-    generator, in key order."""
+    """Hashing the keys: the seeds of a tiny day's runs, as the workload
+    generator makes them (a ``"sizes"`` key, then
+    :func:`sim.instance_seeds` of the run's :func:`sim.run_keys`), give
+    every key ``_rng``'s generator, in key order."""
     cl = Cluster(tiny_cluster())
-    keys = [key for tpl, k in cl.runs(1)
-            for key in (("sizes", tpl.tpl_id, 1, k),
-                        *sim.instance_keys(tpl.root, (cl.cfg.name, tpl.tpl_id, 1, k)))]
+    keys, seeds = [], []
+    for tpl, k in cl.runs(1):
+        seed_parts = (cl.cfg.name, tpl.tpl_id, 1, k)
+        keys += [("sizes", tpl.tpl_id, 1, k), *sim.instance_keys(tpl.root, seed_parts)]
+        seeds += [hash64("sizes", tpl.tpl_id, 1, k) & 0xFFFF_FFFF,
+                  *sim.instance_seeds(tpl.executed().run_keys, seed_parts)]
     assert len(keys) > 500
-    for key, g in zip(keys, sim.rng_batch(keys), strict=True):
+    for key, g in zip(keys, sim.RngBatch(seeds), strict=True):
         assert g.bit_generator.state == sim._rng(*key).bit_generator.state, key
+
+
+def test_take_sets_each_slot():
+    """``take`` yields the generator of each slot it is given, in that
+    order, repeats included, as a planner reads its chosen plan's
+    latency keys out of the batch."""
+    batch = sim.RngBatch(SEEDS[:20])
+    slots = [19, 3, 3, 0, 12]
+    got = [g.bit_generator.state for g in batch.take(slots)]
+    assert got == [np.random.default_rng(SEEDS[k]).bit_generator.state for k in slots]
 
 
 def reference_drift(cl: Cluster, name: str, day: int) -> float:
@@ -67,7 +92,8 @@ def test_sizes_survive_drift_drawn_midway():
     cl = Cluster(tiny_cluster())
     day = 3
     runs = cl.runs(day)
-    rngs = sim.rng_batch(("sizes", tpl.tpl_id, day, k) for tpl, k in runs)
+    rngs = iter(sim.RngBatch([hash64("sizes", tpl.tpl_id, day, k) & 0xFFFF_FFFF
+                              for tpl, k in runs]))
     midway = 0
     for tpl, k in runs:
         cold = len(cl._drift)

@@ -1,5 +1,5 @@
 """The compiled plans, the memoized substrate draws (``simulator.Draws``)
-and the batched seeding of generated days (``simulator.rng_batch``)
+and the batched seeding of generated days (``simulator.RngBatch``)
 against eager per-operator generators on ``PlanNode`` trees.
 
 ``reference_derive_statistics`` and ``reference_assign_partitions`` walk
