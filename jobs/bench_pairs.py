@@ -14,9 +14,14 @@ host hits both sides alike. Absolute numbers from different hosts or
 hours do not compare; the pairs within one file do.
 
 The output has, per workload and end-to-end metric of
-``BENCHMARK.json``, each side's median and interquartile range, and the
-number of pairs the change won (a tie wins nothing), with both commit
-ids, nproc and every run's raw metrics. Nothing under ``cleobench/`` is
+``BENCHMARK.json``, each side's median, interquartile range and spread
+(IQR / median), and the number of pairs the change won (a tie wins
+nothing), with both commit ids, nproc and every run's raw metrics.
+Against the metric's ``bound`` (a fraction) it also records
+``within_bound``, whether the change's median is worse than the
+parent's by at most the bound, and ``resolved``, whether the runs can
+tell a change of that size: the parent's own spread is at most the
+bound, or every change run beats every parent run. Nothing under ``cleobench/`` is
 changed; a run that fails or reports ``"correct": false`` is recorded
 and makes ``correct`` false in the output.
 """
@@ -74,7 +79,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's median, IQR and values, and the change's wins."""
+    """Per metric: each side's median, IQR, spread and values, the
+    change's wins, and whether its median is within the metric's bound
+    and the runs resolve it."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -86,9 +93,18 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         entry = {"unit": m["unit"], "better": m["better"]}
         for side, values in sides.items():
             q1, q2, q3 = quartiles(values)
-            entry[side] = {"median": q2, "iqr": q3 - q1, "values": values}
+            entry[side] = {"median": q2, "iqr": q3 - q1,
+                           "spread": (q3 - q1) / q2 if q2 else None, "values": values}
         entry["wins"] = sum((c < p) if lower else (c > p)
                             for p, c in zip(sides["parent"], sides["change"]))
+        parent, change = entry["parent"], entry["change"]
+        bound = m["bound"]
+        entry["within_bound"] = (change["median"] <= parent["median"] * (1 + bound) if lower
+                                 else change["median"] >= parent["median"] * (1 - bound))
+        beats_all = (max(sides["change"]) < min(sides["parent"]) if lower
+                     else min(sides["change"]) > max(sides["parent"]))
+        entry["resolved"] = (parent["spread"] is not None and parent["spread"] <= bound) \
+            or beats_all
         entry["median_change_pct"] = (100 * (entry["change"]["median"] / entry["parent"]["median"]
                                              - 1) if entry["parent"]["median"] else None)
         out[name] = entry

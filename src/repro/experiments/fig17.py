@@ -29,7 +29,6 @@ import pandas as pd
 from repro.experiments.common import cluster_config, trained_cluster
 from repro.optimizer import resource as res
 from repro.scope import simulator as sim
-from repro.scope.plan import assign_input_templates, expand_physical, plan_stages
 from repro.scope.workload import Cluster
 
 SAMPLE_SIZES = [2, 4, 6, 8, 10, 15, 20, 25, 30]
@@ -40,29 +39,37 @@ DAY = 3  # the test day
 def _collect_stages(bank, n_stages: int):
     """Exchange-rooted stages from logged test-day plans: each stage's
     resource-context (its operators' cost curves under ``bank``) and the
-    state needed to recompute true stage cost at any partition count."""
+    state needed to recompute true stage cost at any partition count.
+
+    Each template's executed plan is compiled once
+    (``JobTemplate.executed``) and simulated on its rows, with the
+    generators of the instance's :func:`sim.run_keys` seeded in one
+    batch; the curves are the planner's row fold (``CleoPlanner``)."""
     cl = Cluster(cluster_config(CLUSTER))
     out = []
     for tpl in cl.live_templates(DAY):
         pm, base_cards, base_lens = cl.instance_inputs(tpl, DAY, 0)
-        seed = (cl.cfg.name, tpl.tpl_id, DAY, 0)
-        root = expand_physical(tpl.logical_root, tpl.choices)
-        assign_input_templates(root)
-        sim.instantiate(root, cl.world, base_cards, base_lens, pm, seed)
-        nodes = list(root.walk())
-        curves = res.instance_curves(res.resolve_plan(bank, root), nodes, pm)
-        row_of = {id(n): i for i, n in enumerate(nodes)}
-        for stage in plan_stages(root):
-            if stage[0].op != "Exchange":
+        plan = tpl.executed()
+        plans = plan.plans
+        batch = sim.RngBatch(sim.instance_seeds(plan.run_keys, (cl.cfg.name, tpl.tpl_id, DAY, 0)))
+        inst = sim.instantiate_plan(plans, plan.draw_keys, cl.world, base_cards, base_lens, pm,
+                                    iter(batch))
+        context = res.table_context(plans.table)
+        curves = res.row_curves(bank.resolve(context), context, inst.stats, pm)
+        for stage in plans.stages(0):
+            if plans.table.op[plans.rows[stage[0]]] != "Exchange":
                 continue
             out.append(
                 {
-                    "ctx": curves[[row_of[id(n)] for n in stage]],
-                    "nodes": list(stage),
+                    "ctx": curves[[plans.rows[i] for i in stage]],
+                    "positions": stage,
+                    "plans": plans,
+                    "stats": inst.stats,
                     "world": cl.world,
                     "pm": pm,
-                    "seed": seed,
-                    "p_default": stage[0].partitions,
+                    # each position's "lat" generator, after the statistics draws
+                    "rngs": (batch, len(plan.draw_keys)),
+                    "p_default": inst.partitions[stage[0]],
                 }
             )
             if len(out) >= n_stages:
@@ -72,13 +79,11 @@ def _collect_stages(bank, n_stages: int):
 
 def _true_stage_cost(entry: dict, p: int) -> float:
     """Ground-truth total stage latency with the stage at ``p``."""
-    total = 0.0
-    for node in entry["nodes"]:
-        saved = node.partitions
-        node.partitions = p
-        total += entry["world"].exclusive_latency(node, entry["pm"], entry["seed"])
-        node.partitions = saved
-    return total
+    stage = entry["positions"]
+    batch, offset = entry["rngs"]
+    return sum(sim.latencies(entry["plans"], stage, entry["stats"], [p] * len(stage),
+                             entry["world"], entry["pm"],
+                             batch.take(offset + i for i in stage)))
 
 
 def run(n_stages: int = 200) -> pd.DataFrame:

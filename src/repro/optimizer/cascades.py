@@ -44,11 +44,11 @@ Planning returns the chosen *executed* plan: the substrate simulator
 fills actual latencies for whatever plan is chosen, using common random
 numbers so two planners' choices for the same job instance are
 comparable (§6.6.1). Every candidate of one job instance reads the same
-substrate draws (:class:`repro.scope.simulator.Draws`), and
-:class:`PlanResult` reports each candidate's predicted cost. A call
-seeds every generator its job instance reads in one
-:class:`repro.scope.simulator.RngBatch`: the statistics draws of every
-candidate, which fill the ``Draws`` up front, and one ``"lat"`` key per
+substrate draws (``simulator.seeded_draws``), and :class:`PlanResult`
+reports each candidate's predicted cost. A call seeds every generator
+its job instance reads in one :class:`repro.scope.simulator.RngBatch`:
+the statistics draws of every candidate, which fill the draws up
+front, and one ``"lat"`` key per
 distinct operator of the candidates, of which the chosen plan's
 latencies read their operators' states. Nothing drawn or seeded is
 kept from one call to the next.
@@ -203,7 +203,7 @@ class TemplatePlans:
         slot = {t: i for i, t in enumerate(lat_ids, start=len(self.draw_keys))}
         self.lat_slot = [slot[ids[r]] for r in self.plans.rows]
         self._layout: StageLayout | None = None
-        self._context: dict[str, np.ndarray] | None = None
+        self._context: dict[str, list | np.ndarray] | None = None
 
     @staticmethod
     def of(tpl: JobTemplate) -> "TemplatePlans":
@@ -217,16 +217,10 @@ class TemplatePlans:
             self._layout = StageLayout.of(self.plans)
         return self._layout
 
-    def context(self) -> dict[str, np.ndarray]:
-        """The identity columns and operator names of every table row
-        (for :meth:`ModelBank.resolve`), and the context features
-        ``in_hash``, ``cl`` and ``depth`` as float arrays."""
+    def context(self) -> dict[str, list | np.ndarray]:
+        """:func:`resource.table_context` of the candidates' table."""
         if self._context is None:
-            table = self.plans.table
-            ident = table.identity()
-            self._context = {**ident, "op": table.op,
-                             **{c: np.array(ident[c], dtype=float)
-                                for c in ("in_hash", "cl", "depth")}}
+            self._context = res.table_context(self.plans.table)
         return self._context
 
     def tree(self, j: int, stats: sim.RowStats, partitions: list[int]) -> list[PlanNode]:
@@ -291,7 +285,7 @@ class Planner:
         plans = cands.plans
         # Every generator the instance reads, seeded in one batch.
         rngs = sim.RngBatch(sim.instance_seeds(cands.seed_keys, seed_parts))
-        draws = sim.seeded_draws(cands.draw_keys, seed_parts, iter(rngs))
+        draws = sim.seeded_draws(cands.draw_keys, iter(rngs))
         stats = sim.derive_rows(plans.table, world, base_cards, base_lens, pm, draws)
         inst = Instance(cands, stats, sim.heuristic_partitions(plans, stats, draws))
         counter = res.LookupCounter()
@@ -306,7 +300,7 @@ class Planner:
         partitions = inst.partitions[lo:hi].tolist()
         nodes = cands.tree(best, stats, partitions)
         planning_seconds = time.perf_counter() - t0
-        lat = sim.latencies(plans, lo, hi, stats, partitions, world, pm,
+        lat = sim.latencies(plans, range(lo, hi), stats, partitions, world, pm,
                             rngs.take(cands.lat_slot[lo:hi]))
         for node, own in zip(nodes, lat):
             node.actual_latency = own
@@ -359,18 +353,11 @@ class CleoPlanner(Planner):
         return hit[1]
 
     def _costs(self, inst, pm, counter) -> list[float]:
-        # The curves of every distinct subtree, from the statistics the
-        # optimizer sees, gathered to every candidate's operators; the
-        # statistics the curves read do not depend on partition counts.
-        cands, stats = inst.cands, inst.stats
-        ctx = cands.context()
-        est_in, est_base, est_out, row_len = np.array(
-            [stats.est_in, stats.est_base, stats.est_out, stats.row_len])
-        curves = res.fold_curves(self._resolved(cands), {
-            "I": est_in, "B": est_base, "C": est_out, "L": row_len,
-            "pm": np.full(len(est_in), pm),
-            "in_hash": ctx["in_hash"], "cl": ctx["cl"], "depth": ctx["depth"],
-        })[cands.rows]
+        # The curves of every distinct subtree, gathered to every
+        # candidate's operators.
+        cands = inst.cands
+        curves = res.row_curves(self._resolved(cands), cands.context(), inst.stats,
+                                pm)[cands.rows]
         if self.explore_partitions:
             self._explore(inst, curves, counter)
         p = inst.partitions.astype(float)[:, None]

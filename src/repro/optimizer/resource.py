@@ -15,33 +15,32 @@ free of the partition count P, of the form ``g(I,C,L)/P``, or ``P``
 itself, so with an operator's other statistics fixed, the log-cost its
 linear model predicts is exactly ``a + θ_P / P + θ_C · P``, clipped to
 the model's training envelope ``[z_lo, z_hi]``. Each operator's model
-comes from the bank's §5.1 look-up (:meth:`ModelBank.resolve`); the
+comes from the bank's §5.1 look-up (:meth:`ModelBank.resolve`) of the
+identity columns of its compiled table row (:func:`table_context`); the
 look-up and the signatures it reads depend only on the operator's
 subtree, so the planner resolves each distinct subtree of a template's
-candidates once (``cascades.CleoPlanner``), and :func:`resolve_plan`
-resolves one plan's tree (:class:`PlanModels`). :func:`fold_curves`
-folds resolved models with one instance's statistics, which change each
-curve's ``a`` and ``θ_P``, into arrays (:class:`CostCurves`): the
-planner folds each distinct subtree once and gathers the curves to
-every candidate's operators, and :func:`instance_curves` folds one
-plan's nodes. A stage's resource-context is the slice of them for its
-operators. Every planning decision reads the curves: sampling, the
-analytical optimum, the planner's acceptance check and the plan's final
-cost.
+candidates once (``cascades.CleoPlanner``). :func:`row_curves` folds
+resolved models with one instance's statistics, which change each
+curve's ``a`` and ``θ_P``, into arrays (:class:`CostCurves`), one curve
+per table row (:func:`fold_curves`). The planner and Fig 17 both fold
+each row once and gather the curves to their plans' operators. A
+stage's resource-context is the slice of them for its operators. Every
+planning decision reads the curves: sampling, the analytical optimum,
+the planner's acceptance check and the plan's final cost.
 
 The analytical model sums the θs across the stage's operators and
 differentiates: ``P* = sqrt(Σθ_P / Σθ_C)`` when both sums are positive,
 the maximum when increasing P is free, and the minimum when it only
 hurts (the three cases of §5.3). :func:`analytical_optima` and
 :func:`stage_costs` take many stages at once, as consecutive runs of
-curve rows with per-stage lengths, so the planner prices every explored
-stage of every candidate plan of a job instance in one array pass; the
-gathers those lengths imply (:class:`Stages`) are built once per stage
-layout. :func:`optimize_stage_analytical` and :func:`stage_costs_at`
-are their one-stage case. Model look-ups are counted — one per covered operator
-per distinct partition count priced, one per covered operator for the
-analytical model — so the Fig 8c / Fig 17 efficiency comparison can be
-reproduced.
+curve rows described by a :class:`Stages` (per-stage lengths and the
+gathers they imply, built once per stage layout), so the planner prices
+every explored stage of every candidate plan of a job instance in one
+array pass. :func:`optimize_stage_analytical` and :func:`stage_costs_at`
+are their one-stage case. Model look-ups are counted — one per covered
+operator per distinct partition count priced, one per covered operator
+for the analytical model — so the Fig 8c / Fig 17 efficiency comparison
+can be reproduced.
 """
 from __future__ import annotations
 
@@ -57,8 +56,8 @@ from repro.core.features import (
     P_INVERSE_INDEX,
     feature_matrix,
 )
-from repro.core.models import ModelBank
-from repro.scope.plan import PlanNode, plan_identity
+from repro.scope.plan import PlanTable
+from repro.scope.simulator import RowStats
 
 MAX_P = 3000  # maximum machines on a virtual cluster (§6.5)
 
@@ -97,27 +96,13 @@ class CostCurves:
                           self.z_lo[idx], self.z_hi[idx], self.covered[idx])
 
 
-@dataclass
-class PlanModels:
-    """The template-level half of a plan's cost curves: its
-    :func:`plan_identity` columns plus operator names (``ident``), and
-    each operator's resolved model, ``(coef, intercept, z_lo, z_hi,
-    covered)`` from :meth:`ModelBank.resolve`. The arrays are read-only,
-    so a planner can share them between instances."""
-
-    ident: dict[str, list]
-    models: tuple[np.ndarray, ...]
-
-
-def resolve_plan(bank: ModelBank, root: PlanNode) -> PlanModels:
-    """Signatures and resolved models of every operator of a physical
-    plan, in ``root.walk()`` order."""
-    ident = plan_identity(root)
-    ident["op"] = [n.op for n in root.walk()]
-    models = bank.resolve(ident)
-    for a in models:
-        a.flags.writeable = False
-    return PlanModels(ident, models)
+def table_context(table: PlanTable) -> dict[str, list | np.ndarray]:
+    """The identity columns and operator names of every row of
+    ``table`` (for :meth:`ModelBank.resolve`), and the context features
+    ``in_hash``, ``cl`` and ``depth`` as float arrays."""
+    ident = table.identity()
+    return {**ident, "op": table.op,
+            **{c: np.array(ident[c], dtype=float) for c in ("in_hash", "cl", "depth")}}
 
 
 def fold_curves(models: tuple[np.ndarray, ...], cols: Mapping[str, Sequence]) -> CostCurves:
@@ -139,17 +124,18 @@ def fold_curves(models: tuple[np.ndarray, ...], cols: Mapping[str, Sequence]) ->
     )
 
 
-def instance_curves(plan: PlanModels, nodes: list[PlanNode], pm: float) -> CostCurves:
-    """The cost curves of an instantiated plan's ``nodes`` (in
-    ``root.walk()`` order) from the statistics the optimizer sees (the
-    estimated cardinalities) and the plan's resolved models."""
-    return fold_curves(plan.models, {
-        **plan.ident,
-        "I": np.array([n.est_in for n in nodes]),
-        "B": np.array([n.est_base for n in nodes]),
-        "C": np.array([n.est_out for n in nodes]),
-        "L": np.array([n.row_len for n in nodes]),
-        "pm": np.full(len(nodes), pm),
+def row_curves(models: tuple[np.ndarray, ...], context: Mapping[str, Sequence],
+               stats: RowStats, pm: float) -> CostCurves:
+    """The cost curves of every table row, from the models resolved for
+    its ``context`` (:func:`table_context`) and the statistics the
+    optimizer sees in ``stats``: the estimated cardinalities. The
+    statistics the curves read do not depend on partition counts."""
+    est_in, est_base, est_out, row_len = np.array(
+        [stats.est_in, stats.est_base, stats.est_out, stats.row_len])
+    return fold_curves(models, {
+        "I": est_in, "B": est_base, "C": est_out, "L": row_len,
+        "pm": np.full(len(est_in), pm),
+        "in_hash": context["in_hash"], "cl": context["cl"], "depth": context["depth"],
     })
 
 
@@ -227,9 +213,8 @@ def random_samples(n: int, seed: int) -> list[int]:
 # Stage-level exploration + optimization, over stages' resource-contexts
 # ---------------------------------------------------------------------------
 # Many stages are passed as one CostCurves whose rows are the stages'
-# operators, stage after stage, with ``lengths`` operators per stage, or
-# with those lengths' ``Stages``, which a planner computes once per
-# layout.
+# operators, stage after stage, with the ``Stages`` of their lengths,
+# which a planner computes once per layout.
 
 @dataclass
 class Stages:
@@ -245,9 +230,7 @@ class Stages:
     dead: np.ndarray | None  # None when every stage is as long as the longest
 
     @staticmethod
-    def of(lengths: "np.ndarray | Stages") -> "Stages":
-        if isinstance(lengths, Stages):
-            return lengths
+    def of(lengths: np.ndarray) -> "Stages":
         lengths = np.asarray(lengths)
         width = np.arange(int(lengths.max(initial=0)))
         live = width < lengths[:, None]
@@ -256,7 +239,7 @@ class Stages:
                       None if live.all() else ~live.T)
 
 
-def stage_sums(x: np.ndarray, lengths: "np.ndarray | Stages") -> np.ndarray:
+def stage_sums(x: np.ndarray, st: Stages) -> np.ndarray:
     """Sum of each stage's rows of ``x``, added in row order from 0.
 
     That order is what ``ndarray.sum()`` uses for fewer than 8 terms and
@@ -265,7 +248,6 @@ def stage_sums(x: np.ndarray, lengths: "np.ndarray | Stages") -> np.ndarray:
     have 1-4 operators). ``np.add.reduceat`` pairs the terms of a segment
     differently and does not reproduce those bits. Shorter stages add
     0.0 past their end, which changes no sum."""
-    st = Stages.of(lengths)
     rows = x[st.index]
     if st.dead is not None:
         rows[st.dead] = 0.0
@@ -276,12 +258,12 @@ def stage_sums(x: np.ndarray, lengths: "np.ndarray | Stages") -> np.ndarray:
 
 
 def analytical_optima(
-    curves: CostCurves, lengths: "np.ndarray | Stages", counter: LookupCounter
+    curves: CostCurves, st: Stages, counter: LookupCounter
 ) -> np.ndarray:
     """The closed-form optimum of §5.3 of every stage, from its summed
     curve weights."""
     counter.lookups += np.count_nonzero(curves.covered)
-    sums = stage_sums(np.array([curves.theta_p, curves.theta_c]).T, lengths)
+    sums = stage_sums(np.array([curves.theta_p, curves.theta_c]).T, st)
     sum_tp, sum_tc = sums.T
     pos_tp, pos_tc = (sums > 0).T
     # Off the interior p_star is 1: without Σθ_P > 0 more partitions
@@ -294,13 +276,11 @@ def analytical_optima(
 
 
 def stage_costs(
-    curves: CostCurves, lengths: "np.ndarray | Stages", partitions: np.ndarray,
-    counter: LookupCounter,
+    curves: CostCurves, st: Stages, partitions: np.ndarray, counter: LookupCounter,
 ) -> np.ndarray:
     """Total predicted cost of each stage (rows of ``partitions``) at
     each of its partition counts (columns). A count a stage lists twice
     is one look-up per covered operator."""
-    st = Stages.of(lengths)
     p = np.asarray(partitions, dtype=float)
     ordered = np.sort(p, axis=1)
     distinct = 1 + (ordered[:, 1:] != ordered[:, :-1]).sum(axis=1)
@@ -308,8 +288,8 @@ def stage_costs(
     return stage_sums(_costs_at(curves, p[st.row_stage]), st)
 
 
-def _one_stage(ctx: CostCurves) -> np.ndarray:
-    return np.array([len(ctx.a)])
+def _one_stage(ctx: CostCurves) -> Stages:
+    return Stages.of(np.array([len(ctx.a)]))
 
 
 def stage_costs_at(

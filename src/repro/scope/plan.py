@@ -9,8 +9,9 @@ Signatures follow §5.1: a 64-bit hash "recursively computed in a
 bottom-up fashion by combining (i) the signatures of children operators,
 (ii) hash of current operator's name, and (iii) hash of operator's
 logical properties". Three additional signatures key the other model
-families (§4.2). :func:`plan_identity` computes all of them, with the
-CL/D context features, for a whole plan in that one bottom-up pass.
+families (§4.2). :meth:`PlanTable.identity` computes all of them, with
+the CL/D context features, for every row of compiled plans in that one
+bottom-up pass.
 """
 from __future__ import annotations
 
@@ -114,8 +115,8 @@ class PlanNode:
 
 
 # --- compiled plans and signatures (§5.1, §4.2) ----------------------------
-# The identity columns of an operator, in the order :func:`plan_identity`
-# returns them.
+# The identity columns of an operator, in the order
+# :meth:`PlanTable.identity` returns them.
 IDENTITY_COLUMNS = ("depth", "cl", "in_hash", "sig_sub", "sig_approx", "sig_opinput")
 
 
@@ -185,8 +186,20 @@ class PlanTable:
         return row
 
     def identity(self) -> dict[str, list]:
-        """The identity columns of every row (see :func:`plan_identity`),
-        computed once per row, each row from its children's values."""
+        """The template-level identity of every row: one list per column
+        below, computed once per row, each row from its children's
+        values:
+
+        - ``depth``: height above the leaves (leaf = 1);
+        - ``cl``: operators in the subgraph rooted here (the CL feature);
+        - ``in_hash``: the normalized-inputs feature IN, in [0, 1);
+        - ``sig_sub``: exact operator-subgraph signature — physical ops,
+          structure, logical properties and the inputs at the leaves;
+        - ``sig_approx``: operator-subgraphApprox — root physical op, the
+          inputs, and the frequency of each *logical* operator below it,
+          order ignored;
+        - ``sig_opinput``: operator-input — root physical op and inputs.
+        """
         cols, below = self._ident, self._below
         for row in range(len(cols["depth"]), len(self.op)):
             kids = self.kids[row]
@@ -311,28 +324,6 @@ def _gather(pos: list[int], sources: list[tuple[int, ...]]) -> tuple[np.ndarray,
     return np.array(pos, dtype=np.intp), src.reshape(len(pos), width)
 
 
-def plan_identity(root: PlanNode) -> dict[str, list]:
-    """Template-level identity of every operator of a plan: one list per
-    column below, aligned with ``root.walk()``.
-
-    One bottom-up pass over the compiled plan (:meth:`PlanTable.identity`);
-    each operator reuses its children's values:
-
-    - ``depth``: height above the leaves (leaf = 1);
-    - ``cl``: operators in the subgraph rooted here (the CL feature);
-    - ``in_hash``: the normalized-inputs feature IN, in [0, 1);
-    - ``sig_sub``: exact operator-subgraph signature — physical ops,
-      structure, logical properties and the inputs at the leaves;
-    - ``sig_approx``: operator-subgraphApprox — root physical op, the
-      inputs, and the frequency of each *logical* operator below it,
-      order ignored;
-    - ``sig_opinput``: operator-input — root physical op and inputs.
-    """
-    plans = compile_plans([root])
-    ident = plans.table.identity()
-    return {c: [ident[c][r] for r in plans.rows] for c in IDENTITY_COLUMNS}
-
-
 # Logical operator kinds used in template (logical) trees. ``Join`` and
 # ``Aggregate`` are the choice points the planner explores (§6.6: hash vs
 # merge join, hash vs stream grouping, optional local aggregation).
@@ -432,10 +423,3 @@ def assign_input_templates(root: PlanNode) -> None:
                 merged.extend(c.input_templates)
             node.input_templates = tuple(merged)
 
-
-def plan_stages(root: PlanNode) -> list[list[PlanNode]]:
-    """Group operators into stages (:meth:`CompiledPlans.stages`).
-    Returns bottom-up lists of nodes."""
-    plans = compile_plans([root])
-    nodes = list(root.walk())
-    return [[nodes[i] for i in stage] for stage in plans.stages(0)]

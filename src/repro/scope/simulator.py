@@ -40,11 +40,11 @@ their only implementation:
 
 :func:`instantiate_plan` runs them for one plan. The workload generator
 (on each template's compiled executed plan), both planners (on each
-template's compiled candidates) and the tree functions
-(:func:`instantiate`, :func:`derive_statistics`,
-:func:`assign_partitions`, :func:`rederive_partitions`,
-:func:`job_latency`, ...) all call them; a tree function compiles its
-tree alone, runs the rows and writes the results into the nodes.
+template's compiled candidates) and Fig 17 (on a template's executed
+plan) call them directly. :func:`instantiate`, :func:`job_latency` and
+:func:`job_cpu_seconds` are the tree functions that remain, for callers
+that hold a :class:`PlanNode` tree: each compiles its tree alone, runs
+the rows and writes the results into the nodes.
 
 All randomness is derived deterministically from ``hash64`` of the
 entity keys, so the same workload is bit-identical across runs and
@@ -68,22 +68,23 @@ is gone. The same kernel serves every batch size:
 - a generated day (``Cluster.generate_days``): every key of the day's
   runs, in run order: each run's ``"sizes"`` key, then its
   :func:`run_keys`;
-- a single replayed instance (:func:`instantiate`): its
+- a single replayed instance (:func:`instantiate`, Fig 17): its
   :func:`run_keys`;
 - a planner call (``cascades.Planner.plan``): the statistics draws of
-  every candidate plan, which pre-fill the instance's :class:`Draws`,
-  and one ``"lat"`` key per distinct operator of the candidates, of
-  which the chosen plan's latencies read their operators' states.
+  every candidate plan, which pre-fill the instance's draws, and one
+  ``"lat"`` key per distinct operator of the candidates, of which the
+  chosen plan's latencies read their operators' states.
 
 A day and a replayed instance take their generators in
 :func:`run_keys` order through one body, :func:`instantiate_plan`.
-:class:`Draws` still makes a draw on first use for a key it was not
-given, so the tree functions can be called on their own.
+An instance's draws are a plain dict that its caller fills with every
+key it will read (:func:`seeded_draws`), so reading a key it was not
+given raises ``KeyError``.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from operator import mul
 from dataclasses import dataclass
 
@@ -263,24 +264,6 @@ def _pcg64_states(seeds: np.ndarray) -> tuple[list[int], list[int]]:
     return states, incs
 
 
-class Draws(dict):
-    """The per-operator standard-normal draws of one job instance,
-    made on first use: ``draws[kind, tpl_op_id]`` is the first
-    ``standard_normal()`` of ``_rng(kind, *seed_parts, tpl_op_id)``.
-
-    Every candidate plan of the instance reads the same draws for the
-    operators it shares with the others (common random numbers)."""
-
-    def __init__(self, seed_parts: tuple):
-        super().__init__()
-        self.seed_parts = seed_parts
-
-    def __missing__(self, key: tuple[str, str]) -> float:
-        kind, tpl_op_id = key
-        z = self[key] = _rng(kind, *self.seed_parts, tpl_op_id).standard_normal()
-        return z
-
-
 # Spreads of the hidden truth: log-space sigmas of the cloud noise, of
 # the per-(inputs, logical op) multipliers τ and of the per-operator
 # selectivity-estimate errors, and the straggler probability.
@@ -319,39 +302,15 @@ class World:
             self._est_cache[tpl_op_id] = math.exp(g_sys.normal(bias, EST_SIGMA))
         return self._est_cache[tpl_op_id] * math.exp(0.08 * z_inst)
 
-    # ------------------------------------------------------------------
-    def true_output(self, node: PlanNode, pm: float) -> float:
-        """True output cardinality given true input and template params."""
-        return true_output(node.op, node.true_in, node.sel_param, pm,
-                           [c.true_out for c in node.children])
-
-    def exclusive_latency(
-        self, node: PlanNode, pm: float, seed_parts: tuple
-    ) -> float:
-        """Actual exclusive runtime (seconds) of one operator instance.
-
-        Randomness is keyed by ``(seed_parts, node.tpl_op_id)`` — common
-        random numbers — so two alternative physical plans of the same
-        job instance see identical noise for shared operators and the
-        planner experiments (§6.6) compare plans, not luck.
-        """
-        kids = node.children
-        in_len = (sum(c.row_len * c.true_out for c in kids) / max(node.true_in, 1.0)
-                  if kids else node.row_len)
-        return self.latency(node.op, node.logical, tuple(sorted(set(node.input_templates))),
-                            node.true_in,
-                            node.true_out, node.row_len, in_len, node.partitions,
-                            _context(not kids, any(c.blocking for c in kids)), pm,
-                            _rng("lat", *seed_parts, node.tpl_op_id))
-
     def latency(self, op: str, logical: str, input_set: tuple[str, ...], true_in: float,
                 true_out: float, row_len: float, in_len: float, partitions: int,
                 ctx: float, pm: float, g_inst: np.random.Generator) -> float:
-        """:meth:`exclusive_latency` of one operator from its sorted
-        distinct inputs ``input_set``, its statistics, the children's
-        average row length ``in_len``, its pipeline context ``ctx`` and
-        its ``"lat"`` generator ``g_inst``: one ``normal``, one
-        ``random`` and, for a straggler, one ``uniform``."""
+        """Actual exclusive runtime (seconds) of one operator instance
+        from its sorted distinct inputs ``input_set``, its statistics,
+        the children's average row length ``in_len``, its pipeline
+        context ``ctx`` and its ``"lat"`` generator ``g_inst``: one
+        ``normal``, one ``random`` and, for a straggler, one
+        ``uniform``."""
         alpha, beta, gscale = OP_COEF[op]
         work = (alpha * true_in * in_len + beta * true_out * row_len) / WORK_UNIT
         if op == "Sort":
@@ -436,7 +395,8 @@ class RowStats:
 
 
 def derive_rows(table: PlanTable, world: World, base_cards: dict[str, float],
-                base_lens: dict[str, float], pm: float, draws: Draws) -> RowStats:
+                base_lens: dict[str, float], pm: float,
+                draws: dict[tuple[str, str], float]) -> RowStats:
     """True and estimated cardinalities and row lengths of every row,
     children first. Leaves and selectivity-estimating operators read
     their ``"est-jit"`` draw."""
@@ -488,7 +448,8 @@ def derive_rows(table: PlanTable, world: World, base_cards: dict[str, float],
     return RowStats(t_in, t_base, t_out, e_in, e_base, e_out, r_len, in_len)
 
 
-def heuristic_partitions(plans: CompiledPlans, stats: RowStats, draws: Draws) -> np.ndarray:
+def heuristic_partitions(plans: CompiledPlans, stats: RowStats,
+                         draws: dict[tuple[str, str], float]) -> np.ndarray:
     """Partition counts of every position of ``plans`` (§5.2): each
     partitioning operator's count from its local estimated stats and its
     ``"part"`` draw, once per table row; each Exchange feeding a join
@@ -514,16 +475,23 @@ def rederive(plans: CompiledPlans, p: np.ndarray) -> None:
     p[plans.derived_pos] = p[plans.derived_src].max(axis=1)
 
 
-def latencies(plans: CompiledPlans, lo: int, hi: int, stats: RowStats, partitions: list[int],
-              world: World, pm: float, rngs: Iterator[np.random.Generator]) -> list[float]:
-    """Actual exclusive latency of positions ``lo`` to ``hi`` of
-    ``plans`` at ``partitions`` (one count per position), each from the
-    next of ``rngs``: the operators' ``"lat"`` generators in walk order."""
+def latencies(plans: CompiledPlans, positions: Sequence[int], stats: RowStats,
+              partitions: list[int], world: World, pm: float,
+              rngs: Iterator[np.random.Generator]) -> list[float]:
+    """Actual exclusive latency of each of ``positions`` of ``plans`` at
+    ``partitions`` (one count per position), each from the next of
+    ``rngs``: those operators' ``"lat"`` generators, in order.
+
+    An operator's generator is keyed by ``("lat", *seed_parts,
+    tpl_op_id)`` (common random numbers), so two alternative physical
+    plans of the same job instance see identical noise for shared
+    operators, and the planner experiments (§6.6) compare plans, not
+    luck."""
     t = plans.table
     return [world.latency(t.op[r], t.logical[r], t.input_set[r], stats.true_in[r],
                           stats.true_out[r], stats.row_len[r], stats.in_len[r], p,
                           _context(not t.kids[r], t.above_blocking[r]), pm, next(rngs))
-            for r, p in zip(plans.rows[lo:hi], partitions)]
+            for r, p in zip(map(plans.rows.__getitem__, positions), partitions)]
 
 
 def plan_latency(plans: CompiledPlans, lo: int, lat: list[float]) -> float:
@@ -551,7 +519,7 @@ def plan_cpu_seconds(ops: list[str], partitions: list[int], lat: list[float]) ->
 
 
 def plan_draw_keys(plans: CompiledPlans) -> list[tuple[str, str]]:
-    """The ``Draws`` keys the statistics and heuristic partitions of
+    """The draw keys the statistics and heuristic partitions of
     ``plans`` read, in first-read order."""
     table, rows = plans.table, plans.rows
     est = [("est-jit", table.tpl_op_id[r]) for r in rows if table.est_draw[r]]
@@ -559,14 +527,23 @@ def plan_draw_keys(plans: CompiledPlans) -> list[tuple[str, str]]:
     return list(dict.fromkeys(est + part))
 
 
-def seeded_draws(draw_keys: list[tuple[str, str]], seed_parts: tuple,
-                 rngs: Iterator[np.random.Generator]) -> Draws:
-    """The :class:`Draws` of ``draw_keys``, each the first standard normal
-    of the next of ``rngs``: the generators of those keys, in order."""
-    draws = Draws(seed_parts)
-    for key in draw_keys:
-        draws[key] = next(rngs).standard_normal()
-    return draws
+def run_keys(plans: CompiledPlans, draw_keys: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """The ``(kind, tpl_op_id)`` of every generator :func:`instantiate_plan`
+    reads for one instance of the one plan of ``plans`` (whose
+    :func:`plan_draw_keys` are ``draw_keys``), in the order it reads
+    them: the statistics draws, then one ``"lat"`` per operator."""
+    ids = plans.table.tpl_op_id
+    return [*draw_keys, *(("lat", ids[r]) for r in plans.rows)]
+
+
+def seeded_draws(draw_keys: list[tuple[str, str]],
+                 rngs: Iterator[np.random.Generator]) -> dict[tuple[str, str], float]:
+    """The draws of one job instance: ``draws[kind, tpl_op_id]`` for each
+    of ``draw_keys`` is the first standard normal of the next of
+    ``rngs``, the generators of those keys, in order. Every candidate
+    plan of the instance reads the same draws for the operators it
+    shares with the others (common random numbers)."""
+    return {key: next(rngs).standard_normal() for key in draw_keys}
 
 
 @dataclass
@@ -581,7 +558,7 @@ class Instance:
 
 def instantiate_plan(plans: CompiledPlans, draw_keys: list[tuple[str, str]], world: World,
                      base_cards: dict[str, float], base_lens: dict[str, float], pm: float,
-                     seed_parts: tuple, rngs: Iterator[np.random.Generator]) -> Instance:
+                     rngs: Iterator[np.random.Generator]) -> Instance:
     """Statistics, heuristic partitions and actual latencies of the one
     plan of ``plans`` (whose :func:`plan_draw_keys` are ``draw_keys``),
     with per-operator randomness keyed by
@@ -589,18 +566,19 @@ def instantiate_plan(plans: CompiledPlans, draw_keys: list[tuple[str, str]], wor
     same instance are directly comparable.
 
     ``base_cards``/``base_lens`` give the true cardinality and row
-    length of each input template for this run; ``seed_parts`` make the
-    instance deterministic. ``rngs`` yields the generators of
-    :func:`run_keys` in turn: a replayed instance's :class:`RngBatch`
+    length of each input template for this run. ``rngs`` yields the
+    generators of :func:`run_keys` in turn, seeded from the instance's
+    seed parts: a replayed instance's :class:`RngBatch`
     (:func:`instantiate`) or a share of a day's (``Cluster.generate_days``)."""
-    draws = seeded_draws(draw_keys, seed_parts, rngs)
+    draws = seeded_draws(draw_keys, rngs)
     stats = derive_rows(plans.table, world, base_cards, base_lens, pm, draws)
     parts = heuristic_partitions(plans, stats, draws).tolist()
-    return Instance(stats, parts, latencies(plans, 0, len(plans), stats, parts, world, pm, rngs))
+    return Instance(stats, parts,
+                    latencies(plans, range(len(plans)), stats, parts, world, pm, rngs))
 
 
 # ---------------------------------------------------------------------------
-# Tree adapters: compile a PlanNode tree, run the row functions, write back
+# Tree functions: compile a PlanNode tree, run the row functions, write back
 # ---------------------------------------------------------------------------
 
 STAT_FIELDS = ("true_in", "true_base", "true_out", "est_in", "est_base", "est_out", "row_len")
@@ -627,80 +605,12 @@ def instantiate(
     plans = compile_plans([root])
     draw_keys = plan_draw_keys(plans)
     seeds = instance_seeds(run_keys(plans, draw_keys), seed_parts)
-    inst = instantiate_plan(plans, draw_keys, world, base_cards, base_lens, pm, seed_parts,
+    inst = instantiate_plan(plans, draw_keys, world, base_cards, base_lens, pm,
                             iter(RngBatch(seeds)))
     _write_stats(root, plans, inst.stats)
     for node, p, lat in zip(root.walk(), inst.partitions, inst.latencies):
         node.partitions = p
         node.actual_latency = lat
-
-
-def run_keys(plans: CompiledPlans, draw_keys: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    """The ``(kind, tpl_op_id)`` of every generator :func:`instantiate_plan`
-    reads for one instance of the one plan of ``plans`` (whose
-    :func:`plan_draw_keys` are ``draw_keys``), in the order it reads
-    them: the statistics draws, then one ``"lat"`` per operator."""
-    ids = plans.table.tpl_op_id
-    return [*draw_keys, *(("lat", ids[r]) for r in plans.rows)]
-
-
-def instance_keys(root: PlanNode, seed_parts: tuple) -> list[tuple]:
-    """The :func:`_rng` keys :func:`instantiate_plan` reads for one
-    instance of ``root``, in the order it reads them (:func:`run_keys`)."""
-    plans = compile_plans([root])
-    return [(kind, *seed_parts, op_id)
-            for kind, op_id in run_keys(plans, plan_draw_keys(plans))]
-
-
-def draw_keys(root: PlanNode) -> list[tuple[str, str]]:
-    """The ``Draws`` keys :func:`derive_statistics` and then
-    :func:`assign_partitions` read for ``root``, in first-read order."""
-    return plan_draw_keys(compile_plans([root]))
-
-
-def derive_statistics(
-    root: PlanNode,
-    world: World,
-    base_cards: dict[str, float],
-    base_lens: dict[str, float],
-    pm: float,
-    draws: Draws,
-) -> None:
-    """:func:`derive_rows` of ``root``, written into its nodes."""
-    plans = compile_plans([root])
-    _write_stats(root, plans, derive_rows(plans.table, world, base_cards, base_lens, pm, draws))
-
-
-def assign_partitions(root: PlanNode, draws: Draws) -> None:
-    """:func:`heuristic_partitions` of ``root`` from the estimated
-    statistics in its nodes, written into its nodes."""
-    plans = compile_plans([root])
-    nodes = list(root.walk())
-    first = {r: node for node, r in zip(reversed(nodes), reversed(plans.rows))}
-    stats = RowStats(*([0.0] * len(plans.table) for _ in range(8)))
-    for r, node in first.items():
-        stats.est_in[r], stats.est_base[r] = node.est_in, node.est_base
-    for node, p in zip(nodes, heuristic_partitions(plans, stats, draws).tolist()):
-        node.partitions = p
-
-
-def rederive_partitions(node: PlanNode) -> None:
-    """:func:`rederive` under ``node`` from the counts in its nodes:
-    after partitioning operators' counts changed, every Extract and
-    Exchange keeps its count."""
-    plans = compile_plans([node])
-    nodes = list(node.walk())
-    p = np.array([n.partitions for n in nodes], dtype=np.int64)
-    rederive(plans, p)
-    for n, count in zip(nodes, p.tolist()):
-        n.partitions = count
-
-
-def simulate_latencies(root: PlanNode, world: World, pm: float, seed_parts: tuple) -> None:
-    """Actual exclusive latency of every operator; needs the final
-    statistics and partition counts."""
-    for node in root.walk():
-        node.actual_latency = world.exclusive_latency(node, pm, seed_parts)
 
 
 def job_latency(root: PlanNode) -> float:

@@ -388,7 +388,7 @@ class Cluster:
                 job_id = f"{name}_d{day}_{seq:05d}"
                 pm, base_cards, base_lens = self._instance_inputs(tpl, day, next(rngs))
                 inst = sim.instantiate_plan(plan.plans, plan.draw_keys, self.world, base_cards,
-                                            base_lens, pm, (name, tpl.tpl_id, day, k), rngs)
+                                            base_lens, pm, rngs)
                 rows, n = plan.plans.rows, len(plan.plans)
                 for col, v in (("cluster", name), ("day", day), ("job_id", job_id),
                                ("template_id", tpl.tpl_id), ("adhoc", is_adhoc)):

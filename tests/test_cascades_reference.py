@@ -4,7 +4,8 @@ plan exactly as the planner did on ``PlanNode`` trees, pricing one
 candidate at a time, stage by stage: the reference below expands every
 candidate into a tree, derives its statistics and heuristic partitions
 with the eager per-operator generators of ``test_simulator_draws.py``,
-and keeps that per-candidate costing (``_cost`` and
+resolves each operator's model from its per-node identity
+(``test_plan._reference_identity``), and keeps that per-candidate costing (``_cost`` and
 ``_optimize_partitions``, with the one-stage §5.3 functions they
 called). Every field of every ``PlanResult`` must be ``==``."""
 import math
@@ -21,14 +22,15 @@ from repro.optimizer.cascades import (
     PlanResult,
     _candidates,
 )
-from repro.scope import simulator as sim
-from repro.scope.plan import assign_input_templates, expand_physical, plan_stages
+from repro.scope.plan import IDENTITY_COLUMNS, assign_input_templates, expand_physical
+from tests.test_plan import _reference_identity
 from tests.test_planner_memo import COMPARED, day_jobs
 from tests.test_simulator_draws import (
     reference_assign_partitions,
     reference_derive_statistics,
     reference_job_cpu_seconds,
     reference_job_latency,
+    reference_simulate_latencies,
 )
 
 
@@ -82,7 +84,7 @@ class ReferencePlanner:
         costs = [self._cost(root, explored, pm, counter) for _, root, explored in cands]
         best = costs.index(min(costs))
         choices, root, explored = cands[best]
-        sim.simulate_latencies(root, world, pm, seed_parts)
+        reference_simulate_latencies(root, world, pm, seed_parts)
         return PlanResult(
             root=root, choices=choices, predicted_cost=costs[best], lookups=counter.lookups,
             planning_seconds=0.0, cost_model_seconds=0.0,
@@ -93,8 +95,13 @@ class ReferencePlanner:
 
     def _optimize_partitions(self, root, explored, nodes, curves, counter):
         row_of = {id(n): i for i, n in enumerate(nodes)}
+        # Stages bottom-up: a stage's partitioning operator comes first
+        # in the walk, before every operator that derives its count.
+        stages: dict[int, list] = {}
+        for n in nodes:
+            stages.setdefault(id(n.stage_partition_root()), []).append(n)
         pinned = set()
-        for stage in plan_stages(root):
+        for stage in stages.values():
             stage_root = stage[0]
             if stage_root.op != "Exchange" or id(stage_root) in pinned:
                 continue
@@ -120,7 +127,15 @@ class ReferencePlanner:
 
     def _cost(self, root, explored, pm, counter):
         nodes = list(root.walk())
-        curves = res.instance_curves(res.resolve_plan(self.bank, root), nodes, pm)
+        idents = [_reference_identity(n) for n in nodes]
+        cols = {c: [i[c] for i in idents] for c in IDENTITY_COLUMNS}
+        cols["op"] = [n.op for n in nodes]
+        curves = res.fold_curves(self.bank.resolve(cols), {
+            **cols,
+            "I": np.array([n.est_in for n in nodes]), "B": np.array([n.est_base for n in nodes]),
+            "C": np.array([n.est_out for n in nodes]), "L": np.array([n.row_len for n in nodes]),
+            "pm": np.full(len(nodes), pm),
+        })
         if self.explore_partitions:
             self._optimize_partitions(root, explored, nodes, curves, counter)
             reference_rederive(root)

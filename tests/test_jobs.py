@@ -94,3 +94,29 @@ def test_run_fig20_on_spark_at_scale_factor(run_job, sessions, monkeypatch, caps
 def test_run_rejects_an_unknown_name(run_job):
     with pytest.raises(SystemExit):
         run_job.main(["table9"])
+
+
+def test_bench_pairs_summary_checks_each_metric_against_its_bound():
+    """``summarize`` records each side's spread (IQR / median), whether
+    the change's median is within the metric's bound, and whether the
+    runs resolve the bound: the parent spreads no wider than it, or every
+    change run beats every parent run."""
+    summarize = load_job("bench_pairs.py").summarize
+    parent = [10.0, 10.0, 11.0, 12.0, 12.0]
+
+    def run(change, better="lower", bound=0.1):
+        runs = [{side: {"metrics": {"m": {"value": v}}} for side, v in
+                 (("parent", p), ("change", c))} for p, c in zip(parent, change)]
+        return summarize(runs, [{"name": "m", "unit": "s", "better": better,
+                                 "bound": bound}])["m"]
+
+    same = run(parent)
+    assert same["parent"]["spread"] == same["parent"]["iqr"] / 11.0 == 2.0 / 11.0
+    assert same["within_bound"] and not same["resolved"] and same["wins"] == 0
+    slower = run([12.0, 12.0, 13.0, 13.0, 13.0])  # median 13 > 11 * 1.1
+    assert not slower["within_bound"] and not slower["resolved"]
+    faster = run([5.0, 6.0, 7.0, 8.0, 9.0])  # every change run beats every parent run
+    assert faster["within_bound"] and faster["resolved"] and faster["wins"] == 5
+    assert run(parent, bound=0.2)["resolved"]  # the parent's spread, 0.18, is within 0.2
+    higher = run([9.0, 9.0, 9.5, 10.0, 10.0], better="higher")  # 9.5 < 11 * 0.9
+    assert not higher["within_bound"]

@@ -6,12 +6,11 @@ from repro.scope.plan import (
     PlanNode,
     assign_input_templates,
     choice_points,
+    compile_plans,
     expand_physical,
     hash64,
     operator_signature,
-    plan_identity,
     plan_signature,
-    plan_stages,
 )
 
 
@@ -20,9 +19,9 @@ def scan(name="in0", opid="s0"):
 
 
 def ident(node):
-    """The identity columns of ``node`` (the last entry of its subtree's
-    walk)."""
-    return {c: v[-1] for c, v in plan_identity(node).items()}
+    """The identity columns of ``node``'s row, its subtree compiled alone."""
+    plans = compile_plans([node])
+    return {c: v[plans.rows[-1]] for c, v in plans.table.identity().items()}
 
 
 def simple_logical():
@@ -128,7 +127,7 @@ def test_sig_opinput_differs_per_op():
 
 def _reference_identity(node):
     """The per-node recursive definitions the one-pass
-    :func:`plan_identity` must reproduce."""
+    :meth:`PlanTable.identity` must reproduce."""
     def depth(n):
         return 1 + max((depth(c) for c in n.children), default=0)
 
@@ -157,9 +156,10 @@ def _reference_identity(node):
 def test_plan_identity_matches_per_node_definitions(tiny):
     cl, _, _ = tiny
     for tpl in cl.templates:
-        ids = plan_identity(tpl.root)
-        for i, node in enumerate(tpl.root.walk()):
-            assert {c: v[i] for c, v in ids.items()} == _reference_identity(node)
+        plans = tpl.executed().plans
+        ids = plans.table.identity()
+        for r, node in zip(plans.rows, tpl.root.walk(), strict=True):
+            assert {c: v[r] for c, v in ids.items()} == _reference_identity(node)
 
 
 # -- physical expansion -----------------------------------------------------
@@ -208,9 +208,16 @@ def test_operator_signature_ignores_partitions():
 
 # -- stages -----------------------------------------------------------------
 
+def stage_nodes(root):
+    """The stages of ``root`` compiled alone (:meth:`CompiledPlans.stages`),
+    as lists of its nodes."""
+    nodes = list(root.walk())
+    return [[nodes[i] for i in stage] for stage in compile_plans([root]).stages(0)]
+
+
 def test_plan_stages_partitioning_roots():
     root = expand_physical(simple_logical(), {"j1": "hash", "ga": "hash"})
-    stages = plan_stages(root)
+    stages = stage_nodes(root)
     roots = [s[0].op for s in stages]
     # Every stage starts at an Extract or an Exchange.
     assert all(r in ("Extract", "Exchange") for r in roots)
@@ -220,7 +227,7 @@ def test_plan_stages_partitioning_roots():
 
 def test_stage_membership_pipelines_above_exchange():
     root = expand_physical(simple_logical(), {"j1": "hash", "ga": "hash"})
-    stages = plan_stages(root)
+    stages = stage_nodes(root)
     for stage in stages:
         if stage[0].op == "Exchange" and any(n.op == "HashAggregate" for n in stage):
             # Output pipelines in the aggregate's stage.

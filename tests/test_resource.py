@@ -11,8 +11,9 @@ from repro.core.features import (
 )
 from repro.core.models import ModelBank
 from repro.optimizer import resource as res
-from repro.scope.plan import plan_identity
+from repro.scope import simulator as sim
 from tests.banks import bank_of, find_covering, reference_predict
+from tests.test_plan import _reference_identity
 
 
 def test_geometric_samples_sequence():
@@ -89,11 +90,10 @@ def reference_costs(bank, rows):
 def plan_rows(root, pm):
     """Feature-log rows of an instantiated plan's nodes, from the
     estimated statistics (the layout of the training log)."""
-    ids = plan_identity(root)
     return [
         {"I": n.est_in, "B": n.est_base, "C": n.est_out, "L": n.row_len,
-         "P": n.partitions, "pm": pm, "op": n.op, **{c: v[i] for c, v in ids.items()}}
-        for i, n in enumerate(root.walk())
+         "P": n.partitions, "pm": pm, "op": n.op, **_reference_identity(n)}
+        for n in root.walk()
     ]
 
 
@@ -228,16 +228,20 @@ def test_stage_costs_sum_over_operators():
 
 
 def test_plan_cost_curves_from_plan(tiny, tiny_bank):
+    """The curves of an executed plan's rows (``table_context``,
+    ``row_curves``), gathered to its operators, price each operator at
+    its count as the reference predictor does on its tree's log rows."""
     cl, _, _ = tiny
     tpl = cl.templates[0]
-    from repro.scope import simulator as sim
-
     pm, bc, bl = cl.instance_inputs(tpl, 1, 0)
+    plan = tpl.executed()
+    batch = sim.RngBatch(sim.instance_seeds(plan.run_keys, ("t", 1)))
+    inst = sim.instantiate_plan(plan.plans, plan.draw_keys, cl.world, bc, bl, pm, iter(batch))
+    context = res.table_context(plan.plans.table)
+    curves = res.row_curves(tiny_bank.resolve(context), context, inst.stats, pm)
+    p = np.array(inst.partitions, dtype=float)[:, None]
+    got = res.predict_costs_at(curves[np.array(plan.plans.rows)], p, res.LookupCounter())[:, 0]
     sim.instantiate(tpl.root, cl.world, bc, bl, pm, ("t", 1))
-    nodes = list(tpl.root.walk())
-    curves = res.instance_curves(res.resolve_plan(tiny_bank, tpl.root), nodes, pm)
-    p = np.array([[n.partitions] for n in nodes], dtype=float)
-    got = res.predict_costs_at(curves, p, res.LookupCounter())[:, 0]
     want = reference_costs(tiny_bank, plan_rows(tpl.root, pm))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -255,14 +259,15 @@ def test_stage_sums_reproduce_numpy_sums(cols):
     g.shuffle(lengths)
     shape = (lengths.sum(),) if cols is None else (lengths.sum(), cols)
     x = g.standard_normal(shape) * np.exp(g.uniform(-20, 20, shape))
-    got = res.stage_sums(x, lengths)
+    got = res.stage_sums(x, res.Stages.of(lengths))
     starts = np.cumsum(lengths) - lengths
     for i, (s, n) in enumerate(zip(starts, lengths)):
         want = x[s:s + n].sum() if cols is None else x[s:s + n].sum(axis=0)
         assert np.array_equal(got[i], want), (n, got[i], want)
     if cols is not None:  # several columns: any length
         x = g.standard_normal((25, cols))
-        assert np.array_equal(res.stage_sums(x, np.array([25])), x.sum(axis=0)[None])
+        assert np.array_equal(res.stage_sums(x, res.Stages.of(np.array([25]))),
+                              x.sum(axis=0)[None])
 
 
 def test_batched_stage_search_equals_one_stage_case():
@@ -285,8 +290,9 @@ def test_batched_stage_search_equals_one_stage_case():
     counts = np.column_stack([g.integers(1, 100, len(lengths)), g.integers(1, 100, len(lengths))])
     counts[::3, 1] = counts[::3, 0]
     batched = res.LookupCounter()
-    p = res.analytical_optima(curves, lengths, batched)
-    costs = res.stage_costs(curves, lengths, counts, batched)
+    stages = res.Stages.of(lengths)
+    p = res.analytical_optima(curves, stages, batched)
+    costs = res.stage_costs(curves, stages, counts, batched)
     alone = res.LookupCounter()
     starts = np.cumsum(lengths) - lengths
     for i, (s, n) in enumerate(zip(starts, lengths)):

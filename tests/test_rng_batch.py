@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.scope import simulator as sim
-from repro.scope.plan import hash64
+from repro.scope.plan import compile_plans, hash64
 from repro.scope.workload import Cluster, tiny_cluster
 
 SEEDS = np.concatenate([
@@ -58,7 +58,10 @@ def test_keyed_batch_is_rng_per_key():
     keys, seeds = [], []
     for tpl, k in cl.runs(1):
         seed_parts = (cl.cfg.name, tpl.tpl_id, 1, k)
-        keys += [("sizes", tpl.tpl_id, 1, k), *sim.instance_keys(tpl.root, seed_parts)]
+        plans = compile_plans([tpl.root])
+        keys += [("sizes", tpl.tpl_id, 1, k),
+                 *((kind, *seed_parts, op_id)
+                   for kind, op_id in sim.run_keys(plans, sim.plan_draw_keys(plans)))]
         seeds += [hash64("sizes", tpl.tpl_id, 1, k) & 0xFFFF_FFFF,
                   *sim.instance_seeds(tpl.executed().run_keys, seed_parts)]
     assert len(keys) > 500

@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
-from repro.optimizer.cascades import _candidates
+from repro.optimizer.cascades import TemplatePlans
 from repro.scope import simulator as sim
-from repro.scope.plan import assign_input_templates, expand_physical, plan_identity, PlanNode
+from repro.scope.plan import assign_input_templates, compile_plans, expand_physical, PlanNode
+from tests.test_cascades_reference import reference_rederive
+from tests.test_simulator_draws import reference_derive_statistics
 
 
 def make_plan(choices=None):
@@ -91,7 +93,9 @@ def test_estimation_error_compounds_with_depth():
     errs = {}
     for seed in range(40):
         root = instantiate(make_plan(), seed=("t", seed))
-        for n, depth in zip(root.walk(), plan_identity(root)["depth"]):
+        plans = compile_plans([root])
+        depths = plans.table.identity()["depth"]
+        for n, depth in zip(root.walk(), map(depths.__getitem__, plans.rows)):
             if n.logical in ("Filter", "Join", "Aggregate"):
                 errs.setdefault(depth, []).append(
                     abs(np.log((n.est_out + 1) / (n.true_out + 1)))
@@ -114,7 +118,7 @@ def make_candidate(tpl, choices):
     return root
 
 
-def reference_assign_partitions(root: PlanNode, draws: sim.Draws) -> None:
+def reference_assign_partitions(root: PlanNode, draws: dict) -> None:
     """Partition assignment as it was before joins were co-partitioned
     in one pass: each join re-derives its inputs' chains in place."""
     for node in root.walk():
@@ -131,7 +135,7 @@ def reference_assign_partitions(root: PlanNode, draws: sim.Draws) -> None:
                     if sp.op == "Exchange":
                         sp.partitions = p
                 for c in node.children:
-                    sim.rederive_partitions(c)
+                    reference_rederive(c)
                 node.partitions = max(
                     c.stage_partition_root().partitions for c in node.children
                 )
@@ -139,60 +143,67 @@ def reference_assign_partitions(root: PlanNode, draws: sim.Draws) -> None:
 
 def test_assign_partitions_matches_per_join_rederivation(tiny):
     """On every candidate of every day-3 template, including the
-    two-join ones, one co-partitioning pass and one re-derivation give
-    the counts of re-deriving at each join, and re-deriving again
-    changes nothing."""
+    two-join ones, one co-partitioning pass and one re-derivation
+    (``heuristic_partitions`` over the compiled candidates) give the
+    counts of re-deriving at each join, and re-deriving again changes
+    nothing."""
     cl, _, _ = tiny
     two_join_plans = 0
     for tpl in cl.live_templates(3):
         pm, cards, lens = cl.instance_inputs(tpl, 3, 0)
-        draws = sim.Draws((cl.cfg.name, tpl.tpl_id, 3, 0))
-        for choices in _candidates(tpl):
-            got, want = make_candidate(tpl, choices), make_candidate(tpl, choices)
-            for root, assign in ((got, sim.assign_partitions),
-                                 (want, reference_assign_partitions)):
-                sim.derive_statistics(root, cl.world, cards, lens, pm, draws)
-                assign(root, draws)
-            counts = [n.partitions for n in got.walk()]
-            assert counts == [n.partitions for n in want.walk()]
-            sim.rederive_partitions(got)
-            assert [n.partitions for n in got.walk()] == counts
-            joins = sum(n.op in ("HashJoin", "MergeJoin") for n in got.walk())
+        seed = (cl.cfg.name, tpl.tpl_id, 3, 0)
+        cands = TemplatePlans.of(tpl)
+        plans = cands.plans
+        draws = sim.seeded_draws(cands.draw_keys, iter(sim.RngBatch(
+            sim.instance_seeds(cands.draw_keys, seed))))
+        stats = sim.derive_rows(plans.table, cl.world, cards, lens, pm, draws)
+        counts = sim.heuristic_partitions(plans, stats, draws)
+        for j, choices in enumerate(cands.choices):
+            want = make_candidate(tpl, choices)
+            reference_derive_statistics(want, cl.world, cards, lens, pm, seed)
+            reference_assign_partitions(want, draws)
+            assert counts[plans.starts[j]:plans.starts[j + 1]].tolist() == \
+                [n.partitions for n in want.walk()]
+            joins = sum(n.op in ("HashJoin", "MergeJoin") for n in want.walk())
             two_join_plans += joins == 2
+        again = counts.copy()
+        sim.rederive(plans, again)
+        assert np.array_equal(again, counts)
     assert two_join_plans > 0
+
+
+def one_latency(root: PlanNode, stats: dict[str, list[float]], p: int) -> float:
+    """``sim.latencies`` of the top operator of ``root`` compiled alone,
+    with the given statistics of each row, at ``p`` partitions."""
+    plans = compile_plans([root])
+    rows = sim.RowStats(**stats)
+    return sim.latencies(plans, [len(plans) - 1], rows, [p], sim.World(cluster="testc"), 0.5,
+                         iter([sim._rng("lat", "s", root.tpl_op_id)]))[0]
 
 
 def test_partition_latency_tradeoff():
     """More partitions cut work time but add overhead (the §5.3 family)."""
-    world = sim.World(cluster="testc")
     node = PlanNode(op="Extract", input_templates=("inA",), tpl_op_id="x",
                     props="inA")
-    node.true_in = node.true_base = node.true_out = 1e7
-    node.row_len = 100.0
-    lats = {}
-    for p in (1, 100, sim.MAX_PARTITIONS):
-        node.partitions = p
-        lats[p] = world.exclusive_latency(node, 0.5, ("s",))
+    stats = {f: [1e7] for f in ("true_in", "true_base", "true_out", "est_in", "est_base",
+                                "est_out")}
+    stats.update(row_len=[100.0], in_len=[100.0])
+    lats = {p: one_latency(node, stats, p) for p in (1, 100, sim.MAX_PARTITIONS)}
     assert lats[100] < lats[1]
     assert lats[100] < lats[sim.MAX_PARTITIONS]
 
 
 def test_blocking_child_costs_more():
-    world = sim.World(cluster="testc")
-    child_stream = PlanNode(op="Filter", tpl_op_id="c1")
-    child_block = PlanNode(op="Sort", tpl_op_id="c2")
-    for child in (child_stream, child_block):
-        child.true_out = 1e6
-        child.row_len = 100.0
     lats = {}
-    for name, child in (("stream", child_stream), ("block", child_block)):
+    for name, child in (("stream", PlanNode(op="Filter", tpl_op_id="c1")),
+                        ("block", PlanNode(op="Sort", tpl_op_id="c2"))):
         n = PlanNode(op="HashAggregate", children=[child], tpl_op_id="agg",
                      input_templates=("inA",), props="k")
-        n.true_in = 1e6
-        n.true_out = 1e4
-        n.row_len = 80.0
-        n.partitions = 10
-        lats[name] = world.exclusive_latency(n, 0.5, ("s",))
+        # Rows: the child, then the aggregate over its 1e6 rows of 100 bytes.
+        stats = {f: [1e6, 1e6] for f in ("true_in", "true_base", "est_in", "est_base")}
+        stats.update(true_out=[1e6, 1e4], est_out=[1e6, 1e4], row_len=[100.0, 80.0],
+                     in_len=[100.0, 100.0])
+        lats[name] = one_latency(n, stats, 10)
     assert lats["block"] > lats["stream"]
 
 

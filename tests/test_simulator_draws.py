@@ -1,15 +1,17 @@
-"""The compiled plans, the memoized substrate draws (``simulator.Draws``)
-and the batched seeding of generated days (``simulator.RngBatch``)
-against eager per-operator generators on ``PlanNode`` trees.
+"""The compiled plans, the per-instance substrate draws
+(``simulator.seeded_draws``) and the batched seeding of generated days
+(``simulator.RngBatch``) against eager per-operator generators on
+``PlanNode`` trees.
 
-``reference_derive_statistics`` and ``reference_assign_partitions`` walk
-a tree, seed one fresh generator per operator per pass, keyed by
-``(kind, *seed_parts, tpl_op_id)``, and draw from it with
-``normal(0.0, s)``. The simulator derives statistics once per distinct
-subtree of compiled plans, draws each operator's first standard normal
-once per job instance and scales it, and ``generate_days`` seeds all of
-a day's generators in one batch; these tests require identical
-statistics, partition counts and generated logs.
+``reference_derive_statistics``, ``reference_assign_partitions`` and
+``reference_simulate_latencies`` walk a tree, seed one fresh generator
+per operator per pass, keyed by ``(kind, *seed_parts, tpl_op_id)``, and
+draw from it with ``normal(0.0, s)``. The simulator derives statistics
+once per distinct subtree of compiled plans, draws each operator's first
+standard normal once per job instance and scales it, and
+``generate_days`` seeds all of a day's generators in one batch; these
+tests require identical statistics, partition counts, latencies and
+generated logs.
 """
 import math
 
@@ -17,10 +19,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.optimizer.cascades import TemplatePlans, _candidates
+from repro.optimizer.cascades import TemplatePlans
 from repro.scope import default_cost as dc
 from repro.scope import simulator as sim
-from repro.scope.plan import PlanNode, assign_input_templates, expand_physical
+from repro.scope.plan import PlanNode, assign_input_templates, compile_plans, expand_physical
 from repro.scope.workload import NODE_STATS, Cluster, tiny_cluster
 from tests.test_plan import _reference_identity
 
@@ -33,7 +35,7 @@ def reference_derive_statistics(root: PlanNode, world: sim.World, base_cards, ba
             card = base_cards[node.input_templates[0]]
             node.row_len = base_lens[node.input_templates[0]]
             node.true_in = node.true_base = card
-            node.true_out = world.true_output(node, pm)
+            node.true_out = sim.true_output(node.op, card, node.sel_param, pm, [])
             err = math.exp(g_node.normal(0.0, 0.06))
             node.est_in = node.est_base = node.est_out = card * err
             continue
@@ -52,7 +54,8 @@ def reference_derive_statistics(root: PlanNode, world: sim.World, base_cards, ba
             node.row_len = child_len * 0.8
         else:
             node.row_len = child_len
-        node.true_out = world.true_output(node, pm)
+        node.true_out = sim.true_output(node.op, node.true_in, node.sel_param, pm,
+                                        [c.true_out for c in node.children])
         if node.logical in ("Exchange", "Sort", "Project", "Output"):
             node.est_out = node.est_in
         else:
@@ -111,10 +114,26 @@ def reference_job_cpu_seconds(root) -> float:
     return total
 
 
+def reference_simulate_latencies(root: PlanNode, world: sim.World, pm: float,
+                                 seed_parts: tuple) -> None:
+    """Each operator's exclusive latency at its statistics and partition
+    count, from its children's row lengths and blocking flags and its own
+    fresh ``"lat"`` generator."""
+    for node in root.walk():
+        kids = node.children
+        in_len = (sum(c.row_len * c.true_out for c in kids) / max(node.true_in, 1.0)
+                  if kids else node.row_len)
+        node.actual_latency = world.latency(
+            node.op, node.logical, tuple(sorted(set(node.input_templates))), node.true_in,
+            node.true_out, node.row_len, in_len, node.partitions,
+            sim._context(not kids, any(c.blocking for c in kids)), pm,
+            sim._rng("lat", *seed_parts, node.tpl_op_id))
+
+
 def reference_instantiate(root, world, base_cards, base_lens, pm, seed_parts) -> None:
     reference_derive_statistics(root, world, base_cards, base_lens, pm, seed_parts)
     reference_assign_partitions(root, seed_parts)
-    sim.simulate_latencies(root, world, pm, seed_parts)
+    reference_simulate_latencies(root, world, pm, seed_parts)
 
 
 STATS = ("true_in", "true_base", "true_out", "est_in", "est_base", "est_out", "row_len",
@@ -125,29 +144,6 @@ def _physical(tpl, choices) -> PlanNode:
     root = expand_physical(tpl.logical_root, choices)
     assign_input_templates(root)
     return root
-
-
-def test_every_candidate_matches_the_eager_draws(tiny):
-    """One ``Draws`` shared by every candidate of a job instance, as the
-    planners share it, gives each candidate the statistics and
-    heuristic partitions of fresh per-operator generators."""
-    cl, _, _ = tiny
-    checked = 0
-    for tpl in cl.live_templates(3):
-        for k in range(tpl.freq):
-            pm, cards, lens = cl.instance_inputs(tpl, 3, k)
-            seed = (cl.cfg.name, tpl.tpl_id, 3, k)
-            draws = sim.Draws(seed)
-            for choices in _candidates(tpl):
-                got, want = _physical(tpl, choices), _physical(tpl, choices)
-                sim.derive_statistics(got, cl.world, cards, lens, pm, draws)
-                sim.assign_partitions(got, draws)
-                reference_derive_statistics(want, cl.world, cards, lens, pm, seed)
-                reference_assign_partitions(want, seed)
-                for g, w in zip(got.walk(), want.walk()):
-                    assert [getattr(g, a) for a in STATS] == [getattr(w, a) for a in STATS]
-                checked += 1
-    assert checked > 100
 
 
 def test_compiled_candidates_match_the_eager_draws(tiny):
@@ -163,7 +159,8 @@ def test_compiled_candidates_match_the_eager_draws(tiny):
         for k in range(tpl.freq):
             pm, cards, lens = cl.instance_inputs(tpl, 3, k)
             seed = (cl.cfg.name, tpl.tpl_id, 3, k)
-            draws = sim.Draws(seed)
+            draws = sim.seeded_draws(cands.draw_keys, iter(sim.RngBatch(
+                sim.instance_seeds(cands.draw_keys, seed))))
             stats = sim.derive_rows(table, cl.world, cards, lens, pm, draws)
             parts = sim.heuristic_partitions(plans, stats, draws).tolist()
             for j, choices in enumerate(cands.choices):
@@ -202,8 +199,9 @@ def reference_logs(cl: Cluster, days: list[int]) -> tuple[pd.DataFrame, pd.DataF
                     **{c: ident[c] for c in ("depth", "cl", "sig_sub", "sig_approx",
                                              "sig_opinput", "in_hash")},
                     "pm": pm, **{col: getattr(n, attr) for col, attr in NODE_STATS.items()},
-                    "cost_default": dc.default_cost(name, n),
-                    "cost_default_truecard": dc.default_cost(name, n, true_cards=True),
+                    "cost_default": dc.op_cost(name, n.op, n.est_in, n.est_out, n.row_len),
+                    "cost_default_truecard": dc.op_cost(name, n.op, n.true_in, n.true_out,
+                                                        n.row_len),
                 })
             jobs.append({**run, "latency": reference_job_latency(root),
                          "cpu_seconds": reference_job_cpu_seconds(root),
@@ -246,23 +244,94 @@ def test_logged_runs_replay_on_the_lazy_path(tiny):
     assert replayed == ops.job_id.nunique()
 
 
+class RecordingDraws(dict):
+    """Draws made on first read, in the order they are read: the first
+    standard normal of a fresh generator of ``(kind, *seed_parts,
+    tpl_op_id)``."""
+
+    def __init__(self, seed_parts: tuple):
+        super().__init__()
+        self.seed_parts = seed_parts
+
+    def __missing__(self, key: tuple[str, str]) -> float:
+        kind, tpl_op_id = key
+        z = self[key] = sim._rng(kind, *self.seed_parts, tpl_op_id).standard_normal()
+        return z
+
+
 def test_only_drawing_operators_seed_a_generator(tiny):
     """Leaves and selectivity-estimating operators draw ``est-jit``;
-    Extract and Exchange draw ``part``; nothing else draws."""
+    Extract and Exchange draw ``part``; nothing else draws, and
+    ``plan_draw_keys`` lists the draws in the order they are read."""
     cl, _, _ = tiny
     tpl = cl.live_templates(3)[0]
     pm, cards, lens = cl.instance_inputs(tpl, 3, 0)
     root = _physical(tpl, tpl.choices)
-    draws = sim.Draws(("x", 1))
-    sim.derive_statistics(root, cl.world, cards, lens, pm, draws)
-    sim.assign_partitions(root, draws)
+    plans = compile_plans([root])
+    draws = RecordingDraws(("x", 1))
+    stats = sim.derive_rows(plans.table, cl.world, cards, lens, pm, draws)
+    sim.heuristic_partitions(plans, stats, draws)
     nodes = list(root.walk())
     want = {("est-jit", n.tpl_op_id) for n in nodes
             if not n.children or n.logical not in ("Exchange", "Sort", "Project", "Output")}
     want |= {("part", n.tpl_op_id) for n in nodes if n.op in ("Extract", "Exchange")}
     assert set(draws) == want
-    assert list(draws) == sim.draw_keys(root)
+    assert list(draws) == sim.plan_draw_keys(plans)
     assert len(draws) < 2 * len(nodes)
+
+
+def test_a_draw_no_caller_seeded_is_an_error(tiny):
+    """The draws are a plain dict: a key that was not seeded up front is
+    a ``KeyError``, never a draw made on the side."""
+    cl, _, _ = tiny
+    tpl = cl.live_templates(3)[0]
+    pm, cards, lens = cl.instance_inputs(tpl, 3, 0)
+    plan = tpl.executed()
+    batch = sim.RngBatch(sim.instance_seeds(plan.draw_keys, ("x", 1)))
+    for missing in plan.draw_keys:
+        draws = sim.seeded_draws(plan.draw_keys, iter(batch))
+        del draws[missing]
+        with pytest.raises(KeyError):
+            stats = sim.derive_rows(plan.plans.table, cl.world, cards, lens, pm, draws)
+            sim.heuristic_partitions(plan.plans, stats, draws)
+
+
+def test_stage_latencies_match_the_eager_draws(tiny):
+    """The latencies of every Exchange stage's positions of every tiny
+    day-3 run, at 1, the heuristic count and the maximum, read from the
+    run's batch, equal those of its tree under fresh per-operator
+    generators with that stage's operators set to the count (the ground
+    truth of Fig 17)."""
+    cl, _, _ = tiny
+    checked = 0
+    for tpl in cl.live_templates(3):
+        plan = tpl.executed()
+        plans = plan.plans
+        for k in range(tpl.freq):
+            pm, cards, lens = cl.instance_inputs(tpl, 3, k)
+            seed = (cl.cfg.name, tpl.tpl_id, 3, k)
+            batch = sim.RngBatch(sim.instance_seeds(plan.run_keys, seed))
+            inst = sim.instantiate_plan(plans, plan.draw_keys, cl.world, cards, lens, pm,
+                                        iter(batch))
+            root = _physical(tpl, tpl.choices)
+            reference_instantiate(root, cl.world, cards, lens, pm, seed)
+            nodes = list(root.walk())
+            for stage in plans.stages(0):
+                if nodes[stage[0]].op != "Exchange":
+                    continue
+                p_def = inst.partitions[stage[0]]
+                for p in (1, p_def, sim.MAX_PARTITIONS):
+                    got = sim.latencies(plans, stage, inst.stats, [p] * len(stage), cl.world, pm,
+                                        batch.take(len(plan.draw_keys) + i for i in stage))
+                    saved = [nodes[i].partitions for i in stage]
+                    for i in stage:
+                        nodes[i].partitions = p
+                    reference_simulate_latencies(root, cl.world, pm, seed)
+                    for i, count in zip(stage, saved):
+                        nodes[i].partitions = count
+                    assert got == [nodes[i].actual_latency for i in stage], (tpl.tpl_id, k, p)
+                    checked += 1
+    assert checked > 100
 
 
 @pytest.mark.parametrize("s", [0.06, 0.08, 0.35])
