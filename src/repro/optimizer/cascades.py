@@ -48,10 +48,9 @@ substrate draws (``simulator.seeded_draws``), and :class:`PlanResult`
 reports each candidate's predicted cost. A call seeds every generator
 its job instance reads in one :class:`repro.scope.simulator.RngBatch`:
 the statistics draws of every candidate, which fill the draws up
-front, and one ``"lat"`` key per
-distinct operator of the candidates, of which the chosen plan's
-latencies read their operators' states. Nothing drawn or seeded is
-kept from one call to the next.
+front, and one ``"lat"`` key per distinct operator of the candidates,
+of which the chosen plan's latencies read their operators' states.
+Nothing drawn or seeded is kept from one call to the next.
 """
 from __future__ import annotations
 
