@@ -23,6 +23,7 @@ contributes its learned weight to θ_P, the raw ``P`` feature contributes
 from __future__ import annotations
 
 from collections.abc import Mapping
+from operator import itemgetter
 
 import numpy as np
 import pandas as pd
@@ -89,7 +90,7 @@ _CONTEXT = ("cl", "depth")
 
 # The column functions of a feature matrix without and with the context.
 _FNS = [fn for _, fn, _ in _DEFS]
-_CONTEXT_FNS = _FNS + [lambda d, c=c: d[c] for c in _CONTEXT]
+_CONTEXT_FNS = _FNS + [itemgetter(c) for c in _CONTEXT]
 
 # Index maps for the partition-cost curves (§5.2-§5.3).
 P_FEATURE_INDEX = FEATURE_NAMES.index("f_P")

@@ -35,8 +35,8 @@ from repro.core.learners.linear import ElasticNet, GDLinear
 from repro.core.learners.mlp import MLPRegressor
 from repro.core.learners.tree import DecisionTreeRegressor
 
-# Factories are the classes themselves: their class constants and
-# constructor defaults carry the paper's hyper-parameters.
+# Factories are the classes themselves: their class constants (and
+# ElasticNet's default alpha) carry the paper's hyper-parameters.
 LEARNER_FACTORIES = {
     "Elastic net": ElasticNet,
     "Decision Tree": DecisionTreeRegressor,

@@ -24,12 +24,10 @@ from repro.core.learners.tree import Forest, bin_codes, grow, quantile_bin
 class RandomForestRegressor:
     """Bagged depth-5 trees with sqrt-feature subsampling per tree."""
 
+    n_estimators = 20
     max_depth = 5
     min_samples_leaf = 2
     seed = 0
-
-    def __init__(self, n_estimators: int = 20):
-        self.n_estimators = n_estimators
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         t = np.log1p(np.maximum(np.asarray(y, dtype=float), 0.0))
@@ -60,14 +58,12 @@ class FastTreeRegressor:
     each stage.
     """
 
+    n_estimators = 20
     max_depth = 5
     learning_rate = 0.25
     subsample = 0.9
     min_samples_leaf = 3
-
-    def __init__(self, n_estimators: int = 20, seed: int = 0):
-        self.n_estimators = n_estimators
-        self.seed = seed
+    seed = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "FastTreeRegressor":
         """The one-model case of :meth:`fit_many`."""
@@ -75,10 +71,9 @@ class FastTreeRegressor:
         return self
 
     def fit_many(self, Xs: list[np.ndarray], ys: list[np.ndarray]) -> list["FastTreeRegressor"]:
-        """One model per ``(X, y)`` pair, each with this model's
-        hyper-parameters and exactly the model :meth:`fit` would give.
-        Every ``X`` has the same columns."""
-        models = [FastTreeRegressor(self.n_estimators, self.seed) for _ in Xs]
+        """One model per ``(X, y)`` pair, each exactly the model
+        :meth:`fit` would give. Every ``X`` has the same columns."""
+        models = [FastTreeRegressor() for _ in Xs]
         self._boost(models, Xs, ys)
         return models
 

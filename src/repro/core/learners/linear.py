@@ -157,10 +157,10 @@ class ElasticNet:
 
     l1_ratio = 0.5
     tol = 1e-6  # stop when a sweep moves no weight by more than this
+    max_iter = 300  # a group that has not converged stops after this many sweeps
 
-    def __init__(self, alpha: float = 1.0, max_iter: int = 300):
+    def __init__(self, alpha: float = 1.0):
         self.alpha = alpha * ALPHA_SCALE
-        self.max_iter = max_iter
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "ElasticNet":
         fits = self.fit_groups(X, y, np.array([0, len(X)]))
@@ -246,12 +246,12 @@ class GDLinear:
 
     lr = 0.05
     l2 = 1e-4
+    epochs = 400
 
-    def __init__(self, loss: str, epochs: int = 400):
+    def __init__(self, loss: str):
         if loss not in ("msle", "mse", "mae", "medae"):
             raise ValueError(f"unknown loss {loss!r}")
         self.loss = loss
-        self.epochs = epochs
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GDLinear":
         X = np.asarray(X, dtype=float)

@@ -15,10 +15,8 @@ class MLPRegressor:
     l2 = 0.005
     lr = 0.01
     batch_size = 256
-
-    def __init__(self, epochs: int = 300, seed: int = 0):
-        self.epochs = epochs
-        self.seed = seed
+    epochs = 300
+    seed = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "MLPRegressor":
         X = np.asarray(X, dtype=float)

@@ -23,6 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _MAX_BINS = 64
+# A node splits only when its best split improves the score by more
+# than this.
+MIN_GAIN = 1e-12
 
 
 def quantile_bin(X: np.ndarray):
@@ -130,7 +133,6 @@ def grow(
     min_samples_leaf: int,
     bounds: np.ndarray | None = None,
     feats: np.ndarray | None = None,
-    min_gain: float = 1e-12,
 ) -> Forest:
     """Grow one regression tree per row block, all one level at a time.
 
@@ -204,7 +206,7 @@ def grow(
         parent_score = total_sum * total_sum / total_cnt
         gain = score.max(axis=2) - parent_score[:, None]
         best_feat = np.argmax(gain, axis=1)
-        split = gain.max(axis=1) > min_gain
+        split = gain.max(axis=1) > MIN_GAIN
         frontier = []
         for i in np.flatnonzero(split):
             v, idx, _ = grown[i]
@@ -228,9 +230,8 @@ class DecisionTreeRegressor:
     CLEO model) and predicts on the raw scale.
     """
 
-    def __init__(self, max_depth: int = 15, min_samples_leaf: int = 2):
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
+    max_depth = 15
+    min_samples_leaf = 2
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
         t = np.log1p(np.maximum(np.asarray(y, dtype=float), 0.0))

@@ -2,7 +2,8 @@
 
 Shared by the Table 1 (loss functions) and Table 4 (ML algorithms)
 experiments: for each sampled operator-subgraph group, the full
-learner × fold grid runs in turn and the held-out predictions of every
+learner × fold grid of the experiment's registry (model name → factory
+of an unfitted model) runs in turn and the held-out predictions of every
 group are pooled per model.
 """
 from __future__ import annotations
@@ -11,17 +12,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.features import feature_matrix
-from repro.core.learners import LEARNER_FACTORIES
-from repro.core.learners.linear import GDLinear
 from repro.metrics import summarize
-
-LOSS_FITTERS = {
-    "Median Absolute Error": lambda: GDLinear(loss="medae"),
-    "Mean Absolute Error": lambda: GDLinear(loss="mae"),
-    "Mean Squared Error": lambda: GDLinear(loss="mse"),
-    "Mean Squared-Log Error": lambda: GDLinear(loss="msle"),
-}
-REGISTRIES = {"losses": LOSS_FITTERS, "learners": LEARNER_FACTORIES}
 
 _COLS = ["I", "B", "C", "L", "P", "in_hash", "pm", "cl", "depth", "actual", "sig_sub"]
 # 3 folds, not the paper's 5: a group of MIN_ROWS rows then trains on at
@@ -30,8 +21,7 @@ FOLDS = 3
 MIN_ROWS = 10  # smallest subgraph group that is cross-validated
 
 
-def _cv_group(pdf: pd.DataFrame, registry_name: str) -> pd.DataFrame:
-    registry = REGISTRIES[registry_name]
+def _cv_group(pdf: pd.DataFrame, registry: dict) -> pd.DataFrame:
     X = feature_matrix(pdf)
     y = pdf["actual"].to_numpy(dtype=float)
     n = len(y)
@@ -58,10 +48,11 @@ def select_groups(ops: pd.DataFrame, max_groups: int) -> pd.DataFrame:
     return ops[ops.sig_sub.isin(set(eligible))]
 
 
-def subgraph_cv(ops: pd.DataFrame, registry_name: str, max_groups: int) -> pd.DataFrame:
-    """Pooled held-out predictions per model over sampled subgraphs."""
+def subgraph_cv(ops: pd.DataFrame, registry: dict, max_groups: int) -> pd.DataFrame:
+    """Pooled held-out predictions per model of ``registry`` over
+    sampled subgraphs."""
     data = select_groups(ops, max_groups)[_COLS]
-    parts = [_cv_group(grp, registry_name) for _, grp in data.groupby("sig_sub")]
+    parts = [_cv_group(grp, registry) for _, grp in data.groupby("sig_sub")]
     return pd.concat(parts, ignore_index=True)
 
 

@@ -32,11 +32,12 @@ from repro.scope import simulator as sim
 from repro.scope.workload import Cluster
 
 SAMPLE_SIZES = [2, 4, 6, 8, 10, 15, 20, 25, 30]
+N_STAGES = 200  # stage instances compared (§6.5)
 CLUSTER = "cluster1"
 DAY = 3  # the test day
 
 
-def _collect_stages(bank, n_stages: int):
+def _collect_stages(bank):
     """Exchange-rooted stages from logged test-day plans: each stage's
     resource-context (its operators' cost curves under ``bank``) and the
     state needed to recompute true stage cost at any partition count.
@@ -72,7 +73,7 @@ def _collect_stages(bank, n_stages: int):
                     "p_default": inst.partitions[stage[0]],
                 }
             )
-            if len(out) >= n_stages:
+            if len(out) >= N_STAGES:
                 return out
     return out
 
@@ -86,8 +87,8 @@ def _true_stage_cost(entry: dict, p: int) -> float:
                              batch.take(offset + i for i in stage)))
 
 
-def run(n_stages: int = 200) -> pd.DataFrame:
-    stages = _collect_stages(trained_cluster(CLUSTER).bank, n_stages)
+def run() -> pd.DataFrame:
+    stages = _collect_stages(trained_cluster(CLUSTER).bank)
 
     # Per-stage identifiability window (the planner's clamp) and the
     # true-optimal cost within it.
@@ -115,14 +116,14 @@ def run(n_stages: int = 200) -> pd.DataFrame:
 
     rows = []
     for n in SAMPLE_SIZES:
-        for strategy, cand_fn in (
-            ("random", lambda n=n: res.random_samples(n, seed=42)),
-            ("uniform", lambda n=n: res.uniform_samples(n)),
-            ("geometric", lambda n=n: res.geometric_samples_n(n)),
+        for strategy, samples in (
+            ("random", res.random_samples),
+            ("uniform", res.uniform_samples),
+            ("geometric", res.geometric_samples_n),
         ):
             counter = res.LookupCounter()
             choices = [
-                choose_sampling(e, w, cand_fn(), counter)
+                choose_sampling(e, w, samples(n), counter)
                 for e, w in zip(stages, windows)
             ]
             rows.append(

@@ -22,10 +22,12 @@ from pyspark.sql import functions as F
 
 from repro.experiments.common import get_logs
 
+CLUSTERS = ("cluster1", "cluster2", "cluster3", "cluster4")
 
-def run(spark, clusters=("cluster1", "cluster2", "cluster3", "cluster4")) -> pd.DataFrame:
-    ops_all = pd.concat([get_logs(c)[0] for c in clusters], ignore_index=True)
-    jobs_all = pd.concat([get_logs(c)[1] for c in clusters], ignore_index=True)
+
+def run(spark) -> pd.DataFrame:
+    ops_all = pd.concat([get_logs(c)[0] for c in CLUSTERS], ignore_index=True)
+    jobs_all = pd.concat([get_logs(c)[1] for c in CLUSTERS], ignore_index=True)
     ops = spark.createDataFrame(
         ops_all[["cluster", "day", "job_id", "template_id", "adhoc", "sig_sub"]]
     )

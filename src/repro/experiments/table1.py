@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import pandas as pd
 
+from repro.core.learners.linear import GDLinear
 from repro.experiments.common import trained_cluster
 from repro.experiments.cv import cv_table, subgraph_cv
 
@@ -33,10 +34,17 @@ PAPER = {
 
 MAX_GROUPS = 150  # subgraph groups cross-validated
 
+LOSS_FITTERS = {
+    "Median Absolute Error": lambda: GDLinear(loss="medae"),
+    "Mean Absolute Error": lambda: GDLinear(loss="mae"),
+    "Mean Squared Error": lambda: GDLinear(loss="mse"),
+    "Mean Squared-Log Error": lambda: GDLinear(loss="msle"),
+}
+
 
 def run() -> pd.DataFrame:
     tc = trained_cluster("cluster1")
-    preds = subgraph_cv(tc.train, "losses", MAX_GROUPS)
+    preds = subgraph_cv(tc.train, LOSS_FITTERS, MAX_GROUPS)
     out = cv_table(preds)[["model", "median_error_pct"]]
     out["paper_median_error_pct"] = out["model"].map(PAPER)
     return out

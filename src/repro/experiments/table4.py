@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pandas as pd
 
+from repro.core.learners import LEARNER_FACTORIES
 from repro.experiments.common import trained_cluster
 from repro.experiments.cv import cv_table, select_groups, subgraph_cv
 from repro.metrics import summarize
@@ -37,7 +38,7 @@ MAX_GROUPS = 120  # subgraph groups cross-validated
 
 def run() -> pd.DataFrame:
     tc = trained_cluster("cluster1")
-    preds = subgraph_cv(tc.train, "learners", MAX_GROUPS)
+    preds = subgraph_cv(tc.train, LEARNER_FACTORIES, MAX_GROUPS)
     out = cv_table(preds)
     # Default cost model row, evaluated over the same sampled groups.
     sample = select_groups(tc.train, MAX_GROUPS)

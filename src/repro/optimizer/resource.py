@@ -60,6 +60,7 @@ from repro.scope.plan import PlanTable
 from repro.scope.simulator import RowStats
 
 MAX_P = 3000  # maximum machines on a virtual cluster (§6.5)
+RANDOM_SAMPLES_SEED = 42  # seed of random_samples' draw
 
 # Features free of P: they fold into the curve's constant ``a``.
 _FREE_INDEX = np.array([
@@ -174,12 +175,12 @@ def exploration_window(p_def: int | np.ndarray) -> tuple:
 # Candidate generators (§5.3 sampling-based approach)
 # ---------------------------------------------------------------------------
 
-def geometric_samples(s: float, p_max: int = MAX_P) -> list[int]:
-    """x_{i+1} = ceil(x_i + x_i / s), x_0 = 1, x_1 = 2 (§5.3)."""
+def geometric_samples(s: float) -> list[int]:
+    """x_{i+1} = ceil(x_i + x_i / s), x_0 = 1, x_1 = 2 (§5.3), up to ``MAX_P``."""
     out = [1, 2]
-    while out[-1] < p_max:
+    while out[-1] < MAX_P:
         nxt = math.ceil(out[-1] + out[-1] / s)
-        if nxt > p_max:
+        if nxt > MAX_P:
             break
         out.append(nxt)
     return out
@@ -204,8 +205,8 @@ def uniform_samples(n: int) -> list[int]:
     return sorted({int(round(x)) for x in np.linspace(1, MAX_P, max(2, n))})
 
 
-def random_samples(n: int, seed: int) -> list[int]:
-    g = np.random.default_rng(seed)
+def random_samples(n: int) -> list[int]:
+    g = np.random.default_rng(RANDOM_SAMPLES_SEED)
     return sorted({1, *map(int, g.integers(1, MAX_P + 1, max(1, n - 1)))})
 
 

@@ -58,6 +58,7 @@ NODE_STATS = {
 
 FREQ_CHOICES = [1, 2, 4, 8, 24]
 FREQ_WEIGHTS = [0.50, 0.20, 0.15, 0.10, 0.05]
+CHURN = 0.03  # daily probability a recurring template is replaced
 
 
 @dataclass
@@ -67,7 +68,6 @@ class ClusterConfig:
     n_templates: int  # recurring job templates alive at day 1
     adhoc_frac: float  # fraction of daily jobs that are ad-hoc
     n_input_weights: tuple[float, float, float] = (0.3, 0.5, 0.2)  # 1/2/3 inputs
-    churn: float = 0.03  # daily probability a template is replaced
     seed: int = 0
 
 
@@ -86,9 +86,9 @@ PRODUCTION_CLUSTERS: list[ClusterConfig] = [
 ]
 
 
-def tiny_cluster(seed: int = 7) -> ClusterConfig:
+def tiny_cluster() -> ClusterConfig:
     """A miniature cluster for unit tests (tens of jobs per day)."""
-    return ClusterConfig("tiny", n_inputs=6, n_templates=12, adhoc_frac=0.15, seed=seed)
+    return ClusterConfig("tiny", n_inputs=6, n_templates=12, adhoc_frac=0.15, seed=7)
 
 
 @dataclass
@@ -302,7 +302,7 @@ class Cluster:
             d = self._churn_applied_through + 1
             g = self._churn_rng
             for t in list(self.templates):
-                if t.alive(d - 1) and t.dead_day is None and g.random() < self.cfg.churn:
+                if t.alive(d - 1) and t.dead_day is None and g.random() < CHURN:
                     t.dead_day = d
                     self.templates.append(self._make_template(g, born_day=d))
             self._churn_applied_through = d

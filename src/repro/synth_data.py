@@ -2,8 +2,7 @@
 
 SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
 benchmarks use SF~=0.1. Each generator returns a pandas frame and is
-deterministic: each table draws from its own fixed seed (``lineitem``'s
-may be given). ``repro.tpch.schema.load_tables`` hands the same frames
+deterministic: each table draws from its own fixed seed. ``repro.tpch.schema.load_tables`` hands the same frames
 to Spark (as views) and to the DuckDB oracle.
 """
 import numpy as np
@@ -14,13 +13,14 @@ _N_ORDERS_PER_SF = 1_500_000
 _N_CUSTOMER_PER_SF = 150_000
 _N_PART_PER_SF = 200_000
 _N_SUPPLIER_PER_SF = 10_000
+LINEITEM_SEED = 0
 
 
-def lineitem(*, sf: float, seed: int = 0) -> pd.DataFrame:
+def lineitem(*, sf: float) -> pd.DataFrame:
     n = max(1, int(_N_LINEITEM_PER_SF * sf))
     n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
     n_part = max(1, int(_N_PART_PER_SF * sf))
-    g = np.random.default_rng(seed)
+    g = np.random.default_rng(LINEITEM_SEED)
     n_supp = max(1, int(_N_SUPPLIER_PER_SF * sf))
     return pd.DataFrame(
         {

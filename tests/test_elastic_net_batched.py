@@ -112,9 +112,10 @@ def groups():
 
 
 @pytest.mark.parametrize("max_iter", [300, 4])
-def test_batched_fit_matches_per_group_loop(groups, max_iter):
+def test_batched_fit_matches_per_group_loop(groups, max_iter, monkeypatch):
     X, y, bounds = _batch(groups)
-    fits = ElasticNet(max_iter=max_iter).fit_groups(X, y, bounds)
+    monkeypatch.setattr(ElasticNet, "max_iter", max_iter)
+    fits = ElasticNet().fit_groups(X, y, bounds)
     for k, (Xk, yk) in enumerate(groups):
         ref = reference_fit(Xk, yk, max_iter=max_iter)
         assert_close(fits.coef[k], ref["coef"])
@@ -154,12 +155,13 @@ def test_group_result_independent_of_batch(groups):
 
 
 @pytest.mark.parametrize("max_iter", [300, 4])
-def test_group_padded_among_wider_groups_matches_alone(groups, max_iter):
+def test_group_padded_among_wider_groups_matches_alone(groups, max_iter, monkeypatch):
     """Narrow groups solved with wider ones (their moments zero-padded)
     give the bits they give alone, at their own width."""
     g = np.random.default_rng(3)
     wide = [_group(g, 80, d=15), _group(g, 25, d=15, constant_col=13)]
-    en = ElasticNet(max_iter=max_iter)
+    monkeypatch.setattr(ElasticNet, "max_iter", max_iter)
+    en = ElasticNet()
     narrow_fits, wide_fits = en.fit_batches([_batch(groups), _batch(wide)])
     fields = ("coef", "intercept", "mu", "sd", "raw_coef", "raw_intercept", "z_lo", "z_hi",
               "n_iter")

@@ -80,10 +80,11 @@ def test_table7_adhoc_degrades_gracefully(tc1):
     )
 
 
-def test_fig9_workload_composition(spark):
+def test_fig9_workload_composition(spark, monkeypatch):
     from repro.experiments import fig9
 
-    df = fig9.run(spark, clusters=("cluster4",))
+    monkeypatch.setattr(fig9, "CLUSTERS", ("cluster4",))
+    df = fig9.run(spark)
     assert set(df.cluster) == {"cluster4"}
     assert len(df) == 3  # three days
     assert (df.total_jobs >= df.recurring_jobs).all()
@@ -93,10 +94,11 @@ def test_fig9_workload_composition(spark):
     assert (df.adhoc_subexpr > 0).all()
 
 
-def test_fig17_partition_exploration(tc1):
+def test_fig17_partition_exploration(tc1, monkeypatch):
     from repro.experiments import fig17
 
-    df = fig17.run(n_stages=25)
+    monkeypatch.setattr(fig17, "N_STAGES", 25)
+    df = fig17.run()
     assert set(df.strategy) == {"random", "uniform", "geometric", "analytical"}
     geo = df[df.strategy == "geometric"].set_index("n_samples")
     # More samples -> no worse cost error.
@@ -109,8 +111,9 @@ def test_fig17_partition_exploration(tc1):
 
 def test_cv_helpers(tc1):
     from repro.experiments.cv import cv_table, subgraph_cv
+    from repro.experiments.table1 import LOSS_FITTERS
 
-    preds = subgraph_cv(tc1.train, "losses", max_groups=8)
+    preds = subgraph_cv(tc1.train, LOSS_FITTERS, max_groups=8)
     out = cv_table(preds)
     assert set(out.model) == {
         "Median Absolute Error", "Mean Absolute Error", "Mean Squared Error",
@@ -119,15 +122,14 @@ def test_cv_helpers(tc1):
     assert (out.median_error_pct > 0).all()
 
 
-def test_cv_fit_failure_fails_the_table(tc1, monkeypatch):
+def test_cv_fit_failure_fails_the_table(tc1):
     from repro.experiments import cv
 
     def broken():
         raise RuntimeError("fit failed")
 
-    monkeypatch.setitem(cv.REGISTRIES, "broken", {"Broken": broken})
     with pytest.raises(RuntimeError, match="fit failed"):
-        cv.subgraph_cv(tc1.train, "broken", max_groups=2)
+        cv.subgraph_cv(tc1.train, {"Broken": broken}, max_groups=2)
 
 
 def test_fig20_paper_reference_table():

@@ -65,7 +65,8 @@ def test_gd_linear_fit(monkeypatch, loss):
 
         with monkeypatch.context() as m:
             m.setattr(linear, "_standardize", standardize)
-            model = GDLinear(loss=loss, epochs=50).fit(X, y)
+            m.setattr(GDLinear, "epochs", 50)
+            model = GDLinear(loss=loss).fit(X, y)
         return bits(model.coef_, [model.intercept_])
 
     same_at_every_offset(result)
@@ -91,7 +92,8 @@ def test_mlp_fit(monkeypatch):
     def result(offset):
         with monkeypatch.context() as m:
             m.setattr(mlp, "np", _PlacedRelu(offset))
-            model = MLPRegressor(epochs=20).fit(X, y)
+            m.setattr(MLPRegressor, "epochs", 20)
+            model = MLPRegressor().fit(X, y)
         return bits(*model.params_)
 
     same_at_every_offset(result)

@@ -94,9 +94,10 @@ def test_elastic_net_single_sample_degenerate():
 
 
 @pytest.mark.parametrize("loss", ["msle", "mse", "mae", "medae"])
-def test_gdlinear_fits_each_loss(loss, loglinear_data):
+def test_gdlinear_fits_each_loss(loss, loglinear_data, monkeypatch):
     X, y = loglinear_data
-    m = GDLinear(loss=loss, epochs=250).fit(X[:800], y[:800])
+    monkeypatch.setattr(GDLinear, "epochs", 250)
+    m = GDLinear(loss=loss).fit(X[:800], y[:800])
     err = median_error_pct(m.predict(X[800:]), y[800:])
     assert err < 60, f"{loss} failed to fit: {err}%"
 
@@ -114,7 +115,7 @@ def test_gdlinear_msle_close_to_elastic_net(loglinear_data):
     assert median_error_pct(gd.predict(X), en.predict(X)) < 10
 
 
-def test_msle_beats_raw_losses_on_heavy_tail():
+def test_msle_beats_raw_losses_on_heavy_tail(monkeypatch):
     # Reproduce the Table 1 mechanism: heavy-tailed targets make
     # raw-scale losses chase the big instances.
     g = np.random.default_rng(7)
@@ -123,8 +124,9 @@ def test_msle_beats_raw_losses_on_heavy_tail():
     z = X @ np.array([2.0, 1.0, -1.0, 0.5, 3.0]) + g.normal(0, 0.2, n)
     y = np.expm1(z * 2)  # spans many orders of magnitude
     errs = {}
+    monkeypatch.setattr(GDLinear, "epochs", 300)
     for loss in ("msle", "mse", "medae"):
-        m = GDLinear(loss=loss, epochs=300).fit(X[:400], y[:400])
+        m = GDLinear(loss=loss).fit(X[:400], y[:400])
         errs[loss] = median_error_pct(m.predict(X[400:]), y[400:])
     assert errs["msle"] < errs["mse"]
     assert errs["msle"] < errs["medae"]

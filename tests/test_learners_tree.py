@@ -66,15 +66,18 @@ def test_min_samples_leaf_respected():
 
 def test_tree_fits_nonlinear(loglinear_data):
     X, y = loglinear_data
-    t = DecisionTreeRegressor(max_depth=15).fit(X[:800], y[:800])
+    t = DecisionTreeRegressor().fit(X[:800], y[:800])
+    assert t.max_depth == 15
     assert median_error_pct(t.predict(X[800:]), y[800:]) < 80
 
 
-def test_tree_perfect_on_train_when_deep():
+def test_tree_perfect_on_train_when_deep(monkeypatch):
     g = np.random.default_rng(4)
     X = g.random((100, 3))
     y = np.abs(g.normal(5, 2, 100))
-    t = DecisionTreeRegressor(max_depth=30, min_samples_leaf=1).fit(X, y)
+    monkeypatch.setattr(DecisionTreeRegressor, "max_depth", 30)
+    monkeypatch.setattr(DecisionTreeRegressor, "min_samples_leaf", 1)
+    t = DecisionTreeRegressor().fit(X, y)
     assert median_error_pct(t.predict(X), y) < 5
 
 

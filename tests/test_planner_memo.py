@@ -45,7 +45,7 @@ def test_planner_reused_on_two_clusters_equals_fresh_planners(tiny, tiny_bank, n
     one with the same name (so the same template ids) but different
     templates."""
     cl, _, _ = tiny
-    other = Cluster(replace(tiny_cluster(seed=8), name=name))
+    other = Cluster(replace(tiny_cluster(), name=name, seed=8))
     jobs = [job for pair in zip(day_jobs(cl), day_jobs(other)) for job in pair]
     planner = CleoPlanner(tiny_bank)
     for job in jobs:

@@ -16,14 +16,16 @@ from tests.banks import bank_of, find_covering, reference_predict
 from tests.test_plan import _reference_identity
 
 
-def test_geometric_samples_sequence():
+def test_geometric_samples_sequence(monkeypatch):
     # x_{i+1} = ceil(x_i + x_i/s) with s=1: 1, 2, 4, 8, ...
-    assert res.geometric_samples(1.0, p_max=100) == [1, 2, 4, 8, 16, 32, 64]
+    monkeypatch.setattr(res, "MAX_P", 100)
+    assert res.geometric_samples(1.0) == [1, 2, 4, 8, 16, 32, 64]
 
 
-def test_geometric_samples_s_controls_density():
-    dense = res.geometric_samples(10.0, p_max=1000)
-    sparse = res.geometric_samples(1.0, p_max=1000)
+def test_geometric_samples_s_controls_density(monkeypatch):
+    monkeypatch.setattr(res, "MAX_P", 1000)
+    dense = res.geometric_samples(10.0)
+    sparse = res.geometric_samples(1.0)
     assert len(dense) > len(sparse)
 
 
@@ -40,9 +42,12 @@ def test_uniform_samples_span():
     assert s[0] == 1 and s[-1] == res.MAX_P
 
 
-def test_random_samples_deterministic():
-    assert res.random_samples(8, seed=1) == res.random_samples(8, seed=1)
-    assert res.random_samples(8, seed=1) != res.random_samples(8, seed=2)
+def test_random_samples_deterministic(monkeypatch):
+    monkeypatch.setattr(res, "RANDOM_SAMPLES_SEED", 1)
+    seed1 = res.random_samples(8)
+    assert seed1 == res.random_samples(8)
+    monkeypatch.setattr(res, "RANDOM_SAMPLES_SEED", 2)
+    assert seed1 != res.random_samples(8)
 
 
 def _operator_model(coef_overrides: dict, intercept=0.0) -> tuple:

@@ -10,6 +10,7 @@ depth-first preorder), so trees are compared per depth.
 import numpy as np
 import pytest
 
+from repro.core.learners import tree as tree_mod
 from repro.core.learners.ensemble import FastTreeRegressor, RandomForestRegressor
 from repro.core.learners.tree import (
     DecisionTreeRegressor,
@@ -122,11 +123,12 @@ def _unseen(codes):
     return np.random.default_rng(1).integers(0, codes.max() + 1, codes.shape).astype(codes.dtype)
 
 
-def assert_same_tree(X, y, max_depth, min_samples_leaf, feat_idx=None, min_gain=1e-12):
+def assert_same_tree(X, y, max_depth, min_samples_leaf, feat_idx=None):
     codes, _ = quantile_bin(X)
-    ref = RecursiveTree(max_depth, min_samples_leaf, min_gain).fit_binned(codes, y, feat_idx)
+    ref = RecursiveTree(max_depth, min_samples_leaf, tree_mod.MIN_GAIN).fit_binned(codes, y,
+                                                                                 feat_idx)
     feats = None if feat_idx is None else [feat_idx]
-    new = grow(codes, y, max_depth, min_samples_leaf, feats=feats, min_gain=min_gain)
+    new = grow(codes, y, max_depth, min_samples_leaf, feats=feats)
     assert len(new.value) == len(ref.value)
     assert _by_depth(new) == _by_depth(ref)
     assert np.array_equal(new.predict_binned(codes)[0], ref.predict_binned(codes))
@@ -221,10 +223,11 @@ def test_node_whose_max_code_is_below_the_global_max():
     assert codes[codes[:, 0] <= t.threshold[0], 1].max() < codes[:, 1].max()
 
 
-def test_min_gain_binding():
+def test_min_gain_binding(monkeypatch):
     X, y = _data(600, seed=8)
     full = assert_same_tree(X, y, 8, 2)
-    pruned = assert_same_tree(X, y, 8, 2, min_gain=5.0)
+    monkeypatch.setattr(tree_mod, "MIN_GAIN", 5.0)
+    pruned = assert_same_tree(X, y, 8, 2)
     assert 1 < len(pruned.value) < len(full.value)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.scope import workload
 from repro.scope.workload import (
     PRODUCTION_CLUSTERS,
     Cluster,
@@ -88,9 +89,9 @@ def test_freq_distribution(tiny):
     assert runs.min() >= 1 and runs.max() <= 24
 
 
-def test_churn_replaces_templates():
-    cfg = ClusterConfig("churny", n_inputs=6, n_templates=30, adhoc_frac=0.1,
-                        churn=0.3, seed=1)
+def test_churn_replaces_templates(monkeypatch):
+    monkeypatch.setattr(workload, "CHURN", 0.3)
+    cfg = ClusterConfig("churny", n_inputs=6, n_templates=30, adhoc_frac=0.1, seed=1)
     cl = Cluster(cfg)
     live = cl.live_templates(5)
     dead = [t for t in cl.templates if t.dead_day is not None]
