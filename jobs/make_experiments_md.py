@@ -106,15 +106,18 @@ Caveats (honest deviations):
   template's candidate plans are compiled before either planner's clock
   starts, so neither planner pays for a compilation the other reuses
   (before, the default planner met each template first and paid it for
-  both, and the ratio read 1.1-1.3x). Over three runs of
-  `python jobs/run.py fig19` (4 cores), CLEO plans in 0.6 ms per job and
-  the default planner in 0.2 ms, 3.2-3.3x, against the paper's
-  1.05-1.10x. Every Fig 19 call is a template's first CLEO call, so it
-  also resolves the template's models. The paper's own measure is the
-  cost model's share of compile time, 5-10% (§6.6.1). Here the cost
-  model (`PlanResult.cost_model_seconds`: look-ups, curve folding,
-  partition exploration and pricing) is 75-76% of CLEO's planning time
-  over the same three runs. The rest is the simulator's statistics
+  both, and the ratio read 1.1-1.3x). The four timing rows keep two
+  significant digits and move with the host's load. Over three runs of
+  `python jobs/run.py fig19` (4 cores, a busy shared host), CLEO plans
+  in 1.6-2.3 ms per job and the default planner in 0.51-0.78 ms,
+  3.0-3.1x, against the paper's 1.05-1.10x; on a quieter host the same
+  planners read 0.6 and 0.2 ms, 3.2-3.3x. Every Fig 19 call is a
+  template's first CLEO call, so it also resolves the template's models
+  and builds its stage layout. The paper's own measure is the cost
+  model's share of compile time, 5-10% (§6.6.1). Here the cost model
+  (`PlanResult.cost_model_seconds`: look-ups, curve folding, partition
+  exploration and pricing) is 73-74% of CLEO's planning time over the
+  same three runs. The rest is the simulator's statistics
   derivation, which stands in for SCOPE's own estimation, so the share
   is far from the paper's: our "compiler" does little besides costing.
   Both planners are Python.

@@ -44,15 +44,17 @@ def _collect_stages(bank):
 
     Each template's executed plan is compiled once
     (``JobTemplate.executed``) and simulated on its rows, with the
-    generators of the instance's :func:`sim.run_keys` seeded in one
-    batch; the curves are the planner's row fold (``CleoPlanner``)."""
+    generators of its ``seed_keys`` seeded in one batch; a stage's
+    ground truth reads its positions' ``lat_slot`` states out of that
+    batch. The curves are the planner's row fold (``CleoPlanner``)."""
     cl = Cluster(cluster_config(CLUSTER))
     out = []
     for tpl in cl.live_templates(DAY):
         pm, base_cards, base_lens = cl.instance_inputs(tpl, DAY, 0)
         plan = tpl.executed()
         plans = plan.plans
-        batch = sim.RngBatch(sim.instance_seeds(plan.run_keys, (cl.cfg.name, tpl.tpl_id, DAY, 0)))
+        batch = sim.RngBatch(sim.instance_seeds(plan.seed_keys,
+                                                (cl.cfg.name, tpl.tpl_id, DAY, 0)))
         inst = sim.instantiate_plan(plans, plan.draw_keys, cl.world, base_cards, base_lens, pm,
                                     iter(batch))
         context = res.table_context(plans.table)
@@ -68,8 +70,8 @@ def _collect_stages(bank):
                     "stats": inst.stats,
                     "world": cl.world,
                     "pm": pm,
-                    # each position's "lat" generator, after the statistics draws
-                    "rngs": (batch, len(plan.draw_keys)),
+                    # each position's "lat" generator in the batch
+                    "rngs": (batch, plan.lat_slot),
                     "p_default": inst.partitions[stage[0]],
                 }
             )
@@ -81,10 +83,10 @@ def _collect_stages(bank):
 def _true_stage_cost(entry: dict, p: int) -> float:
     """Ground-truth total stage latency with the stage at ``p``."""
     stage = entry["positions"]
-    batch, offset = entry["rngs"]
+    batch, lat_slot = entry["rngs"]
     return sum(sim.latencies(entry["plans"], stage, entry["stats"], [p] * len(stage),
                              entry["world"], entry["pm"],
-                             batch.take(offset + i for i in stage)))
+                             batch.take(lat_slot[i] for i in stage)))
 
 
 def run() -> pd.DataFrame:

@@ -9,20 +9,21 @@ candidate its cost model prices cheapest. The two planners differ only
 in that cost model (``_costs``), which prices every candidate of a job
 instance in one call.
 
-A template's candidates are compiled once (:class:`TemplatePlans`, kept
-on the template): one table of distinct subtrees, each candidate a run
-of walk-order positions into it. Recurring candidates share every
-subtree below their first choice point (Fig 9's common subexpressions,
-a memo of identical subexpressions as in Cascades), so each job
-instance derives the statistics of a shared subtree once
-(``simulator.derive_rows``), and every candidate's partition counts in
-one gather (``simulator.heuristic_partitions``). Only the chosen
-candidate becomes a :class:`PlanNode` tree, and only its execution is
-simulated, after the planning clock stops.
+A template's candidates are compiled once (:func:`candidate_plans`, kept
+on the template) into a :class:`repro.scope.workload.TemplatePlans`, the
+type its executed plan is compiled into as well: one table of distinct
+subtrees, each candidate a run of walk-order positions into it.
+Recurring candidates share every subtree below their first choice point
+(Fig 9's common subexpressions, a memo of identical subexpressions as in
+Cascades), so each job instance derives the statistics of a shared
+subtree once (``simulator.derive_rows``), and every candidate's
+partition counts in one gather (``simulator.heuristic_partitions``).
+Only the chosen candidate becomes a :class:`PlanNode` tree, and only its
+execution is simulated, after the planning clock stops.
 
 ``CleoPlanner`` costs the candidates with the learned model hierarchy
 instead of the default cost model. Each distinct subtree's identity
-(§5.1 signatures) is computed once per template and its model resolved
+(§5.1 signatures) is computed once per template, and its model resolved
 once per template and planner. Once per job instance, the subtrees'
 statistics are folded into partition-cost curves, gathered to every
 candidate's operators, and a stage's operators' curves form its
@@ -30,11 +31,13 @@ resource-context (partition exploration); at the stage boundary the
 partitioning operator picks the count minimizing total predicted stage
 cost (partition optimization) — one array pass over every explored
 stage of every candidate, over a stage layout (and its ``stage_sums``
-gathers) built once per template. The plans' final costs read the same
-curves. A required co-partitioning property from a join fixes the other
-side's exchange without exploration (Fig 8a step 2). :class:`PlanResult`
-records each explored stage of the chosen plan (:class:`ExploredStage`),
-the planning time and the cost model's share of it.
+gathers) built once per template and planner. The planner keeps the
+models, context and layout per template, keyed by its compiled plans.
+The plans' final costs read the same curves. A required co-partitioning
+property from a join fixes the other side's exchange without
+exploration (Fig 8a step 2). :class:`PlanResult` records each explored
+stage of the chosen plan (:class:`ExploredStage`), the planning time and
+the cost model's share of it.
 
 ``DefaultPlanner`` is the baseline: the default cost model at a fixed
 assumed degree of parallelism, partition counts from the local
@@ -46,10 +49,11 @@ numbers so two planners' choices for the same job instance are
 comparable (§6.6.1). Every candidate of one job instance reads the same
 substrate draws (``simulator.seeded_draws``), and :class:`PlanResult`
 reports each candidate's predicted cost. A call seeds every generator
-its job instance reads in one :class:`repro.scope.simulator.RngBatch`:
-the statistics draws of every candidate, which fill the draws up
-front, and one ``"lat"`` key per distinct operator of the candidates,
-of which the chosen plan's latencies read their operators' states.
+its job instance reads in one :class:`repro.scope.simulator.RngBatch`,
+the candidates' seed keys (``simulator.plan_keys``): the statistics
+draws of every candidate, which fill the draws up front, and one
+``"lat"`` key per distinct operator of the candidates, of which the
+chosen plan's latencies read their operators' slots.
 Nothing drawn or seeded is kept from one call to the next.
 """
 from __future__ import annotations
@@ -70,10 +74,9 @@ from repro.scope.plan import (
     PlanNode,
     assign_input_templates,
     choice_points,
-    compile_plans,
     expand_physical,
 )
-from repro.scope.workload import JobTemplate
+from repro.scope.workload import JobTemplate, TemplatePlans
 
 MAX_CANDIDATES = 64  # exhaustive enumeration cap (<= 2 joins x 1 agg here)
 # A stage takes the explored count only if its predicted cost is below
@@ -126,6 +129,19 @@ def _candidates(tpl: JobTemplate) -> list[dict]:
     return [dict(zip(ids, combo)) for combo in combos]
 
 
+def candidate_plans(tpl: JobTemplate) -> TemplatePlans:
+    """The template's candidate plans (:func:`_candidates`), expanded and
+    compiled once and kept on the template (``JobTemplate.compiled``)."""
+    def build() -> TemplatePlans:
+        choices = _candidates(tpl)
+        roots = [expand_physical(tpl.logical_root, c) for c in choices]
+        for root in roots:
+            assign_input_templates(root)
+        return TemplatePlans(roots, choices)
+
+    return tpl.compiled("candidates", tpl.logical_root, build)
+
+
 @dataclass
 class StageLayout:
     """The Exchange stages of plans laid end to end that explore
@@ -171,76 +187,6 @@ class StageLayout:
                            ints(pin_pos), ints(pin_stage))
 
 
-class TemplatePlans:
-    """A template's candidate physical plans, compiled once and kept on
-    the template (``JobTemplate.memo``): their choices and
-    ``candidate_costs`` keys, the plans laid end to end over one table
-    of distinct subtrees (:class:`CompiledPlans`), and the keys of the
-    generators a job instance reads. The explored-stage layout and the
-    models' context features are built on first use; everything here
-    depends only on the template."""
-
-    def __init__(self, tpl: JobTemplate):
-        self.tpl_id = tpl.tpl_id
-        self.logical_root = tpl.logical_root
-        self.choices = _candidates(tpl)
-        self.keys = [tuple(c.items()) for c in self.choices]
-        roots = []
-        for choices in self.choices:
-            root = expand_physical(tpl.logical_root, choices)
-            assign_input_templates(root)
-            roots.append(root)
-        self.plans = compile_plans(roots)
-        self.rows = np.array(self.plans.rows, dtype=np.intp)
-        # The (kind, tpl_op_id) of every generator a job instance reads:
-        # the statistics draws of every candidate, then one "lat" per
-        # distinct operator; and each position's "lat" slot among them.
-        ids = self.plans.table.tpl_op_id
-        lat_ids = list(dict.fromkeys(ids))
-        self.draw_keys = sim.plan_draw_keys(self.plans)
-        self.seed_keys = self.draw_keys + [("lat", t) for t in lat_ids]
-        slot = {t: i for i, t in enumerate(lat_ids, start=len(self.draw_keys))}
-        self.lat_slot = [slot[ids[r]] for r in self.plans.rows]
-        self._layout: StageLayout | None = None
-        self._context: dict[str, list | np.ndarray] | None = None
-
-    @staticmethod
-    def of(tpl: JobTemplate) -> "TemplatePlans":
-        hit = tpl.memo.get("candidates")
-        if hit is None or hit.logical_root is not tpl.logical_root:
-            hit = tpl.memo["candidates"] = TemplatePlans(tpl)
-        return hit
-
-    def layout(self) -> StageLayout:
-        if self._layout is None:
-            self._layout = StageLayout.of(self.plans)
-        return self._layout
-
-    def context(self) -> dict[str, list | np.ndarray]:
-        """:func:`resource.table_context` of the candidates' table."""
-        if self._context is None:
-            self._context = res.table_context(self.plans.table)
-        return self._context
-
-    def tree(self, j: int, stats: sim.RowStats, partitions: list[int]) -> list[PlanNode]:
-        """The nodes, in walk order, of candidate ``j`` as a
-        :class:`PlanNode` tree with ``stats`` and ``partitions``."""
-        plans, table = self.plans, self.plans.table
-        lo = plans.starts[j]
-        nodes: list[PlanNode] = []
-        for i, p in zip(range(lo, plans.starts[j + 1]), partitions):
-            r = plans.rows[i]
-            nodes.append(PlanNode(
-                op=table.op[r], children=[nodes[k - lo] for k in plans.kids[i]],
-                input_templates=table.input_templates[r], tpl_op_id=table.tpl_op_id[r],
-                props=table.props[r], sel_param=table.sel_param[r],
-                true_in=stats.true_in[r], true_base=stats.true_base[r],
-                true_out=stats.true_out[r], est_in=stats.est_in[r],
-                est_base=stats.est_base[r], est_out=stats.est_out[r],
-                row_len=stats.row_len[r], partitions=p))
-        return nodes
-
-
 @dataclass
 class Instance:
     """The candidates of one job instance: their template's plans, the
@@ -280,7 +226,7 @@ class Planner:
     def plan(self, tpl: JobTemplate, world: sim.World, base_cards, base_lens,
              pm: float, seed_parts: tuple) -> PlanResult:
         t0 = time.perf_counter()
-        cands = TemplatePlans.of(tpl)
+        cands = candidate_plans(tpl)
         plans = cands.plans
         # Every generator the instance reads, seeded in one batch.
         rngs = sim.RngBatch(sim.instance_seeds(cands.seed_keys, seed_parts))
@@ -334,37 +280,39 @@ class CleoPlanner(Planner):
     def __init__(self, bank: ModelBank, explore_partitions: bool = True):
         self.bank = bank
         self.explore_partitions = explore_partitions
-        # tpl_id -> (the template's plans, resolved models of every row)
-        self._models: dict[str, tuple[TemplatePlans, tuple[np.ndarray, ...]]] = {}
+        self._memo: dict[TemplatePlans, tuple[tuple[np.ndarray, ...], dict, StageLayout]] = {}
 
-    def _resolved(self, cands: TemplatePlans) -> tuple[np.ndarray, ...]:
-        """The resolved models of every distinct subtree of a template's
-        candidates (:meth:`ModelBank.resolve`). They depend only on the
-        template, and the bank is fixed, so they are kept per template;
-        an entry is reused only for the very plans it was resolved
-        from."""
-        hit = self._models.get(cands.tpl_id)
-        if hit is None or hit[0] is not cands:
-            models = self.bank.resolve(cands.context())
+    def _template(self, cands: TemplatePlans) -> tuple[tuple[np.ndarray, ...], dict,
+                                                       StageLayout]:
+        """``(models, context, layout)`` of a template's candidates: the
+        resolved models of every distinct subtree
+        (:meth:`ModelBank.resolve`), their context
+        (:func:`resource.table_context`) and the explored-stage layout.
+        They depend only on the template's plans, and the bank is fixed,
+        so they are kept per plan set, keyed by the set itself."""
+        hit = self._memo.get(cands)
+        if hit is None:
+            context = res.table_context(cands.plans.table)
+            models = self.bank.resolve(context)
             for a in models:
                 a.flags.writeable = False
-            hit = self._models[cands.tpl_id] = (cands, models)
-        return hit[1]
+            hit = self._memo[cands] = (models, context, StageLayout.of(cands.plans))
+        return hit
 
     def _costs(self, inst, pm, counter) -> list[float]:
         # The curves of every distinct subtree, gathered to every
         # candidate's operators.
         cands = inst.cands
-        curves = res.row_curves(self._resolved(cands), cands.context(), inst.stats,
-                                pm)[cands.rows]
+        models, context, layout = self._template(cands)
+        curves = res.row_curves(models, context, inst.stats, pm)[cands.rows]
         if self.explore_partitions:
-            self._explore(inst, curves, counter)
+            self._explore(inst, layout, curves, counter)
         p = inst.partitions.astype(float)[:, None]
         cost = res.predict_costs_at(curves, p, counter)
         starts = cands.plans.starts
         return [float(cost[a:b].sum()) for a, b in zip(starts, starts[1:])]
 
-    def _explore(self, inst: Instance, curves: res.CostCurves,
+    def _explore(self, inst: Instance, lay: StageLayout, curves: res.CostCurves,
                  counter: res.LookupCounter) -> None:
         """Partition exploration and optimization (§5.3, Fig 8a step 9)
         of every explored stage of every candidate in one array pass:
@@ -373,7 +321,6 @@ class CleoPlanner(Planner):
         only if the models predict a material stage-cost win. A join's
         pinned inputs take their stage's final count, and the operators
         above each count are re-derived."""
-        lay = inst.cands.layout()
         if not len(lay.heads):
             return  # no Exchange stage to explore: the heuristic counts stand
         ctx = curves[lay.rows]  # every explored stage's resource-context

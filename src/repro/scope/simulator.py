@@ -39,12 +39,12 @@ their only implementation:
   execution, per position of one plan.
 
 :func:`instantiate_plan` runs them for one plan. The workload generator
-(on each template's compiled executed plan), both planners (on each
-template's compiled candidates) and Fig 17 (on a template's executed
-plan) call them directly. :func:`instantiate`, :func:`job_latency` and
-:func:`job_cpu_seconds` are the tree functions that remain, for callers
-that hold a :class:`PlanNode` tree: each compiles its tree alone, runs
-the rows and writes the results into the nodes.
+and Fig 17 (on a template's executed plan) and both planners (on its
+candidates) call them directly, on ``workload.TemplatePlans``.
+:func:`instantiate`, :func:`job_latency` and :func:`job_cpu_seconds`
+are the tree functions that remain, for callers that hold a
+:class:`PlanNode` tree: each compiles its tree alone, runs the rows and
+writes the results into the nodes.
 
 All randomness is derived deterministically from ``hash64`` of the
 entity keys, so the same workload is bit-identical across runs and
@@ -66,20 +66,20 @@ key's state just before that key's draws. The draws are the ones
 is gone. The same kernel serves every batch size:
 
 - a generated day (``Cluster.generate_days``): every key of the day's
-  runs, in run order: each run's ``"sizes"`` key, then its
-  :func:`run_keys`;
-- a single replayed instance (:func:`instantiate`, Fig 17): its
-  :func:`run_keys`;
-- a planner call (``cascades.Planner.plan``): the statistics draws of
-  every candidate plan, which pre-fill the instance's draws, and one
-  ``"lat"`` key per distinct operator of the candidates, of which the
-  chosen plan's latencies read their operators' states.
+  runs, in run order: each run's ``"sizes"`` key, then its seed keys;
+- a single replayed instance (:func:`instantiate`, Fig 17): its seed
+  keys;
+- a planner call (``cascades.Planner.plan``): the candidates' seed
+  keys, of which the chosen plan's latencies read their ``"lat"`` slots.
 
-A day and a replayed instance take their generators in
-:func:`run_keys` order through one body, :func:`instantiate_plan`.
-An instance's draws are a plain dict that its caller fills with every
-key it will read (:func:`seeded_draws`), so reading a key it was not
-given raises ``KeyError``.
+:func:`plan_keys` is the one rule for the seed keys of compiled
+plans: the statistics draws of every plan, which pre-fill the
+instance's draws, then one ``"lat"`` key per distinct operator. One plan
+reads them in that order, so a day and a replayed instance take their
+generators through one body, :func:`instantiate_plan`. An instance's
+draws are a plain dict that its caller fills with every key it will
+read (:func:`seeded_draws`), so reading a key it was not given raises
+``KeyError``.
 """
 from __future__ import annotations
 
@@ -518,22 +518,27 @@ def plan_cpu_seconds(ops: list[str], partitions: list[int], lat: list[float]) ->
     return total
 
 
-def plan_draw_keys(plans: CompiledPlans) -> list[tuple[str, str]]:
-    """The draw keys the statistics and heuristic partitions of
-    ``plans`` read, in first-read order."""
+def plan_keys(plans: CompiledPlans) -> tuple[list[tuple[str, str]], list[tuple[str, str]],
+                                             list[int]]:
+    """``(draw_keys, seed_keys, lat_slot)`` of a job instance of
+    ``plans``: the ``(kind, tpl_op_id)`` statistics and partition draws
+    of every plan, in first-read order; every key it seeds, the draws
+    then one ``"lat"`` per distinct operator id; and each position's
+    ``"lat"`` index in ``seed_keys``. One plan reads its ``"lat"`` keys
+    right after its draws, in position order (:func:`instantiate_plan`),
+    so a one-plan set whose lat slots are not consecutive raises."""
     table, rows = plans.table, plans.rows
-    est = [("est-jit", table.tpl_op_id[r]) for r in rows if table.est_draw[r]]
-    part = [("part", table.tpl_op_id[r]) for r in rows if table.partitioning[r]]
-    return list(dict.fromkeys(est + part))
-
-
-def run_keys(plans: CompiledPlans, draw_keys: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    """The ``(kind, tpl_op_id)`` of every generator :func:`instantiate_plan`
-    reads for one instance of the one plan of ``plans`` (whose
-    :func:`plan_draw_keys` are ``draw_keys``), in the order it reads
-    them: the statistics draws, then one ``"lat"`` per operator."""
-    ids = plans.table.tpl_op_id
-    return [*draw_keys, *(("lat", ids[r]) for r in plans.rows)]
+    ids = table.tpl_op_id
+    est = [("est-jit", ids[r]) for r in rows if table.est_draw[r]]
+    part = [("part", ids[r]) for r in rows if table.partitioning[r]]
+    draw_keys = list(dict.fromkeys(est + part))
+    lat_ids = list(dict.fromkeys(ids))
+    seed_keys = draw_keys + [("lat", t) for t in lat_ids]
+    slot = {t: i for i, t in enumerate(lat_ids, start=len(draw_keys))}
+    lat_slot = [slot[ids[r]] for r in rows]
+    if len(plans.starts) == 2 and lat_slot != list(range(len(draw_keys), len(seed_keys))):
+        raise ValueError("a plan's lat slots are not consecutive in position order")
+    return draw_keys, seed_keys, lat_slot
 
 
 def seeded_draws(draw_keys: list[tuple[str, str]],
@@ -560,15 +565,15 @@ def instantiate_plan(plans: CompiledPlans, draw_keys: list[tuple[str, str]], wor
                      base_cards: dict[str, float], base_lens: dict[str, float], pm: float,
                      rngs: Iterator[np.random.Generator]) -> Instance:
     """Statistics, heuristic partitions and actual latencies of the one
-    plan of ``plans`` (whose :func:`plan_draw_keys` are ``draw_keys``),
-    with per-operator randomness keyed by
-    ``tpl_op_id`` (common random numbers), so re-planned variants of the
-    same instance are directly comparable.
+    plan of ``plans`` (whose :func:`plan_keys` draw keys are
+    ``draw_keys``), with per-operator randomness keyed by ``tpl_op_id``
+    (common random numbers), so re-planned variants of the same instance
+    are directly comparable.
 
     ``base_cards``/``base_lens`` give the true cardinality and row
     length of each input template for this run. ``rngs`` yields the
-    generators of :func:`run_keys` in turn, seeded from the instance's
-    seed parts: a replayed instance's :class:`RngBatch`
+    generators of the plan's seed keys in turn, seeded from the
+    instance's seed parts: a replayed instance's :class:`RngBatch`
     (:func:`instantiate`) or a share of a day's (``Cluster.generate_days``)."""
     draws = seeded_draws(draw_keys, rngs)
     stats = derive_rows(plans.table, world, base_cards, base_lens, pm, draws)
@@ -603,10 +608,9 @@ def instantiate(
     a plan, in place: :func:`instantiate_plan` with the instance's keys
     seeded in one :class:`RngBatch`."""
     plans = compile_plans([root])
-    draw_keys = plan_draw_keys(plans)
-    seeds = instance_seeds(run_keys(plans, draw_keys), seed_parts)
+    draw_keys, seed_keys, _ = plan_keys(plans)
     inst = instantiate_plan(plans, draw_keys, world, base_cards, base_lens, pm,
-                            iter(RngBatch(seeds)))
+                            iter(RngBatch(instance_seeds(seed_keys, seed_parts))))
     _write_stats(root, plans, inst.stats)
     for node, p, lat in zip(root.walk(), inst.partitions, inst.latencies):
         node.partitions = p

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 import pandas as pd
@@ -32,7 +32,6 @@ import pandas as pd
 from repro.scope import default_cost as dc
 from repro.scope import simulator as sim
 from repro.scope.plan import (
-    CompiledPlans,
     PlanNode,
     compile_plans,
     assign_input_templates,
@@ -41,8 +40,8 @@ from repro.scope.plan import (
 )
 
 # The operator log's columns, in order. Run-level columns come first, then
-# the plan-level ones (:class:`ExecutedPlan`), ``pm``, the node
-# statistics below, and the default cost model's estimates.
+# the executed plan's table columns (ids, kinds and :meth:`PlanTable.identity`),
+# ``pm``, the node statistics below, and the default cost model's estimates.
 OP_COLUMNS = (
     "cluster", "day", "job_id", "template_id", "adhoc",
     "op_id", "op", "logical", "depth", "cl", "sig_sub", "sig_approx", "sig_opinput",
@@ -67,8 +66,8 @@ class ClusterConfig:
     n_inputs: int  # size of the recurring-input pool
     n_templates: int  # recurring job templates alive at day 1
     adhoc_frac: float  # fraction of daily jobs that are ad-hoc
+    seed: int
     n_input_weights: tuple[float, float, float] = (0.3, 0.5, 0.2)  # 1/2/3 inputs
-    seed: int = 0
 
 
 # ~100x scaled-down analogues of the paper's four production clusters
@@ -131,48 +130,62 @@ class JobTemplate:
     freq: int
     born_day: int = 1
     dead_day: int | None = None  # exclusive; None = alive forever
-    # What the simulator and the planners compile from the template, each
-    # entry built on first use and kept with the tree it was built from.
+    # What the simulator and the planners compile from the template:
+    # name -> (the tree it was compiled from, its TemplatePlans).
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def alive(self, day: int) -> bool:
         return self.born_day <= day and (self.dead_day is None or day < self.dead_day)
 
-    def executed(self) -> "ExecutedPlan":
-        """The executed plan ``root``, compiled once."""
-        hit = self.memo.get("executed")
-        if hit is None or hit.root is not self.root:
-            hit = self.memo["executed"] = ExecutedPlan.of(self.root)
-        return hit
+    def compiled(self, name: str, source: PlanNode,
+                 build: Callable[[], "TemplatePlans"]) -> "TemplatePlans":
+        """Memo entry ``name``: ``build()`` of the tree ``source``, built
+        again once the template holds another tree there."""
+        hit = self.memo.get(name)
+        if hit is None or hit[0] is not source:
+            hit = self.memo[name] = (source, build())
+        return hit[1]
+
+    def executed(self) -> "TemplatePlans":
+        """The executed plan ``root``, compiled once as a one-plan set."""
+        return self.compiled("executed", self.root,
+                             lambda: TemplatePlans([self.root], [self.choices]))
 
 
-@dataclass
-class ExecutedPlan:
-    """A template's executed plan compiled alone (``plans``), with its
-    operator-log columns that are the same on every run: operator ids
-    and kinds, and the identity columns (:meth:`PlanTable.identity`)."""
+class TemplatePlans:
+    """Physical plans of one template, compiled once: its executed plan
+    alone (:meth:`JobTemplate.executed`: the log generator, Fig 17) or its
+    candidates (``cascades.candidate_plans``: both planners). It holds
+    each plan's ``choices`` and ``candidate_costs`` key, the plans laid
+    end to end over one table of distinct subtrees (``plans``, and its
+    ``rows`` as an array), and the keys a job instance seeds
+    (:func:`sim.plan_keys`). A one-plan set's lat slots are
+    consecutive, so its rows are its positions, in order."""
 
-    root: PlanNode
-    plans: CompiledPlans
-    columns: dict[str, list]
-    draw_keys: list[tuple[str, str]]
-    run_keys: list[tuple[str, str]]  # every generator of one run (:func:`sim.run_keys`)
-    # A row column's values at the plan's positions (a plan has an Output
-    # above its inputs, so at least two).
-    gather: itemgetter
+    def __init__(self, roots: list[PlanNode], choices: list[dict]):
+        self.choices = choices
+        self.keys = [tuple(c.items()) for c in choices]
+        self.plans = compile_plans(roots)
+        self.rows = np.array(self.plans.rows, dtype=np.intp)
+        self.draw_keys, self.seed_keys, self.lat_slot = sim.plan_keys(self.plans)
 
-    @staticmethod
-    def of(root: PlanNode) -> "ExecutedPlan":
-        plans = compile_plans([root])
-        table, rows = plans.table, plans.rows
-        ident = table.identity()
-        columns = {c: [col[r] for r in rows] for c, col in (
-            ("op_id", table.tpl_op_id), ("op", table.op), ("logical", table.logical),
-            *((c, ident[c]) for c in ("depth", "cl", "sig_sub", "sig_approx",
-                                      "sig_opinput", "in_hash")))}
-        draw_keys = sim.plan_draw_keys(plans)
-        return ExecutedPlan(root, plans, columns, draw_keys, sim.run_keys(plans, draw_keys),
-                            itemgetter(*plans.rows))
+    def tree(self, j: int, stats: sim.RowStats, partitions: list[int]) -> list[PlanNode]:
+        """The nodes, in walk order, of plan ``j`` as a
+        :class:`PlanNode` tree with ``stats`` and ``partitions``."""
+        plans, table = self.plans, self.plans.table
+        lo = plans.starts[j]
+        nodes: list[PlanNode] = []
+        for i, p in zip(range(lo, plans.starts[j + 1]), partitions):
+            r = plans.rows[i]
+            nodes.append(PlanNode(
+                op=table.op[r], children=[nodes[k - lo] for k in plans.kids[i]],
+                input_templates=table.input_templates[r], tpl_op_id=table.tpl_op_id[r],
+                props=table.props[r], sel_param=table.sel_param[r],
+                true_in=stats.true_in[r], true_base=stats.true_base[r],
+                true_out=stats.true_out[r], est_in=stats.est_in[r],
+                est_base=stats.est_base[r], est_out=stats.est_out[r],
+                row_len=stats.row_len[r], partitions=p))
+        return nodes
 
 
 class Cluster:
@@ -368,10 +381,11 @@ class Cluster:
         """Instantiate all jobs for ``days``; returns (ops_df, jobs_df).
 
         Each day's generators are seeded in one :class:`sim.RngBatch`
-        over every run's ``"sizes"`` key and :func:`sim.run_keys`, in
-        run order. Every run is simulated on its template's compiled plan
-        (:meth:`JobTemplate.executed`), and the operator log is built
-        column by column from the compiled rows."""
+        over every run's ``"sizes"`` key and the seed keys of its
+        template's executed plan (:meth:`JobTemplate.executed`), in run
+        order. Every run is simulated on that compiled plan, whose rows
+        are its positions, so the operator log extends column by column
+        from the plan's table and the run's row statistics."""
         name = self.cfg.name
         ops: dict[str, list] = {c: [] for c in OP_COLUMNS}
         job_rows: list[dict] = []
@@ -380,7 +394,7 @@ class Cluster:
             plans = [tpl.executed() for tpl, _ in runs]
             seeds = np.fromiter(itertools.chain.from_iterable(
                 (hash64("sizes", tpl.tpl_id, day, k) & 0xFFFF_FFFF,
-                 *sim.instance_seeds(plan.run_keys, (name, tpl.tpl_id, day, k)))
+                 *sim.instance_seeds(plan.seed_keys, (name, tpl.tpl_id, day, k)))
                 for (tpl, k), plan in zip(runs, plans)), dtype=np.uint32)
             rngs = iter(sim.RngBatch(seeds))
             for seq, ((tpl, k), plan) in enumerate(zip(runs, plans), start=1):
@@ -389,11 +403,12 @@ class Cluster:
                 pm, base_cards, base_lens = self._instance_inputs(tpl, day, next(rngs))
                 inst = sim.instantiate_plan(plan.plans, plan.draw_keys, self.world, base_cards,
                                             base_lens, pm, rngs)
-                rows, n = plan.plans.rows, len(plan.plans)
+                table, n = plan.plans.table, len(plan.plans)
                 for col, v in (("cluster", name), ("day", day), ("job_id", job_id),
                                ("template_id", tpl.tpl_id), ("adhoc", is_adhoc)):
                     ops[col].extend([v] * n)
-                for col, v in plan.columns.items():
+                for col, v in (("op_id", table.tpl_op_id), ("op", table.op),
+                               ("logical", table.logical), *table.identity().items()):
                     ops[col].extend(v)
                 ops["pm"].extend([pm] * n)
                 stats = inst.stats
@@ -403,17 +418,17 @@ class Cluster:
                     elif attr == "actual_latency":
                         ops[col].extend(inst.latencies)
                     else:
-                        ops[col].extend(plan.gather(getattr(stats, attr)))
+                        ops[col].extend(getattr(stats, attr))
                 for col, true_cards in (("cost_default", False), ("cost_default_truecard", True)):
                     i, c = ((stats.true_in, stats.true_out) if true_cards
                             else (stats.est_in, stats.est_out))
-                    ops[col].extend([dc.op_cost(name, op, i[r], c[r], stats.row_len[r])
-                                     for op, r in zip(plan.columns["op"], rows)])
+                    ops[col].extend([dc.op_cost(name, *args) for args in
+                                     zip(table.op, i, c, stats.row_len)])
                 job_rows.append({
                     "cluster": name, "day": day, "job_id": job_id,
                     "template_id": tpl.tpl_id, "adhoc": is_adhoc,
                     "latency": sim.plan_latency(plan.plans, 0, inst.latencies),
-                    "cpu_seconds": sim.plan_cpu_seconds(plan.columns["op"], inst.partitions,
+                    "cpu_seconds": sim.plan_cpu_seconds(table.op, inst.partitions,
                                                         inst.latencies),
                     "n_ops": n,
                 })

@@ -45,11 +45,12 @@ class Query:
         return self.template.format(hint=hint, **params)
 
     def hint_clause(self, strategy: str) -> str:
-        """Spark join hint comment for the configured strategy."""
+        """Spark join hint comment for ``"default"`` (none) or ``"shuffle_hash"``."""
         if strategy == "default" or not self.hint_tables:
             return ""
-        name = {"shuffle_hash": "SHUFFLE_HASH", "merge": "MERGE"}[strategy]
-        return f"/*+ {name}({', '.join(self.hint_tables)}) */ "
+        if strategy != "shuffle_hash":
+            raise ValueError(f"unknown join strategy {strategy!r}")
+        return f"/*+ SHUFFLE_HASH({', '.join(self.hint_tables)}) */ "
 
 
 QUERIES: dict[str, Query] = {}

@@ -48,8 +48,6 @@ ALLOWED = {
     # The production clusters.
     "repro.scope.workload.ClusterConfig.n_input_weights":
         ("src/repro/scope/workload.py", "n_input_weights=(0.2, 0.45, 0.35)"),
-    "repro.scope.workload.ClusterConfig.seed":
-        ("src/repro/scope/workload.py", "seed=11"),
 }
 # numpy calls an ISeedSequence's generate_state with this signature.
 NUMPY_INTERFACE = {"repro.scope.simulator._Unseeded.generate_state(dtype)"}

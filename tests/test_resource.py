@@ -240,7 +240,7 @@ def test_plan_cost_curves_from_plan(tiny, tiny_bank):
     tpl = cl.templates[0]
     pm, bc, bl = cl.instance_inputs(tpl, 1, 0)
     plan = tpl.executed()
-    batch = sim.RngBatch(sim.instance_seeds(plan.run_keys, ("t", 1)))
+    batch = sim.RngBatch(sim.instance_seeds(plan.seed_keys, ("t", 1)))
     inst = sim.instantiate_plan(plan.plans, plan.draw_keys, cl.world, bc, bl, pm, iter(batch))
     context = res.table_context(plan.plans.table)
     curves = res.row_curves(tiny_bank.resolve(context), context, inst.stats, pm)

@@ -52,7 +52,7 @@ def test_draw_sequences_are_default_rng_draws(draw):
 def test_keyed_batch_is_rng_per_key():
     """Hashing the keys: the seeds of a tiny day's runs, as the workload
     generator makes them (a ``"sizes"`` key, then
-    :func:`sim.instance_seeds` of the run's :func:`sim.run_keys`), give
+    :func:`sim.instance_seeds` of the run's seed keys), give
     every key ``_rng``'s generator, in key order."""
     cl = Cluster(tiny_cluster())
     keys, seeds = [], []
@@ -61,9 +61,9 @@ def test_keyed_batch_is_rng_per_key():
         plans = compile_plans([tpl.root])
         keys += [("sizes", tpl.tpl_id, 1, k),
                  *((kind, *seed_parts, op_id)
-                   for kind, op_id in sim.run_keys(plans, sim.plan_draw_keys(plans)))]
+                   for kind, op_id in sim.plan_keys(plans)[1])]
         seeds += [hash64("sizes", tpl.tpl_id, 1, k) & 0xFFFF_FFFF,
-                  *sim.instance_seeds(tpl.executed().run_keys, seed_parts)]
+                  *sim.instance_seeds(tpl.executed().seed_keys, seed_parts)]
     assert len(keys) > 500
     for key, g in zip(keys, sim.RngBatch(seeds), strict=True):
         assert g.bit_generator.state == sim._rng(*key).bit_generator.state, key

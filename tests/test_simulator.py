@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.optimizer.cascades import TemplatePlans
+from repro.optimizer.cascades import candidate_plans
 from repro.scope import simulator as sim
 from repro.scope.plan import assign_input_templates, compile_plans, expand_physical, PlanNode
 from tests.test_cascades_reference import reference_rederive
@@ -152,7 +152,7 @@ def test_assign_partitions_matches_per_join_rederivation(tiny):
     for tpl in cl.live_templates(3):
         pm, cards, lens = cl.instance_inputs(tpl, 3, 0)
         seed = (cl.cfg.name, tpl.tpl_id, 3, 0)
-        cands = TemplatePlans.of(tpl)
+        cands = candidate_plans(tpl)
         plans = cands.plans
         draws = sim.seeded_draws(cands.draw_keys, iter(sim.RngBatch(
             sim.instance_seeds(cands.draw_keys, seed))))

@@ -19,7 +19,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.optimizer.cascades import TemplatePlans
+from repro.optimizer.cascades import candidate_plans
 from repro.scope import default_cost as dc
 from repro.scope import simulator as sim
 from repro.scope.plan import PlanNode, assign_input_templates, compile_plans, expand_physical
@@ -154,7 +154,7 @@ def test_compiled_candidates_match_the_eager_draws(tiny):
     cl, _, _ = tiny
     checked = 0
     for tpl in cl.live_templates(3):
-        cands = TemplatePlans.of(tpl)
+        cands = candidate_plans(tpl)
         plans, table = cands.plans, cands.plans.table
         for k in range(tpl.freq):
             pm, cards, lens = cl.instance_inputs(tpl, 3, k)
@@ -175,8 +175,8 @@ def test_compiled_candidates_match_the_eager_draws(tiny):
                 assert got == [[getattr(n, a) for a in STATS] for n in want.walk()]
                 checked += 1
     assert checked > 100
-    assert sum(len(TemplatePlans.of(t).plans.table) for t in cl.live_templates(3)) < \
-        sum(len(TemplatePlans.of(t).plans) for t in cl.live_templates(3))
+    assert sum(len(candidate_plans(t).plans.table) for t in cl.live_templates(3)) < \
+        sum(len(candidate_plans(t).plans) for t in cl.live_templates(3))
 
 
 def reference_logs(cl: Cluster, days: list[int]) -> tuple[pd.DataFrame, pd.DataFrame]:
@@ -262,7 +262,7 @@ class RecordingDraws(dict):
 def test_only_drawing_operators_seed_a_generator(tiny):
     """Leaves and selectivity-estimating operators draw ``est-jit``;
     Extract and Exchange draw ``part``; nothing else draws, and
-    ``plan_draw_keys`` lists the draws in the order they are read."""
+    ``plan_keys`` lists the draws in the order they are read."""
     cl, _, _ = tiny
     tpl = cl.live_templates(3)[0]
     pm, cards, lens = cl.instance_inputs(tpl, 3, 0)
@@ -276,7 +276,7 @@ def test_only_drawing_operators_seed_a_generator(tiny):
             if not n.children or n.logical not in ("Exchange", "Sort", "Project", "Output")}
     want |= {("part", n.tpl_op_id) for n in nodes if n.op in ("Extract", "Exchange")}
     assert set(draws) == want
-    assert list(draws) == sim.plan_draw_keys(plans)
+    assert list(draws) == sim.plan_keys(plans)[0]
     assert len(draws) < 2 * len(nodes)
 
 
@@ -310,7 +310,7 @@ def test_stage_latencies_match_the_eager_draws(tiny):
         for k in range(tpl.freq):
             pm, cards, lens = cl.instance_inputs(tpl, 3, k)
             seed = (cl.cfg.name, tpl.tpl_id, 3, k)
-            batch = sim.RngBatch(sim.instance_seeds(plan.run_keys, seed))
+            batch = sim.RngBatch(sim.instance_seeds(plan.seed_keys, seed))
             inst = sim.instantiate_plan(plans, plan.draw_keys, cl.world, cards, lens, pm,
                                         iter(batch))
             root = _physical(tpl, tpl.choices)

@@ -54,7 +54,6 @@ def test_hint_clause_formats():
     q = QUERIES["q8"]
     assert q.hint_clause("default") == ""
     assert q.hint_clause("shuffle_hash") == "/*+ SHUFFLE_HASH(l, o) */ "
-    assert q.hint_clause("merge") == "/*+ MERGE(l, o) */ "
 
 
 def test_hint_changes_physical_plan(spark, tpch_tables):

@@ -7,11 +7,14 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.optimizer.cascades import candidate_plans
 from repro.scope import workload
+from repro.scope.plan import PlanNode
 from repro.scope.workload import (
     PRODUCTION_CLUSTERS,
     Cluster,
     ClusterConfig,
+    TemplatePlans,
     tiny_cluster,
 )
 
@@ -101,6 +104,42 @@ def test_churn_replaces_templates(monkeypatch):
     # Every template that died was replaced the same day.
     assert len(live) == cfg.n_templates
     assert not {id(t) for t in dead} & {id(t) for t in live}
+
+
+@pytest.mark.parametrize("cfg", [tiny_cluster(), PRODUCTION_CLUSTERS[3]],
+                         ids=["tiny", "cluster4"])
+def test_executed_plan_is_a_candidate(cfg):
+    """Every template run on days 1-3, ad-hoc ones included: its executed
+    plan, compiled as a one-plan set, reads its ``"lat"`` slots right
+    after its draws in position order, and its ``(op, tpl_op_id)`` per
+    position are those of the candidate of its ``choices`` among the
+    template's candidate plans, so the logged plan is one the planners
+    cost."""
+    cl = Cluster(cfg)
+    checked = adhoc = 0
+    for day in (1, 2, 3):
+        for tpl in [tpl for tpl, k in cl.runs(day) if k == 0]:
+            plan = tpl.executed()
+            first = len(plan.draw_keys)
+            assert plan.lat_slot == list(range(first, first + len(plan.plans))), tpl.tpl_id
+            cands = candidate_plans(tpl)
+            j = cands.choices.index(tpl.choices)
+            lo, hi = cands.plans.starts[j], cands.plans.starts[j + 1]
+            got, want = plan.plans.table, cands.plans.table
+            assert [(got.op[r], got.tpl_op_id[r]) for r in plan.plans.rows] == \
+                [(want.op[r], want.tpl_op_id[r]) for r in cands.plans.rows[lo:hi]], tpl.tpl_id
+            checked += 1
+            adhoc += tpl.tpl_id.startswith(f"{cfg.name}_adhoc")
+    assert checked > 3 * cfg.n_templates and adhoc > 0
+
+
+def test_one_plan_with_a_repeated_operator_id_raises():
+    """A plan whose operator ids repeat would read one ``"lat"`` slot
+    twice, out of the order the simulator takes them in."""
+    leaf = PlanNode(op="Extract", input_templates=("in",), tpl_op_id="x", props="in")
+    root = PlanNode(op="Filter", children=[leaf], input_templates=("in",), tpl_op_id="x")
+    with pytest.raises(ValueError, match="lat slots"):
+        TemplatePlans([root], [{}])
 
 
 def test_production_cluster_configs():
