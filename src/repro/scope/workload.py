@@ -17,7 +17,10 @@ Four synthetic clusters, each with:
 
 ``Cluster.generate_days`` returns two pandas DataFrames: one row per
 operator instance (the training log CLEO consumes) and one per job.
-Scales are ~100× below the paper's production trace (DESIGN.md).
+Every run is simulated on its template's executed plan, compiled once
+into a :class:`TemplatePlans`, the type the planners compile a
+template's candidates into as well. Scales are ~100× below the paper's
+production trace (DESIGN.md).
 """
 from __future__ import annotations
 
