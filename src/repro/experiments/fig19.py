@@ -27,7 +27,9 @@ them whose explored count the ``ACCEPT_MARGIN`` check accepted (the
 rest were rejected and kept the heuristic count).
 
 Baseline = the plan the production runtime executed (the logged
-template choices + heuristic partitions); CLEO = CleoPlanner with the
+template choices + heuristic partitions), replayed as the log generator
+runs it: the template's compiled executed plan (``JobTemplate.executed``)
+with its seed keys seeded in one batch; CLEO = CleoPlanner with the
 learned bank trained on days 1-2. Both plans of each job are executed
 in the ground-truth simulator under common random numbers.
 """
@@ -42,12 +44,7 @@ from repro.core.models import train_bank
 from repro.experiments.common import cluster_config, get_logs
 from repro.optimizer.cascades import CleoPlanner, DefaultPlanner, candidate_plans
 from repro.scope import simulator as sim
-from repro.scope.plan import (
-    assign_input_templates,
-    expand_physical,
-    operator_signature,
-    plan_signature,
-)
+from repro.scope.plan import operator_signature, plan_signature
 from repro.scope.workload import Cluster
 
 PAPER = {
@@ -95,9 +92,11 @@ def run() -> pd.DataFrame:
     for tpl in cl.live_templates(DAY):
         pm, base_cards, base_lens = cl.instance_inputs(tpl, DAY, 0)
         seed = (cl.cfg.name, tpl.tpl_id, DAY, 0)
-        base = expand_physical(tpl.logical_root, tpl.choices)
-        assign_input_templates(base)
-        sim.instantiate(base, cl.world, base_cards, base_lens, pm, seed)
+        plan = tpl.executed()
+        inst = sim.instantiate_plan(
+            plan.plans, plan.draw_keys, cl.world, base_cards, base_lens, pm,
+            iter(sim.RngBatch(sim.instance_seeds(plan.seed_keys, seed))))
+        base = plan.tree(0, inst.partitions)[-1]
         candidate_plans(tpl)
         base_planner = DefaultPlanner(CLUSTER)
         t_base = base_planner.plan(tpl, cl.world, base_cards, base_lens, pm, seed)
@@ -105,13 +104,14 @@ def run() -> pd.DataFrame:
         r0 = planner_noexp.plan(tpl, cl.world, base_cards, base_lens, pm, seed)
         recs.append(
             {
-                "lat_base": sim.job_latency(base),
+                "lat_base": sim.plan_latency(plan.plans, 0, inst.latencies),
                 "lat_cleo": r.actual_latency,
-                "cpu_base": sim.job_cpu_seconds(base),
+                "cpu_base": sim.plan_cpu_seconds(plan.plans.table.op, inst.partitions,
+                                                 inst.latencies),
                 "cpu_cleo": r.cpu_seconds,
                 "changed_impl": operator_signature(r0.root) != operator_signature(base),
                 "changed_any": plan_signature(r.root) != plan_signature(base),
-                "p_base": float(np.mean([n.partitions for n in base.walk()])),
+                "p_base": float(np.mean(inst.partitions)),
                 "p_cleo": float(np.mean([n.partitions for n in r.root.walk()])),
                 "plan_s_default": t_base.planning_seconds,
                 "plan_s_cleo": r.planning_seconds,

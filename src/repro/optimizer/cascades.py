@@ -18,8 +18,10 @@ Recurring candidates share every subtree below their first choice point
 Cascades), so each job instance derives the statistics of a shared
 subtree once (``simulator.derive_rows``), and every candidate's
 partition counts in one gather (``simulator.heuristic_partitions``).
-Only the chosen candidate becomes a :class:`PlanNode` tree, and only its
-execution is simulated, after the planning clock stops.
+Only the chosen candidate becomes a :class:`PlanNode` tree, which holds
+its partition counts and latencies (the statistics stay in the
+instance's ``simulator.RowStats``), and only its execution is simulated,
+after the planning clock stops.
 
 ``CleoPlanner`` costs the candidates with the learned model hierarchy
 instead of the default cost model. Each distinct subtree's identity
@@ -72,9 +74,7 @@ from repro.scope.plan import (
     JOIN_OPS,
     CompiledPlans,
     PlanNode,
-    assign_input_templates,
     choice_points,
-    expand_physical,
 )
 from repro.scope.workload import JobTemplate, TemplatePlans
 
@@ -102,7 +102,7 @@ class ExploredStage:
 
 @dataclass
 class PlanResult:
-    root: PlanNode  # chosen physical plan, fully instantiated
+    root: PlanNode  # chosen physical plan, with its partition counts and latencies
     choices: dict  # physical choices made
     predicted_cost: float
     lookups: int  # learned-model invocations
@@ -132,14 +132,8 @@ def _candidates(tpl: JobTemplate) -> list[dict]:
 def candidate_plans(tpl: JobTemplate) -> TemplatePlans:
     """The template's candidate plans (:func:`_candidates`), expanded and
     compiled once and kept on the template (``JobTemplate.compiled``)."""
-    def build() -> TemplatePlans:
-        choices = _candidates(tpl)
-        roots = [expand_physical(tpl.logical_root, c) for c in choices]
-        for root in roots:
-            assign_input_templates(root)
-        return TemplatePlans(roots, choices)
-
-    return tpl.compiled("candidates", tpl.logical_root, build)
+    return tpl.compiled("candidates", tpl.logical_root,
+                        lambda: TemplatePlans.expand(tpl.logical_root, _candidates(tpl)))
 
 
 @dataclass
@@ -243,7 +237,7 @@ class Planner:
                 best = i
         lo, hi = plans.starts[best], plans.starts[best + 1]
         partitions = inst.partitions[lo:hi].tolist()
-        nodes = cands.tree(best, stats, partitions)
+        nodes = cands.tree(best, partitions)
         planning_seconds = time.perf_counter() - t0
         lat = sim.latencies(plans, range(lo, hi), stats, partitions, world, pm,
                             rngs.take(cands.lat_slot[lo:hi]))

@@ -1,9 +1,12 @@
 """Physical plan IR and the recursive operator signatures of §5.1.
 
-A plan is a tree of :class:`PlanNode`. Each node carries template-level
-identity (physical/logical operator, which normalized inputs feed it)
-and, once instantiated for a particular job run, the estimated and true
-statistics plus the simulated actual latency.
+A plan is a tree of :class:`PlanNode`: a logical template tree, or the
+physical plan :func:`expand_physical` makes of it. A node carries only
+template-level identity (physical/logical operator, which normalized
+inputs feed it) and, once a job run is simulated on it, the partition
+count and the actual latency of each operator. A run's statistics live
+in ``simulator.RowStats``, one value per row of compiled plans
+(:class:`PlanTable`, :class:`CompiledPlans`), never on a node.
 
 Signatures follow §5.1: a 64-bit hash "recursively computed in a
 bottom-up fashion by combining (i) the signatures of children operators,
@@ -67,7 +70,9 @@ def hash_text(text: str) -> int:
 
 @dataclass
 class PlanNode:
-    """One physical operator in a plan (template or instance)."""
+    """One operator of a plan: its template-level fields, plus the
+    partition count and actual latency of a simulated run (the tree
+    ``simulator.instantiate`` fills and a planner's chosen plan)."""
 
     op: str
     children: list["PlanNode"] = field(default_factory=list)
@@ -76,14 +81,7 @@ class PlanNode:
     tpl_op_id: str = ""  # stable id of this operator within its template
     props: str = ""  # logical properties (e.g. join/agg keys id, sort order)
     sel_param: float = 1.0  # template-level selectivity/fanout parameter
-    # --- instance-level statistics (filled by the simulator) ----------
-    true_in: float = 0.0  # true input cardinality (sum over children)
-    true_base: float = 0.0  # true cardinality at the leaves
-    true_out: float = 0.0  # true output cardinality
-    est_in: float = 0.0  # estimated counterparts (what the optimizer saw)
-    est_base: float = 0.0
-    est_out: float = 0.0
-    row_len: float = 0.0  # average output row length (bytes)
+    # --- a simulated run ----------------------------------------------
     partitions: int = 1
     actual_latency: float = 0.0  # simulated exclusive runtime (seconds)
 

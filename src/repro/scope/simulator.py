@@ -1,11 +1,11 @@
 """Ground-truth runtime simulator and estimated-statistics model.
 
-This is the stand-in for the SCOPE clusters: given an instantiated plan
-it fills in, bottom-up, the *true* cardinalities, the *estimated*
-cardinalities the optimizer would have seen (with errors that compound
-up the plan, §3.1/§4.1), partition counts chosen by the default
-partitioning heuristic (§5.2), and the actual exclusive latency of every
-operator.
+This is the stand-in for the SCOPE clusters: for one job run of a
+compiled plan it derives, bottom-up, the *true* cardinalities, the
+*estimated* cardinalities the optimizer would have seen (with errors
+that compound up the plan, §3.1/§4.1), partition counts chosen by the
+default partitioning heuristic (§5.2), and the actual exclusive latency
+of every operator.
 
 The latency model deliberately contains everything the paper says a
 hand-crafted cost model cannot capture:
@@ -28,7 +28,8 @@ rows and :class:`repro.scope.plan.CompiledPlans` positions), and this is
 their only implementation:
 
 - :func:`derive_rows`: true and estimated statistics, once per table
-  row. A subtree's statistics depend only on the subtree, so the
+  row, as a :class:`RowStats`, the one place a run's statistics are
+  kept. A subtree's statistics depend only on the subtree, so the
   candidate plans of a template, which share the rows of their common
   subtrees, derive each shared subtree once per job instance;
 - :func:`heuristic_partitions`: the heuristic count of each
@@ -38,13 +39,13 @@ their only implementation:
 - :func:`latencies`, :func:`plan_latency` and :func:`plan_cpu_seconds`:
   execution, per position of one plan.
 
-:func:`instantiate_plan` runs them for one plan. The workload generator
-and Fig 17 (on a template's executed plan) and both planners (on its
-candidates) call them directly, on ``workload.TemplatePlans``.
+:func:`instantiate_plan` runs them for one plan. The workload generator,
+Fig 17 and Fig 19 (on a template's executed plan) and both planners (on
+its candidates) call them directly, on ``workload.TemplatePlans``.
 :func:`instantiate`, :func:`job_latency` and :func:`job_cpu_seconds`
-are the tree functions that remain, for callers that hold a
-:class:`PlanNode` tree: each compiles its tree alone, runs the rows and
-writes the results into the nodes.
+are tree functions that only the benchmark harness (``cleobench``)
+still calls, on a :class:`PlanNode` tree: each compiles its tree alone,
+runs the rows and writes each node's partition count and latency.
 
 All randomness is derived deterministically from ``hash64`` of the
 entity keys, so the same workload is bit-identical across runs and
@@ -67,8 +68,8 @@ is gone. The same kernel serves every batch size:
 
 - a generated day (``Cluster.generate_days``): every key of the day's
   runs, in run order: each run's ``"sizes"`` key, then its seed keys;
-- a single replayed instance (:func:`instantiate`, Fig 17): its seed
-  keys;
+- a single replayed instance (Fig 17, Fig 19, :func:`instantiate`): its
+  seed keys;
 - a planner call (``cascades.Planner.plan``): the candidates' seed
   keys, of which the chosen plan's latencies read their ``"lat"`` slots.
 
@@ -574,7 +575,7 @@ def instantiate_plan(plans: CompiledPlans, draw_keys: list[tuple[str, str]], wor
     length of each input template for this run. ``rngs`` yields the
     generators of the plan's seed keys in turn, seeded from the
     instance's seed parts: a replayed instance's :class:`RngBatch`
-    (:func:`instantiate`) or a share of a day's (``Cluster.generate_days``)."""
+    (Fig 17, Fig 19) or a share of a day's (``Cluster.generate_days``)."""
     draws = seeded_draws(draw_keys, rngs)
     stats = derive_rows(plans.table, world, base_cards, base_lens, pm, draws)
     parts = heuristic_partitions(plans, stats, draws).tolist()
@@ -583,18 +584,9 @@ def instantiate_plan(plans: CompiledPlans, draw_keys: list[tuple[str, str]], wor
 
 
 # ---------------------------------------------------------------------------
-# Tree functions: compile a PlanNode tree, run the row functions, write back
+# Tree functions, for the benchmark harness only: compile a PlanNode tree,
+# run the row functions, write back partitions and latencies
 # ---------------------------------------------------------------------------
-
-STAT_FIELDS = ("true_in", "true_base", "true_out", "est_in", "est_base", "est_out", "row_len")
-
-
-def _write_stats(root: PlanNode, plans: CompiledPlans, stats: RowStats) -> None:
-    cols = [getattr(stats, f) for f in STAT_FIELDS]
-    for node, r in zip(root.walk(), plans.rows):
-        for f, col in zip(STAT_FIELDS, cols):
-            setattr(node, f, col[r])
-
 
 def instantiate(
     root: PlanNode,
@@ -604,14 +596,14 @@ def instantiate(
     pm: float,
     seed_parts: tuple,
 ) -> None:
-    """Fill instance statistics, partition counts and actual latencies of
-    a plan, in place: :func:`instantiate_plan` with the instance's keys
-    seeded in one :class:`RngBatch`."""
+    """Fill the partition counts and actual latencies of a plan's nodes,
+    in place: :func:`instantiate_plan` with the instance's keys seeded in
+    one :class:`RngBatch`. The run's statistics are not kept; the
+    compiled path (:func:`instantiate_plan`) returns them."""
     plans = compile_plans([root])
     draw_keys, seed_keys, _ = plan_keys(plans)
     inst = instantiate_plan(plans, draw_keys, world, base_cards, base_lens, pm,
                             iter(RngBatch(instance_seeds(seed_keys, seed_parts))))
-    _write_stats(root, plans, inst.stats)
     for node, p, lat in zip(root.walk(), inst.partitions, inst.latencies):
         node.partitions = p
         node.actual_latency = lat

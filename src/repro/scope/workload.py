@@ -51,11 +51,11 @@ OP_COLUMNS = (
     "in_hash", "pm", "I", "B", "C", "L", "P", "true_I", "true_B", "true_C", "actual",
     "cost_default", "cost_default_truecard",
 )
-# Operator-log column -> the PlanNode attribute it records.
+# Operator-log column -> the ``sim.RowStats`` field it records. ``P`` and
+# ``actual`` record the run's partition counts and latencies.
 NODE_STATS = {
-    "I": "est_in", "B": "est_base", "C": "est_out", "L": "row_len", "P": "partitions",
+    "I": "est_in", "B": "est_base", "C": "est_out", "L": "row_len",
     "true_I": "true_in", "true_B": "true_base", "true_C": "true_out",
-    "actual": "actual_latency",
 }
 
 FREQ_CHOICES = [1, 2, 4, 8, 24]
@@ -127,14 +127,13 @@ class PrepChain:
 class JobTemplate:
     tpl_id: str
     logical_root: PlanNode  # logical tree (re-planned by the optimizer)
-    choices: dict  # the production planner's physical choices
-    root: PlanNode  # the executed physical plan (= expand(logical, choices))
+    choices: dict  # the production planner's physical choices: the executed plan
     inputs: tuple[str, ...]
     freq: int
     born_day: int = 1
     dead_day: int | None = None  # exclusive; None = alive forever
     # What the simulator and the planners compile from the template:
-    # name -> (the tree it was compiled from, its TemplatePlans).
+    # name -> (the logical tree it was expanded from, its TemplatePlans).
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def alive(self, day: int) -> bool:
@@ -142,23 +141,25 @@ class JobTemplate:
 
     def compiled(self, name: str, source: PlanNode,
                  build: Callable[[], "TemplatePlans"]) -> "TemplatePlans":
-        """Memo entry ``name``: ``build()`` of the tree ``source``, built
-        again once the template holds another tree there."""
+        """Memo entry ``name``: ``build()`` of the logical tree ``source``,
+        built again once the template holds another tree there."""
         hit = self.memo.get(name)
         if hit is None or hit[0] is not source:
             hit = self.memo[name] = (source, build())
         return hit[1]
 
     def executed(self) -> "TemplatePlans":
-        """The executed plan ``root``, compiled once as a one-plan set."""
-        return self.compiled("executed", self.root,
-                             lambda: TemplatePlans([self.root], [self.choices]))
+        """The executed plan, ``logical_root`` under ``choices``, expanded
+        and compiled on first use as a one-plan set."""
+        return self.compiled("executed", self.logical_root,
+                             lambda: TemplatePlans.expand(self.logical_root, [self.choices]))
 
 
 class TemplatePlans:
     """Physical plans of one template, compiled once: its executed plan
-    alone (:meth:`JobTemplate.executed`: the log generator, Fig 17) or its
-    candidates (``cascades.candidate_plans``: both planners). It holds
+    alone (:meth:`JobTemplate.executed`: the log generator, Figs 17 and
+    19) or its candidates (``cascades.candidate_plans``: both planners),
+    each expanded from the logical tree (:meth:`expand`). It holds
     each plan's ``choices`` and ``candidate_costs`` key, the plans laid
     end to end over one table of distinct subtrees (``plans``, and its
     ``rows`` as an array), and the keys a job instance seeds
@@ -172,9 +173,17 @@ class TemplatePlans:
         self.rows = np.array(self.plans.rows, dtype=np.intp)
         self.draw_keys, self.seed_keys, self.lat_slot = sim.plan_keys(self.plans)
 
-    def tree(self, j: int, stats: sim.RowStats, partitions: list[int]) -> list[PlanNode]:
+    @staticmethod
+    def expand(logical_root: PlanNode, choices: list[dict]) -> "TemplatePlans":
+        """The physical plans of ``logical_root`` under each of ``choices``."""
+        roots = [expand_physical(logical_root, c) for c in choices]
+        for root in roots:
+            assign_input_templates(root)
+        return TemplatePlans(roots, choices)
+
+    def tree(self, j: int, partitions: list[int]) -> list[PlanNode]:
         """The nodes, in walk order, of plan ``j`` as a
-        :class:`PlanNode` tree with ``stats`` and ``partitions``."""
+        :class:`PlanNode` tree with ``partitions``."""
         plans, table = self.plans, self.plans.table
         lo = plans.starts[j]
         nodes: list[PlanNode] = []
@@ -183,11 +192,7 @@ class TemplatePlans:
             nodes.append(PlanNode(
                 op=table.op[r], children=[nodes[k - lo] for k in plans.kids[i]],
                 input_templates=table.input_templates[r], tpl_op_id=table.tpl_op_id[r],
-                props=table.props[r], sel_param=table.sel_param[r],
-                true_in=stats.true_in[r], true_base=stats.true_base[r],
-                true_out=stats.true_out[r], est_in=stats.est_in[r],
-                est_base=stats.est_base[r], est_out=stats.est_out[r],
-                row_len=stats.row_len[r], partitions=p))
+                props=table.props[r], sel_param=table.sel_param[r], partitions=p))
         return nodes
 
 
@@ -302,12 +307,9 @@ class Cluster:
                             props=f"ak{key}", sel_param=reduction)
         node = PlanNode(op="Output", children=[node], tpl_op_id=f"{tpl_id}_out")
         assign_input_templates(node)
-        physical = expand_physical(node, choices)
-        assign_input_templates(physical)
         freq = int(g.choice(FREQ_CHOICES, p=FREQ_WEIGHTS)) if adhoc_tag is None else 1
         return JobTemplate(tpl_id=tpl_id, logical_root=node, choices=choices,
-                           root=physical, inputs=tuple(inputs),
-                           freq=freq, born_day=born_day)
+                           inputs=tuple(inputs), freq=freq, born_day=born_day)
 
     def live_templates(self, day: int) -> list[JobTemplate]:
         """The recurring templates alive on ``day``. The template
@@ -355,7 +357,7 @@ class Cluster:
         pm = float(g_inst.random())
         base_cards: dict[str, float] = {}
         base_lens: dict[str, float] = {}
-        for name in dict.fromkeys(tpl.root.input_templates):
+        for name in tpl.inputs:
             it = self.inputs[name]
             base_cards[name] = max(
                 10.0,
@@ -416,12 +418,9 @@ class Cluster:
                 ops["pm"].extend([pm] * n)
                 stats = inst.stats
                 for col, attr in NODE_STATS.items():
-                    if attr == "partitions":
-                        ops[col].extend(inst.partitions)
-                    elif attr == "actual_latency":
-                        ops[col].extend(inst.latencies)
-                    else:
-                        ops[col].extend(getattr(stats, attr))
+                    ops[col].extend(getattr(stats, attr))
+                ops["P"].extend(inst.partitions)
+                ops["actual"].extend(inst.latencies)
                 for col, true_cards in (("cost_default", False), ("cost_default_truecard", True)):
                     i, c = ((stats.true_in, stats.true_out) if true_cards
                             else (stats.est_in, stats.est_out))

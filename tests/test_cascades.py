@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.features import FEATURE_NAMES, P_FEATURE_INDEX
-from repro.optimizer.cascades import CleoPlanner, DefaultPlanner, _candidates
+from repro.optimizer.cascades import CleoPlanner, DefaultPlanner, _candidates, candidate_plans
 from repro.scope import simulator as sim
 from repro.scope.plan import (
     PlanNode,
@@ -75,13 +75,22 @@ def test_cleo_planner_deterministic(planning_setup, tiny_bank):
 def test_predicted_cost_matches_feature_matrix_reference(planning_setup, tiny_bank,
                                                          explore):
     """The plan cost read from the curves equals the resolved models'
-    ``predict`` on the feature matrix, summed over the chosen plan."""
+    ``predict`` on the feature matrix, summed over the chosen plan's
+    operators at its counts, with the statistics of the job instance's
+    candidate rows."""
     from tests.test_resource import plan_rows, reference_costs
 
     cl, tpl, pm, bc, bl, seed = planning_setup
     r = CleoPlanner(tiny_bank, explore_partitions=explore).plan(
         tpl, cl.world, bc, bl, pm, seed)
-    want = reference_costs(tiny_bank, plan_rows(r.root, pm)).sum()
+    cands = candidate_plans(tpl)
+    plans = cands.plans
+    draws = sim.seeded_draws(cands.draw_keys, iter(sim.RngBatch(
+        sim.instance_seeds(cands.draw_keys, seed))))
+    stats = sim.derive_rows(plans.table, cl.world, bc, bl, pm, draws)
+    j = cands.choices.index(r.choices)
+    rows = plans.rows[plans.starts[j]:plans.starts[j + 1]]
+    want = reference_costs(tiny_bank, plan_rows(r.root.walk(), rows, stats, pm)).sum()
     assert r.predicted_cost == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -165,7 +174,7 @@ def test_planner_chosen_single_partition_survives_plan():
         sim.instantiate(heuristic, world, cards, lens, pm, seed)
         assert [n.partitions for n in heuristic.walk() if n.op == "Exchange"] == [2, 2]
     tpl = JobTemplate(tpl_id="one_t1", logical_root=logical, choices={"j1": "merge"},
-                      root=heuristic, inputs=("inA", "inB"), freq=1)
+                      inputs=("inA", "inB"), freq=1)
     # Every Exchange costs more with every partition, so the §5.3 optimum is 1.
     coef = np.zeros(len(FEATURE_NAMES))
     coef[P_FEATURE_INDEX] = 0.5

@@ -30,6 +30,7 @@ from tests.test_simulator_draws import (
     reference_derive_statistics,
     reference_job_cpu_seconds,
     reference_job_latency,
+    reference_rederive,
     reference_simulate_latencies,
 )
 
@@ -55,15 +56,6 @@ def ref_optimize_stage_analytical(ctx, counter, p_max=res.MAX_P):
     return 1
 
 
-def reference_rederive(node):
-    for n in node.walk():
-        if n.children and n.op not in ("Extract", "Exchange"):
-            if n.op in ("HashJoin", "MergeJoin"):
-                n.partitions = max(c.partitions for c in n.children)
-            else:
-                n.partitions = n.children[0].partitions
-
-
 class ReferencePlanner:
     """Plans on trees: prices one candidate at a time and explores one
     stage at a time."""
@@ -78,19 +70,21 @@ class ReferencePlanner:
         for choices in _candidates(tpl):
             root = expand_physical(tpl.logical_root, choices)
             assign_input_templates(root)
-            reference_derive_statistics(root, world, base_cards, base_lens, pm, seed_parts)
-            reference_assign_partitions(root, seed_parts)
-            cands.append((choices, root, []))
-        costs = [self._cost(root, explored, pm, counter) for _, root, explored in cands]
+            stats = reference_derive_statistics(root, world, base_cards, base_lens, pm,
+                                                seed_parts)
+            reference_assign_partitions(root, stats, seed_parts)
+            cands.append((choices, root, stats, []))
+        costs = [self._cost(root, stats, explored, pm, counter)
+                 for _, root, stats, explored in cands]
         best = costs.index(min(costs))
-        choices, root, explored = cands[best]
-        reference_simulate_latencies(root, world, pm, seed_parts)
+        choices, root, stats, explored = cands[best]
+        reference_simulate_latencies(root, stats, world, pm, seed_parts)
         return PlanResult(
             root=root, choices=choices, predicted_cost=costs[best], lookups=counter.lookups,
             planning_seconds=0.0, cost_model_seconds=0.0,
             actual_latency=reference_job_latency(root),
             cpu_seconds=reference_job_cpu_seconds(root),
-            candidate_costs={tuple(c.items()): cost for (c, _, _), cost in zip(cands, costs)},
+            candidate_costs={tuple(c.items()): cost for (c, *_), cost in zip(cands, costs)},
             explored=explored)
 
     def _optimize_partitions(self, root, explored, nodes, curves, counter):
@@ -125,15 +119,16 @@ class ReferencePlanner:
                         sp.partitions = stage_root.partitions
                         pinned.add(id(sp))
 
-    def _cost(self, root, explored, pm, counter):
+    def _cost(self, root, stats, explored, pm, counter):
         nodes = list(root.walk())
         idents = [_reference_identity(n) for n in nodes]
         cols = {c: [i[c] for i in idents] for c in IDENTITY_COLUMNS}
         cols["op"] = [n.op for n in nodes]
+        est = [stats[id(n)] for n in nodes]
         curves = res.fold_curves(self.bank.resolve(cols), {
             **cols,
-            "I": np.array([n.est_in for n in nodes]), "B": np.array([n.est_base for n in nodes]),
-            "C": np.array([n.est_out for n in nodes]), "L": np.array([n.row_len for n in nodes]),
+            "I": np.array([s.est_in for s in est]), "B": np.array([s.est_base for s in est]),
+            "C": np.array([s.est_out for s in est]), "L": np.array([s.row_len for s in est]),
             "pm": np.full(len(nodes), pm),
         })
         if self.explore_partitions:

@@ -158,7 +158,9 @@ def test_plan_identity_matches_per_node_definitions(tiny):
     for tpl in cl.templates:
         plans = tpl.executed().plans
         ids = plans.table.identity()
-        for r, node in zip(plans.rows, tpl.root.walk(), strict=True):
+        root = expand_physical(tpl.logical_root, tpl.choices)
+        assign_input_templates(root)
+        for r, node in zip(plans.rows, root.walk(), strict=True):
             assert {c: v[r] for c, v in ids.items()} == _reference_identity(node)
 
 

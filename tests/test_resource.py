@@ -92,13 +92,15 @@ def reference_costs(bank, rows):
     return np.array(out)
 
 
-def plan_rows(root, pm):
-    """Feature-log rows of an instantiated plan's nodes, from the
-    estimated statistics (the layout of the training log)."""
+def plan_rows(nodes, rows, stats, pm):
+    """Feature-log rows of a plan's operators (the layout of the training
+    log): each node's operator, identity and partition count, with the
+    estimated statistics ``stats`` of its table row in ``rows``."""
     return [
-        {"I": n.est_in, "B": n.est_base, "C": n.est_out, "L": n.row_len,
-         "P": n.partitions, "pm": pm, "op": n.op, **_reference_identity(n)}
-        for n in root.walk()
+        {"I": stats.est_in[r], "B": stats.est_base[r], "C": stats.est_out[r],
+         "L": stats.row_len[r], "P": n.partitions, "pm": pm, "op": n.op,
+         **_reference_identity(n)}
+        for n, r in zip(nodes, rows, strict=True)
     ]
 
 
@@ -246,8 +248,8 @@ def test_plan_cost_curves_from_plan(tiny, tiny_bank):
     curves = res.row_curves(tiny_bank.resolve(context), context, inst.stats, pm)
     p = np.array(inst.partitions, dtype=float)[:, None]
     got = res.predict_costs_at(curves[np.array(plan.plans.rows)], p, res.LookupCounter())[:, 0]
-    sim.instantiate(tpl.root, cl.world, bc, bl, pm, ("t", 1))
-    want = reference_costs(tiny_bank, plan_rows(tpl.root, pm))
+    nodes = plan.tree(0, inst.partitions)
+    want = reference_costs(tiny_bank, plan_rows(nodes, plan.plans.rows, inst.stats, pm))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.scope import simulator as sim
-from repro.scope.plan import compile_plans, hash64
+from repro.scope.plan import assign_input_templates, compile_plans, expand_physical, hash64
 from repro.scope.workload import Cluster, tiny_cluster
 
 SEEDS = np.concatenate([
@@ -58,7 +58,9 @@ def test_keyed_batch_is_rng_per_key():
     keys, seeds = [], []
     for tpl, k in cl.runs(1):
         seed_parts = (cl.cfg.name, tpl.tpl_id, 1, k)
-        plans = compile_plans([tpl.root])
+        root = expand_physical(tpl.logical_root, tpl.choices)
+        assign_input_templates(root)
+        plans = compile_plans([root])
         keys += [("sizes", tpl.tpl_id, 1, k),
                  *((kind, *seed_parts, op_id)
                    for kind, op_id in sim.plan_keys(plans)[1])]

@@ -1,18 +1,19 @@
 """Tests for the ground-truth simulator and statistics propagation."""
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from repro.optimizer.cascades import candidate_plans
 from repro.scope import simulator as sim
 from repro.scope.plan import assign_input_templates, compile_plans, expand_physical, PlanNode
-from tests.test_cascades_reference import reference_rederive
-from tests.test_simulator_draws import reference_derive_statistics
+from repro.scope.workload import TemplatePlans
+from tests.test_plan import simple_logical
+
+CHOICES = {"j1": "hash", "ga": "hash"}
 
 
 def make_plan(choices=None):
-    from tests.test_plan import simple_logical
-
-    root = expand_physical(simple_logical(), choices or {"j1": "hash", "ga": "hash"})
+    root = expand_physical(simple_logical(), choices or CHOICES)
     assign_input_templates(root)
     return root
 
@@ -27,21 +28,25 @@ def instantiate(root, world=None, pm=0.5, seed=("t", 1)):
     return root
 
 
+def run(seed=("t", 1)) -> tuple[TemplatePlans, sim.Instance]:
+    """One job run of the plan of ``CHOICES``, compiled as a template's
+    executed plan is, with its seed keys seeded in one batch."""
+    plan = TemplatePlans.expand(simple_logical(), [CHOICES])
+    return plan, sim.instantiate_plan(
+        plan.plans, plan.draw_keys, sim.World(cluster="testc"), BASE, LENS, 0.5,
+        iter(sim.RngBatch(sim.instance_seeds(plan.seed_keys, seed))))
+
+
 def test_instantiate_fills_everything():
-    root = instantiate(make_plan())
-    for n in root.walk():
-        assert n.true_out >= 0 and n.est_out >= 0
-        assert n.partitions >= 1
-        assert n.actual_latency > 0
-        assert np.isfinite(n.actual_latency)
+    plan, inst = run()
+    for col in astuple(inst.stats):
+        assert len(col) == len(plan.plans.table) and all(v >= 0 for v in col)
+    assert all(p >= 1 for p in inst.partitions)
+    assert all(lat > 0 and np.isfinite(lat) for lat in inst.latencies)
 
 
 def test_determinism_same_seed():
-    a = instantiate(make_plan())
-    b = instantiate(make_plan())
-    for x, y in zip(a.walk(), b.walk()):
-        assert x.actual_latency == y.actual_latency
-        assert x.est_out == y.est_out
+    assert run()[1] == run()[1]
 
 
 def test_different_seed_changes_noise():
@@ -60,45 +65,45 @@ def test_common_random_numbers_across_plan_variants():
 
 
 def test_true_cardinality_propagation():
-    root = instantiate(make_plan())
-    for n in root.walk():
-        if n.children:
-            assert n.true_in == pytest.approx(sum(c.true_out for c in n.children))
-            assert n.true_base == pytest.approx(sum(c.true_base for c in n.children))
+    plan, inst = run()
+    s = inst.stats
+    for r, kids in enumerate(plan.plans.table.kids):
+        if kids:
+            assert s.true_in[r] == pytest.approx(sum(s.true_out[k] for k in kids))
+            assert s.true_base[r] == pytest.approx(sum(s.true_base[k] for k in kids))
 
 
 def test_filter_reduces_cardinality():
-    root = instantiate(make_plan())
-    for n in root.walk():
-        if n.op == "Filter":
-            assert n.true_out <= n.true_in
+    plan, inst = run()
+    for r, op in enumerate(plan.plans.table.op):
+        if op == "Filter":
+            assert inst.stats.true_out[r] <= inst.stats.true_in[r]
 
 
 def test_aggregate_reduces_heavily():
-    root = instantiate(make_plan())
-    for n in root.walk():
-        if n.op == "HashAggregate":
-            assert n.true_out < n.true_in * 0.5
+    plan, inst = run()
+    for r, op in enumerate(plan.plans.table.op):
+        if op == "HashAggregate":
+            assert inst.stats.true_out[r] < inst.stats.true_in[r] * 0.5
 
 
 def test_card_preserving_ops_keep_estimates():
-    root = instantiate(make_plan())
-    for n in root.walk():
-        if n.op in ("Exchange", "Sort", "Output", "Project"):
-            assert n.est_out == pytest.approx(n.est_in)
+    plan, inst = run()
+    for r, op in enumerate(plan.plans.table.op):
+        if op in ("Exchange", "Sort", "Output", "Project"):
+            assert inst.stats.est_out[r] == pytest.approx(inst.stats.est_in[r])
 
 
 def test_estimation_error_compounds_with_depth():
     """Average |log est/true| grows up the plan (§3.1)."""
     errs = {}
     for seed in range(40):
-        root = instantiate(make_plan(), seed=("t", seed))
-        plans = compile_plans([root])
-        depths = plans.table.identity()["depth"]
-        for n, depth in zip(root.walk(), map(depths.__getitem__, plans.rows)):
-            if n.logical in ("Filter", "Join", "Aggregate"):
+        plan, inst = run(seed=("t", seed))
+        table, s = plan.plans.table, inst.stats
+        for r, depth in enumerate(table.identity()["depth"]):
+            if table.logical[r] in ("Filter", "Join", "Aggregate"):
                 errs.setdefault(depth, []).append(
-                    abs(np.log((n.est_out + 1) / (n.true_out + 1)))
+                    abs(np.log((s.est_out[r] + 1) / (s.true_out[r] + 1)))
                 )
     depths = sorted(errs)
     assert np.mean(errs[depths[-1]]) > np.mean(errs[depths[0]])
@@ -110,66 +115,6 @@ def test_join_copartitioning():
         if n.op in ("HashJoin", "MergeJoin"):
             roots = [c.stage_partition_root() for c in n.children]
             assert roots[0].partitions == roots[1].partitions
-
-
-def make_candidate(tpl, choices):
-    root = expand_physical(tpl.logical_root, choices)
-    assign_input_templates(root)
-    return root
-
-
-def reference_assign_partitions(root: PlanNode, draws: dict) -> None:
-    """Partition assignment as it was before joins were co-partitioned
-    in one pass: each join re-derives its inputs' chains in place."""
-    for node in root.walk():
-        if node.op == "Extract":
-            node.partitions = sim.default_partitions(node.est_base, draws["part", node.tpl_op_id])
-        elif node.op == "Exchange":
-            node.partitions = sim.default_partitions(node.est_in, draws["part", node.tpl_op_id])
-        else:
-            node.partitions = node.children[0].partitions if node.children else 1
-            if node.op in ("HashJoin", "MergeJoin"):
-                p = max(c.stage_partition_root().partitions for c in node.children)
-                for c in node.children:
-                    sp = c.stage_partition_root()
-                    if sp.op == "Exchange":
-                        sp.partitions = p
-                for c in node.children:
-                    reference_rederive(c)
-                node.partitions = max(
-                    c.stage_partition_root().partitions for c in node.children
-                )
-
-
-def test_assign_partitions_matches_per_join_rederivation(tiny):
-    """On every candidate of every day-3 template, including the
-    two-join ones, one co-partitioning pass and one re-derivation
-    (``heuristic_partitions`` over the compiled candidates) give the
-    counts of re-deriving at each join, and re-deriving again changes
-    nothing."""
-    cl, _, _ = tiny
-    two_join_plans = 0
-    for tpl in cl.live_templates(3):
-        pm, cards, lens = cl.instance_inputs(tpl, 3, 0)
-        seed = (cl.cfg.name, tpl.tpl_id, 3, 0)
-        cands = candidate_plans(tpl)
-        plans = cands.plans
-        draws = sim.seeded_draws(cands.draw_keys, iter(sim.RngBatch(
-            sim.instance_seeds(cands.draw_keys, seed))))
-        stats = sim.derive_rows(plans.table, cl.world, cards, lens, pm, draws)
-        counts = sim.heuristic_partitions(plans, stats, draws)
-        for j, choices in enumerate(cands.choices):
-            want = make_candidate(tpl, choices)
-            reference_derive_statistics(want, cl.world, cards, lens, pm, seed)
-            reference_assign_partitions(want, draws)
-            assert counts[plans.starts[j]:plans.starts[j + 1]].tolist() == \
-                [n.partitions for n in want.walk()]
-            joins = sum(n.op in ("HashJoin", "MergeJoin") for n in want.walk())
-            two_join_plans += joins == 2
-        again = counts.copy()
-        sim.rederive(plans, again)
-        assert np.array_equal(again, counts)
-    assert two_join_plans > 0
 
 
 def one_latency(root: PlanNode, stats: dict[str, list[float]], p: int) -> float:

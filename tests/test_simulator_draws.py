@@ -6,7 +6,10 @@
 ``reference_derive_statistics``, ``reference_assign_partitions`` and
 ``reference_simulate_latencies`` walk a tree, seed one fresh generator
 per operator per pass, keyed by ``(kind, *seed_parts, tpl_op_id)``, and
-draw from it with ``normal(0.0, s)``. The simulator derives statistics
+draw from it with ``normal(0.0, s)``. A plan node holds no statistics,
+so the references keep each node's in their own dict, keyed by
+``id(node)``, and write only partition counts and latencies into the
+nodes. The simulator derives statistics
 once per distinct subtree of compiled plans, draws each operator's first
 standard normal once per job instance and scales it, and
 ``generate_days`` seeds all of a day's generators in one batch; these
@@ -14,6 +17,7 @@ tests require identical statistics, partition counts, latencies and
 generated logs.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pandas as pd
@@ -28,44 +32,48 @@ from tests.test_plan import _reference_identity
 
 
 def reference_derive_statistics(root: PlanNode, world: sim.World, base_cards, base_lens,
-                                pm: float, seed_parts: tuple) -> None:
+                                pm: float, seed_parts: tuple) -> dict[int, SimpleNamespace]:
+    """The true and estimated statistics and row length of every node,
+    keyed by ``id(node)``."""
+    stats: dict[int, SimpleNamespace] = {}
     for node in root.walk():
+        s = stats[id(node)] = SimpleNamespace()
+        kids = [stats[id(c)] for c in node.children]
         g_node = sim._rng("est-jit", *seed_parts, node.tpl_op_id)
-        if not node.children:
+        if not kids:
             card = base_cards[node.input_templates[0]]
-            node.row_len = base_lens[node.input_templates[0]]
-            node.true_in = node.true_base = card
-            node.true_out = sim.true_output(node.op, card, node.sel_param, pm, [])
+            s.row_len = base_lens[node.input_templates[0]]
+            s.true_in = s.true_base = card
+            s.true_out = sim.true_output(node.op, card, node.sel_param, pm, [])
             err = math.exp(g_node.normal(0.0, 0.06))
-            node.est_in = node.est_base = node.est_out = card * err
+            s.est_in = s.est_base = s.est_out = card * err
             continue
-        node.true_in = sum(c.true_out for c in node.children)
-        node.true_base = sum(c.true_base for c in node.children)
-        node.est_in = sum(c.est_out for c in node.children)
-        node.est_base = sum(c.est_base for c in node.children)
-        child_len = sum(c.row_len * c.true_out for c in node.children) / max(
-            node.true_in, 1.0
-        )
+        s.true_in = sum(c.true_out for c in kids)
+        s.true_base = sum(c.true_base for c in kids)
+        s.est_in = sum(c.est_out for c in kids)
+        s.est_base = sum(c.est_base for c in kids)
+        child_len = sum(c.row_len * c.true_out for c in kids) / max(s.true_in, 1.0)
         if node.op == "Project":
-            node.row_len = child_len * (0.4 + 0.5 * node.sel_param)
+            s.row_len = child_len * (0.4 + 0.5 * node.sel_param)
         elif node.op in ("HashJoin", "MergeJoin"):
-            node.row_len = sum(c.row_len for c in node.children)
+            s.row_len = sum(c.row_len for c in kids)
         elif node.op in ("HashAggregate", "StreamAggregate", "LocalAggregate"):
-            node.row_len = child_len * 0.8
+            s.row_len = child_len * 0.8
         else:
-            node.row_len = child_len
-        node.true_out = sim.true_output(node.op, node.true_in, node.sel_param, pm,
-                                        [c.true_out for c in node.children])
+            s.row_len = child_len
+        s.true_out = sim.true_output(node.op, s.true_in, node.sel_param, pm,
+                                     [c.true_out for c in kids])
         if node.logical in ("Exchange", "Sort", "Project", "Output"):
-            node.est_out = node.est_in
+            s.est_out = s.est_in
         else:
-            true_sel = node.true_out / max(node.true_in, 1.0)
+            true_sel = s.true_out / max(s.true_in, 1.0)
             if node.tpl_op_id not in world._est_cache:
                 g_sys = sim._rng(world.cluster, "est", node.tpl_op_id)
                 bias = sim.EST_BIAS.get(node.logical, 0.0)
                 world._est_cache[node.tpl_op_id] = math.exp(g_sys.normal(bias, sim.EST_SIGMA))
             err = world._est_cache[node.tpl_op_id] * math.exp(g_node.normal(0.0, 0.08))
-            node.est_out = max(1.0, node.est_in * true_sel * err)
+            s.est_out = max(1.0, s.est_in * true_sel * err)
+    return stats
 
 
 def reference_default_partitions(est_rows: float, g_inst: np.random.Generator) -> int:
@@ -73,13 +81,28 @@ def reference_default_partitions(est_rows: float, g_inst: np.random.Generator) -
     return int(np.clip(math.ceil(est_rows / target), 1, sim.MAX_PARTITIONS))
 
 
-def reference_assign_partitions(root: PlanNode, seed_parts: tuple) -> None:
+def reference_rederive(node: PlanNode) -> None:
+    """Re-derive, in place, the count of every operator of ``node``'s
+    subtree but the partitioning ones: a join's is its inputs' largest,
+    any other's its first child's."""
+    for n in node.walk():
+        if n.children and n.op not in ("Extract", "Exchange"):
+            if n.op in ("HashJoin", "MergeJoin"):
+                n.partitions = max(c.partitions for c in n.children)
+            else:
+                n.partitions = n.children[0].partitions
+
+
+def reference_assign_partitions(root: PlanNode, stats: dict[int, SimpleNamespace],
+                                seed_parts: tuple) -> None:
+    """Heuristic partition counts, with each join re-deriving its inputs'
+    chains in place."""
     for node in root.walk():
         g_node = sim._rng("part", *seed_parts, node.tpl_op_id)
         if node.op == "Extract":
-            node.partitions = reference_default_partitions(node.est_base, g_node)
+            node.partitions = reference_default_partitions(stats[id(node)].est_base, g_node)
         elif node.op == "Exchange":
-            node.partitions = reference_default_partitions(node.est_in, g_node)
+            node.partitions = reference_default_partitions(stats[id(node)].est_in, g_node)
         else:
             node.partitions = node.children[0].partitions if node.children else 1
             if node.op in ("HashJoin", "MergeJoin"):
@@ -89,12 +112,7 @@ def reference_assign_partitions(root: PlanNode, seed_parts: tuple) -> None:
                     if sp.op == "Exchange":
                         sp.partitions = p
                 for c in node.children:
-                    for n in c.walk():
-                        if n.children and n.op not in ("Extract", "Exchange"):
-                            if n.op in ("HashJoin", "MergeJoin"):
-                                n.partitions = max(k.partitions for k in n.children)
-                            else:
-                                n.partitions = n.children[0].partitions
+                    reference_rederive(c)
                 node.partitions = max(
                     c.stage_partition_root().partitions for c in node.children
                 )
@@ -114,30 +132,33 @@ def reference_job_cpu_seconds(root) -> float:
     return total
 
 
-def reference_simulate_latencies(root: PlanNode, world: sim.World, pm: float,
-                                 seed_parts: tuple) -> None:
+def reference_simulate_latencies(root: PlanNode, stats: dict[int, SimpleNamespace],
+                                 world: sim.World, pm: float, seed_parts: tuple) -> None:
     """Each operator's exclusive latency at its statistics and partition
     count, from its children's row lengths and blocking flags and its own
     fresh ``"lat"`` generator."""
     for node in root.walk():
-        kids = node.children
-        in_len = (sum(c.row_len * c.true_out for c in kids) / max(node.true_in, 1.0)
-                  if kids else node.row_len)
+        s, kids = stats[id(node)], node.children
+        in_len = (sum(stats[id(c)].row_len * stats[id(c)].true_out for c in kids)
+                  / max(s.true_in, 1.0) if kids else s.row_len)
         node.actual_latency = world.latency(
-            node.op, node.logical, tuple(sorted(set(node.input_templates))), node.true_in,
-            node.true_out, node.row_len, in_len, node.partitions,
+            node.op, node.logical, tuple(sorted(set(node.input_templates))), s.true_in,
+            s.true_out, s.row_len, in_len, node.partitions,
             sim._context(not kids, any(c.blocking for c in kids)), pm,
             sim._rng("lat", *seed_parts, node.tpl_op_id))
 
 
-def reference_instantiate(root, world, base_cards, base_lens, pm, seed_parts) -> None:
-    reference_derive_statistics(root, world, base_cards, base_lens, pm, seed_parts)
-    reference_assign_partitions(root, seed_parts)
-    reference_simulate_latencies(root, world, pm, seed_parts)
+def reference_instantiate(root, world, base_cards, base_lens, pm,
+                          seed_parts) -> dict[int, SimpleNamespace]:
+    """The eager run of ``root``: its nodes' statistics, returned, and
+    their partition counts and latencies, written into the nodes."""
+    stats = reference_derive_statistics(root, world, base_cards, base_lens, pm, seed_parts)
+    reference_assign_partitions(root, stats, seed_parts)
+    reference_simulate_latencies(root, stats, world, pm, seed_parts)
+    return stats
 
 
-STATS = ("true_in", "true_base", "true_out", "est_in", "est_base", "est_out", "row_len",
-         "partitions")
+STATS = ("true_in", "true_base", "true_out", "est_in", "est_base", "est_out", "row_len")
 
 
 def _physical(tpl, choices) -> PlanNode:
@@ -150,9 +171,11 @@ def test_compiled_candidates_match_the_eager_draws(tiny):
     """Every candidate of every tiny day-3 job, read from its template's
     compiled candidate plans, where the candidates share the rows of
     their common subtrees, has the statistics and heuristic partition
-    counts of its own tree under fresh per-operator generators."""
+    counts of its own tree under fresh per-operator generators, whose
+    joins each re-derive their inputs' counts. Two-join candidates are
+    among them, and re-deriving the counts again changes nothing."""
     cl, _, _ = tiny
-    checked = 0
+    checked = two_join_plans = 0
     for tpl in cl.live_templates(3):
         cands = candidate_plans(tpl)
         plans, table = cands.plans, cands.plans.table
@@ -162,19 +185,25 @@ def test_compiled_candidates_match_the_eager_draws(tiny):
             draws = sim.seeded_draws(cands.draw_keys, iter(sim.RngBatch(
                 sim.instance_seeds(cands.draw_keys, seed))))
             stats = sim.derive_rows(table, cl.world, cards, lens, pm, draws)
-            parts = sim.heuristic_partitions(plans, stats, draws).tolist()
+            counts = sim.heuristic_partitions(plans, stats, draws)
+            parts = counts.tolist()
             for j, choices in enumerate(cands.choices):
                 want = _physical(tpl, choices)
-                reference_derive_statistics(want, cl.world, cards, lens, pm, seed)
-                reference_assign_partitions(want, seed)
+                want_stats = reference_derive_statistics(want, cl.world, cards, lens, pm, seed)
+                reference_assign_partitions(want, want_stats, seed)
                 pos = range(plans.starts[j], plans.starts[j + 1])
                 assert [(table.op[plans.rows[i]], table.tpl_op_id[plans.rows[i]]) for i in pos] \
                     == [(n.op, n.tpl_op_id) for n in want.walk()]
-                got = [[getattr(stats, a)[plans.rows[i]] for a in STATS[:-1]] + [parts[i]]
+                got = [[getattr(stats, a)[plans.rows[i]] for a in STATS] + [parts[i]]
                        for i in pos]
-                assert got == [[getattr(n, a) for a in STATS] for n in want.walk()]
+                assert got == [[getattr(want_stats[id(n)], a) for a in STATS] + [n.partitions]
+                               for n in want.walk()]
+                two_join_plans += sum(n.op in ("HashJoin", "MergeJoin") for n in want.walk()) == 2
                 checked += 1
-    assert checked > 100
+            again = counts.copy()
+            sim.rederive(plans, again)
+            assert np.array_equal(again, counts)
+    assert checked > 100 and two_join_plans > 0
     assert sum(len(candidate_plans(t).plans.table) for t in cl.live_templates(3)) < \
         sum(len(candidate_plans(t).plans) for t in cl.live_templates(3))
 
@@ -189,19 +218,22 @@ def reference_logs(cl: Cluster, days: list[int]) -> tuple[pd.DataFrame, pd.DataF
         for seq, (tpl, k) in enumerate(cl.runs(day), start=1):
             pm, cards, lens = cl.instance_inputs(tpl, day, k)
             root = _physical(tpl, tpl.choices)
-            reference_instantiate(root, cl.world, cards, lens, pm, (name, tpl.tpl_id, day, k))
+            stats = reference_instantiate(root, cl.world, cards, lens, pm,
+                                          (name, tpl.tpl_id, day, k))
             run = {"cluster": name, "day": day, "job_id": f"{name}_d{day}_{seq:05d}",
                    "template_id": tpl.tpl_id, "adhoc": tpl.tpl_id.startswith(f"{name}_adhoc")}
             for n in root.walk():
-                ident = _reference_identity(n)
+                ident, s = _reference_identity(n), stats[id(n)]
                 ops.append({
                     **run, "op_id": n.tpl_op_id, "op": n.op, "logical": n.logical,
                     **{c: ident[c] for c in ("depth", "cl", "sig_sub", "sig_approx",
                                              "sig_opinput", "in_hash")},
-                    "pm": pm, **{col: getattr(n, attr) for col, attr in NODE_STATS.items()},
-                    "cost_default": dc.op_cost(name, n.op, n.est_in, n.est_out, n.row_len),
-                    "cost_default_truecard": dc.op_cost(name, n.op, n.true_in, n.true_out,
-                                                        n.row_len),
+                    "pm": pm, "I": s.est_in, "B": s.est_base, "C": s.est_out, "L": s.row_len,
+                    "P": n.partitions, "true_I": s.true_in, "true_B": s.true_base,
+                    "true_C": s.true_out, "actual": n.actual_latency,
+                    "cost_default": dc.op_cost(name, n.op, s.est_in, s.est_out, s.row_len),
+                    "cost_default_truecard": dc.op_cost(name, n.op, s.true_in, s.true_out,
+                                                        s.row_len),
                 })
             jobs.append({**run, "latency": reference_job_latency(root),
                          "cpu_seconds": reference_job_cpu_seconds(root),
@@ -221,8 +253,11 @@ def test_generated_logs_match_the_eager_draws(tiny):
 
 def test_logged_runs_replay_on_the_lazy_path(tiny):
     """Every logged run of tiny days 1-3 is reproduced by
-    ``instance_inputs`` and ``instantiate`` (the per-key seeding the
-    planner experiments replay instances with)."""
+    ``instance_inputs`` and a batch of the run's own seed keys, two ways:
+    on the template's compiled executed plan (``instantiate_plan``, as
+    Figs 17 and 19 replay it), every statistics column, count and
+    latency; and on its tree (``instantiate``, which the benchmark
+    harness replays), every count and latency."""
     _, ops, _ = tiny
     cl = Cluster(tiny_cluster())
     cl.generate_days([1, 2, 3])
@@ -233,13 +268,25 @@ def test_logged_runs_replay_on_the_lazy_path(tiny):
             rows = logged.get_group(f"{cl.cfg.name}_d{day}_{seq:05d}")
             assert (rows.template_id == tpl.tpl_id).all()
             pm, cards, lens = cl.instance_inputs(tpl, day, k)
-            sim.instantiate(tpl.root, cl.world, cards, lens, pm,
-                            (cl.cfg.name, tpl.tpl_id, day, k))
-            nodes = list(tpl.root.walk())
-            assert rows.op_id.tolist() == [n.tpl_op_id for n in nodes]
             assert (rows.pm == pm).all()
+            seed = (cl.cfg.name, tpl.tpl_id, day, k)
+            plan = tpl.executed()
+            inst = sim.instantiate_plan(plan.plans, plan.draw_keys, cl.world, cards, lens, pm,
+                                        iter(sim.RngBatch(sim.instance_seeds(plan.seed_keys,
+                                                                             seed))))
+            table, order = plan.plans.table, plan.plans.rows
+            assert rows.op_id.tolist() == [table.tpl_op_id[r] for r in order]
             for col, attr in NODE_STATS.items():
-                assert rows[col].tolist() == [getattr(n, attr) for n in nodes], (tpl.tpl_id, col)
+                assert rows[col].tolist() == [getattr(inst.stats, attr)[r] for r in order], \
+                    (tpl.tpl_id, col)
+            assert rows.P.tolist() == inst.partitions
+            assert rows.actual.tolist() == inst.latencies
+            root = _physical(tpl, tpl.choices)
+            sim.instantiate(root, cl.world, cards, lens, pm, seed)
+            nodes = list(root.walk())
+            assert rows.op_id.tolist() == [n.tpl_op_id for n in nodes]
+            assert rows.P.tolist() == [n.partitions for n in nodes]
+            assert rows.actual.tolist() == [n.actual_latency for n in nodes]
             replayed += 1
     assert replayed == ops.job_id.nunique()
 
@@ -314,7 +361,7 @@ def test_stage_latencies_match_the_eager_draws(tiny):
             inst = sim.instantiate_plan(plans, plan.draw_keys, cl.world, cards, lens, pm,
                                         iter(batch))
             root = _physical(tpl, tpl.choices)
-            reference_instantiate(root, cl.world, cards, lens, pm, seed)
+            stats = reference_instantiate(root, cl.world, cards, lens, pm, seed)
             nodes = list(root.walk())
             for stage in plans.stages(0):
                 if nodes[stage[0]].op != "Exchange":
@@ -326,7 +373,7 @@ def test_stage_latencies_match_the_eager_draws(tiny):
                     saved = [nodes[i].partitions for i in stage]
                     for i in stage:
                         nodes[i].partitions = p
-                    reference_simulate_latencies(root, cl.world, pm, seed)
+                    reference_simulate_latencies(root, stats, cl.world, pm, seed)
                     for i, count in zip(stage, saved):
                         nodes[i].partitions = count
                     assert got == [nodes[i].actual_latency for i in stage], (tpl.tpl_id, k, p)
